@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Sequence, Union
 
@@ -55,7 +55,8 @@ from .hilbert import (
     DensityOperator,
     DichotomicObservable,
     PureState,
-    bloch_vector,
+    _PAULI_TRIPLE,
+    _bloch_operator,
     expectation,
 )
 from .measurement import (
@@ -68,12 +69,6 @@ from .measurement import (
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 TSIRELSON_TOL = 1e-9
-
-_PAULI_TRIPLE = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 def _pair_basis_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -118,9 +113,7 @@ def observable_from_bloch(
     One factor gives the ordinary n.sigma; a pair gives the blockwise
     version described in the module docstring.
     """
-    triple = _basis_triple(space.nfactors)
-    n = bloch_vector(theta, phi)
-    mat = n[0] * triple[0] + n[1] * triple[1] + n[2] * triple[2]
+    mat = _bloch_operator(theta, phi, _basis_triple(space.nfactors))
     return DichotomicObservable(space, mat)
 
 
@@ -483,12 +476,8 @@ def hypothesis_comparison(
     stream per hypothesis, spawned from ``rng`` in list order) with the
     exact companions attached.
     """
-    scenario_states = {}
-    parsed: list[CollapseHypothesis] = []
-    for h in hypotheses:
-        hyp = CollapseHypothesis.parse(h) if isinstance(h, str) else h
-        parsed.append(hyp)
-        scenario_states[hyp.name] = scenario.exact_state_under(hyp)
+    parsed = [CollapseHypothesis.parse(h) for h in hypotheses]
+    scenario_states = {hyp.name: scenario.exact_state_under(hyp) for hyp in parsed}
 
     rho_unitary = scenario.exact_state_under(UNITARY_ONLY)
     alice_labels = tuple(scenario.alice_labels)
@@ -508,34 +497,18 @@ def hypothesis_comparison(
         rho = scenario_states[hyp.name]
         exact = chsh_value(rho, settings, hypothesis=hyp)
         _, s_max = optimize_settings(rho, grid_step, alice_labels, bob_labels, threads)
-        consistent = abs(exact.s_value - s_data) <= consistency_tol
-        if shots > 0:
-            sampled = sample_inequality(rho, settings, shots, streams[k], threads, hyp)
-            results.append(
-                InequalityResult(
-                    s_value=sampled.s_value,
-                    correlators=sampled.correlators,
-                    hypothesis=hyp,
-                    exact=False,
-                    shots=shots,
-                    std_error=sampled.std_error,
-                    s_max=s_max,
-                    exact_s=exact.s_value,
-                    exact_correlators=exact.correlators,
-                    consistent_with_data=consistent,
-                )
+        evaluated = (
+            sample_inequality(rho, settings, shots, streams[k], threads, hyp)
+            if shots > 0
+            else exact
+        )
+        results.append(
+            replace(
+                evaluated,
+                s_max=s_max,
+                exact_s=exact.s_value,
+                exact_correlators=exact.correlators,
+                consistent_with_data=abs(exact.s_value - s_data) <= consistency_tol,
             )
-        else:
-            results.append(
-                InequalityResult(
-                    s_value=exact.s_value,
-                    correlators=exact.correlators,
-                    hypothesis=hyp,
-                    exact=True,
-                    s_max=s_max,
-                    exact_s=exact.s_value,
-                    exact_correlators=exact.correlators,
-                    consistent_with_data=consistent,
-                )
-            )
+        )
     return results

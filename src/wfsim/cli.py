@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .errors import ConfigError, InvariantViolation
@@ -60,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         help="worker threads for the settings search and sampling "
-        "(default: all cores); results do not depend on it",
+        "(default: none, everything runs serially); results do not depend on it",
     )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
@@ -80,25 +82,30 @@ def _load_config_file(path: str) -> tuple[dict, dict[str, int]]:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     if not isinstance(mapping, dict):
         raise ConfigError(f"{path}:1: the top level must be a JSON object")
+    return mapping, _top_level_key_lines(text)
+
+
+# A JSON string, with the colon that follows it when it is a key, or a
+# bracket.  Nothing else in valid JSON contains a quote or a bracket.
+_JSON_TOKEN = re.compile(r'("(?:[^"\\]|\\.)*")(\s*:)?|[{}\[\]]')
+
+
+def _top_level_key_lines(text: str) -> dict[str, int]:
+    """Line of each key of the top-level object in valid JSON text.
+
+    A key is a string token directly followed by a colon at nesting depth
+    one, so a string value that spells a key name is never taken for it.
+    A repeated key maps to its last occurrence, the one ``json`` keeps.
+    """
     lines: dict[str, int] = {}
-    for key in mapping:
-        probe = f'"{key}"'
-        pos = text.find(probe)
-        if pos >= 0:
-            lines[key] = text.count("\n", 0, pos) + 1
-    return mapping, lines
-
-
-_OVERRIDE_FLAGS = (
-    "scenario",
-    "hypotheses",
-    "seed",
-    "shots",
-    "grid_step",
-    "output_format",
-    "output_path",
-    "threads",
-)
+    depth = 0
+    for match in _JSON_TOKEN.finditer(text):
+        token, colon = match.group(1), match.group(2)
+        if token is None:
+            depth += 1 if match.group() in "{[" else -1
+        elif colon and depth == 1:
+            lines[json.loads(token)] = text.count("\n", 0, match.start()) + 1
+    return lines
 
 
 def load_config(args: argparse.Namespace) -> ScenarioConfig:
@@ -108,11 +115,11 @@ def load_config(args: argparse.Namespace) -> ScenarioConfig:
         source = args.config
     else:
         mapping, lines, source = {}, {}, "<flags>"
-    for name in _OVERRIDE_FLAGS:
-        value = getattr(args, name)
+    for field in fields(ScenarioConfig):
+        value = getattr(args, field.name)
         if value is not None:
-            mapping[name] = value
-            lines.pop(name, None)
+            mapping[field.name] = value
+            lines.pop(field.name, None)
     return ScenarioConfig.from_mapping(mapping, lines, source)
 
 

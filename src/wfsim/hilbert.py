@@ -47,6 +47,7 @@ _PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+_PAULI_TRIPLE = (_PAULI["x"], _PAULI["y"], _PAULI["z"])
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -362,9 +363,7 @@ class DichotomicObservable:
     @classmethod
     def bloch(cls, theta: float, phi: float, label: str) -> "DichotomicObservable":
         """Single-qubit observable n.sigma for the Bloch direction (theta, phi)."""
-        n = bloch_vector(theta, phi)
-        mat = n[0] * _PAULI["x"] + n[1] * _PAULI["y"] + n[2] * _PAULI["z"]
-        return cls(CompositeSpace.qubits(label), mat)
+        return cls(CompositeSpace.qubits(label), _bloch_operator(theta, phi))
 
     def projectors(self) -> tuple[np.ndarray, np.ndarray]:
         """Projectors onto the (+1, -1) eigenspaces, in that order."""
@@ -406,6 +405,14 @@ def bloch_vector(theta: float, phi: float) -> np.ndarray:
     """Unit vector (sin t cos p, sin t sin p, cos t)."""
     st = math.sin(theta)
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+
+
+def _bloch_operator(
+    theta: float, phi: float, triple: Sequence[np.ndarray] = _PAULI_TRIPLE
+) -> np.ndarray:
+    """n(theta, phi) . triple; for the default Pauli triple that is n.sigma."""
+    n = bloch_vector(theta, phi)
+    return n[0] * triple[0] + n[1] * triple[1] + n[2] * triple[2]
 
 
 def tensor(*states: PureState) -> PureState:

@@ -329,7 +329,9 @@ class CollapseHypothesis:
       itself; rendered as branch sampling whose ensemble is a dephasing.
     * ``stochastic_collapse``: collapse fires independently at each
       interaction event with probability p; p=0 is unitary_only and p=1
-      is friend_projective.
+      is subjective_collapse.  On the four-photon state p=1 also equals
+      friend_projective, but only because each friend anti-copies its
+      photon, so dephasing the friends dephases the photons too.
     """
 
     variant: str
@@ -356,8 +358,13 @@ class CollapseHypothesis:
         return cls("stochastic_collapse", p)
 
     @classmethod
-    def parse(cls, text: str) -> "CollapseHypothesis":
-        """Parse 'unitary_only', ..., or 'stochastic_collapse(0.3)'."""
+    def parse(cls, text: "CollapseHypothesis | str") -> "CollapseHypothesis":
+        """Parse 'unitary_only', ..., or 'stochastic_collapse(0.3)'.
+
+        A CollapseHypothesis is returned unchanged.
+        """
+        if isinstance(text, CollapseHypothesis):
+            return text
         text = text.strip()
         m = _STOCHASTIC_RE.match(text)
         if m:

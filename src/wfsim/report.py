@@ -10,19 +10,23 @@ guarantee.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
+import numbers
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable, NoReturn
 
 import numpy as np
 
 from . import __version__
 from .chsh import (
+    InequalityResult,
     chsh_value,
     correlator,
     hypothesis_comparison,
@@ -30,7 +34,7 @@ from .chsh import (
     optimize_settings,
     sample_inequality,
 )
-from .errors import ConfigError
+from .errors import ConfigError, InvalidState
 from .hilbert import (
     CompositeSpace,
     DichotomicObservable,
@@ -42,12 +46,14 @@ from .hilbert import (
 from .measurement import (
     CollapseHypothesis,
     PointerCoupling,
+    _HYPOTHESIS_VARIANTS,
     born_probabilities,
     couple_pointer,
     dephase,
     improper_mixture,
 )
 from .scenarios import (
+    COUNTEREXAMPLE_HYPOTHESES,
     COUNTEREXAMPLE_ORDER,
     PROIETTI_ORDER,
     SINGLET_ORDER,
@@ -60,16 +66,7 @@ from .scenarios import (
 
 ENV_OUT_DIR = "WFSIM_OUT_DIR"
 
-SCENARIOS = ("proietti", "counterexample", "pointer_basic", "bell_singlet")
-
-_DEFAULT_HYPOTHESES = {
-    "proietti": ("unitary_only", "friend_dephasing"),
-    "counterexample": ("unitary_only", "subjective_collapse"),
-    "pointer_basic": (),
-    "bell_singlet": (),
-}
-
-_COUNTEREXAMPLE_ALLOWED = {"unitary_only", "subjective_collapse"}
+_FORMATS = ("csv", "json")
 
 CSV_COLUMNS = (
     "scenario",
@@ -83,9 +80,18 @@ CSV_COLUMNS = (
 )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated description of one batch run."""
+    """Validated description of one batch run.
+
+    ``__post_init__`` is the one validator: every type and range check
+    lives there and raises ConfigError.  ``hypotheses`` may also be one
+    comma-separated string; ``None`` takes the scenario's defaults.
+    """
 
     scenario: str = "proietti"
     hypotheses: tuple[str, ...] | None = None
@@ -101,56 +107,48 @@ class ScenarioConfig:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; known: {', '.join(SCENARIOS)}"
             )
-        if self.hypotheses is None:
-            object.__setattr__(
-                self, "hypotheses", _DEFAULT_HYPOTHESES[self.scenario]
-            )
-        object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
+        spec = _SCENARIO_TABLE[self.scenario]
+        hypotheses = self.hypotheses
+        if hypotheses is None:
+            hypotheses = spec.default_hypotheses
+        elif isinstance(hypotheses, str):
+            hypotheses = [h.strip() for h in hypotheses.split(",") if h.strip()]
+        if not isinstance(hypotheses, (list, tuple)):
+            raise ConfigError(f"hypotheses must be a list of names, got {hypotheses!r}")
+        object.__setattr__(self, "hypotheses", tuple(hypotheses))
         for text in self.hypotheses:
+            if not isinstance(text, str):
+                raise ConfigError(f"bad hypotheses entry {text!r}: not a name")
             try:
                 hyp = CollapseHypothesis.parse(text)
-            except Exception as exc:
+            except (InvalidState, ValueError) as exc:
                 raise ConfigError(f"bad hypotheses entry {text!r}: {exc}") from exc
-            if (
-                self.scenario == "counterexample"
-                and hyp.variant not in _COUNTEREXAMPLE_ALLOWED
-            ):
+            if hyp.variant not in spec.allowed_variants:
                 raise ConfigError(
-                    f"hypotheses for the counterexample scenario must come from "
-                    f"{sorted(_COUNTEREXAMPLE_ALLOWED)}, got {hyp.name!r}"
+                    f"hypotheses for scenario {self.scenario!r} must come from "
+                    f"[{', '.join(spec.allowed_variants)}], got {hyp.name!r}"
                 )
-        if self.scenario in ("pointer_basic", "bell_singlet") and self.hypotheses:
-            raise ConfigError(
-                f"hypotheses are not accepted by scenario {self.scenario!r}"
-            )
-        if not isinstance(self.shots, int) or self.shots < 0:
+        if not _is_int(self.shots) or self.shots < 0:
             raise ConfigError(f"shots must be a non-negative integer, got {self.shots!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not 0.0 < float(self.grid_step) <= math.pi / 8 + 1e-12:
+        if (
+            isinstance(self.grid_step, bool)
+            or not isinstance(self.grid_step, numbers.Real)
+            or not 0.0 < float(self.grid_step) <= math.pi / 8 + 1e-12
+        ):
             raise ConfigError(
                 f"grid_step must lie in (0, pi/8], got {self.grid_step!r}"
             )
         object.__setattr__(self, "grid_step", float(self.grid_step))
-        if self.output_format not in ("csv", "json"):
+        if self.output_format not in _FORMATS:
             raise ConfigError(
                 f"output_format must be 'csv' or 'json', got {self.output_format!r}"
             )
-        if self.threads is not None and (
-            not isinstance(self.threads, int) or self.threads < 1
-        ):
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
+        if self.threads is not None and (not _is_int(self.threads) or self.threads < 1):
             raise ConfigError(f"threads must be a positive integer, got {self.threads!r}")
-
-    _KEYS = (
-        "scenario",
-        "hypotheses",
-        "shots",
-        "seed",
-        "grid_step",
-        "output_format",
-        "output_path",
-        "threads",
-    )
 
     @classmethod
     def from_mapping(
@@ -159,72 +157,42 @@ class ScenarioConfig:
         lines: dict[str, int] | None = None,
         source: str = "<config>",
     ) -> "ScenarioConfig":
-        """Build and validate a config, pointing errors at source lines."""
+        """Build and validate a config, pointing errors at source lines.
 
-        def fail(key: str, message: str) -> None:
-            line = (lines or {}).get(key)
+        A key whose value is null keeps the field's default.
+        """
+        lines = lines or {}
+
+        def fail(key: str | None, message: str) -> NoReturn:
+            line = lines.get(key)
             where = f"{source}:{line}" if line else source
-            raise ConfigError(f"{where}: {message}")
+            raise ConfigError(f"{where}: {message}") from None
 
         for key in mapping:
-            if key not in cls._KEYS:
+            if key not in _FIELD_NAMES:
                 fail(key, f"unknown configuration key {key!r}")
-
-        kwargs: dict = {}
-        if "scenario" in mapping:
-            kwargs["scenario"] = str(mapping["scenario"])
-        if "hypotheses" in mapping and mapping["hypotheses"] is not None:
-            raw = mapping["hypotheses"]
-            if isinstance(raw, str):
-                raw = [h.strip() for h in raw.split(",") if h.strip()]
-            if not isinstance(raw, (list, tuple)):
-                fail("hypotheses", "hypotheses must be a list of names")
-            kwargs["hypotheses"] = tuple(str(h) for h in raw)
-        for key in ("shots", "seed", "threads"):
-            if key in mapping and mapping[key] is not None:
-                value = mapping[key]
-                if isinstance(value, bool) or not isinstance(value, int):
-                    fail(key, f"{key} must be an integer, got {value!r}")
-                kwargs[key] = value
-        if "grid_step" in mapping and mapping["grid_step"] is not None:
-            value = mapping["grid_step"]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                fail("grid_step", f"grid_step must be a number, got {value!r}")
-            kwargs["grid_step"] = float(value)
-        if "output_format" in mapping and mapping["output_format"] is not None:
-            kwargs["output_format"] = str(mapping["output_format"])
-        if "output_path" in mapping and mapping["output_path"] is not None:
-            kwargs["output_path"] = str(mapping["output_path"])
-
         try:
-            return cls(**kwargs)
+            return cls(**{k: v for k, v in mapping.items() if v is not None})
         except ConfigError as exc:
-            # Re-point a field-level failure at its source line when known.
-            # The failing field is whichever key name the message mentions
-            # first; validation messages always lead with the field name.
+            # Validation messages lead with the failing field's name, so the
+            # field named first in the message picks the source line.
             message = str(exc)
             hits = [
                 (message.find(key), key)
-                for key in cls._KEYS
-                if key in message and (lines or {}).get(key)
+                for key in _FIELD_NAMES
+                if key in message and lines.get(key)
             ]
-            if hits:
-                _, key = min(hits)
-                raise ConfigError(f"{source}:{lines[key]}: {message}") from None
-            raise ConfigError(f"{source}: {message}") from None
+            fail(min(hits)[1] if hits else None, message)
 
     def echo(self) -> dict:
-        """JSON-ready copy of the configuration as given."""
-        return {
-            "scenario": self.scenario,
-            "hypotheses": list(self.hypotheses),
-            "shots": self.shots,
-            "seed": self.seed,
-            "grid_step": _round12(self.grid_step),
-            "output_format": self.output_format,
-            "output_path": self.output_path,
-            "threads": self.threads,
-        }
+        """JSON-ready copy of the configuration as given, in field order."""
+        body = {name: getattr(self, name) for name in _FIELD_NAMES}
+        body["hypotheses"] = list(self.hypotheses)
+        body["grid_step"] = _round12(self.grid_step)
+        return body
+
+
+_FIELD_NAMES = tuple(field.name for field in fields(ScenarioConfig))
 
 
 @dataclass(frozen=True)
@@ -251,18 +219,44 @@ class RunReport:
     version: str
 
 
-_FACTOR_ORDERS = {
-    "proietti": PROIETTI_ORDER,
-    "counterexample": COUNTEREXAMPLE_ORDER,
-    "pointer_basic": ("s", "p"),
-    "bell_singlet": SINGLET_ORDER,
-}
-
 _CORRELATOR_NAMES = ("correlator_e11", "correlator_e10", "correlator_e01", "correlator_e00")
 
 
-def _binomial_se(p_hat: float, n: int) -> float:
-    return math.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / n)
+def _probability_row(
+    scenario: str,
+    hypothesis: str,
+    quantity: str,
+    exact: float,
+    p_hat: float | None,
+    shots: int,
+) -> ReportRow:
+    """An exact probability; with shots > 0 also its sampled frequency
+    ``p_hat`` and that frequency's binomial standard error."""
+    if shots == 0:
+        return ReportRow(scenario, hypothesis, quantity, exact)
+    std_error = math.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / shots)
+    return ReportRow(scenario, hypothesis, quantity, exact, p_hat, std_error, shots)
+
+
+def _inequality_rows(
+    scenario: str,
+    hypothesis: str,
+    quantity: str,
+    exact_s: float,
+    exact_correlators: tuple[float, ...],
+    sampled: InequalityResult | None,
+) -> list[ReportRow]:
+    """The S row and its four correlator rows; estimates only when sampled."""
+    if sampled is None:
+        estimate, std_error, shots = None, None, None
+        estimates = (None,) * len(_CORRELATOR_NAMES)
+    else:
+        estimate, std_error, shots = sampled.s_value, sampled.std_error, sampled.shots
+        estimates = sampled.correlators
+    rows = [ReportRow(scenario, hypothesis, quantity, exact_s, estimate, std_error, shots)]
+    for name, ex, est in zip(_CORRELATOR_NAMES, exact_correlators, estimates):
+        rows.append(ReportRow(scenario, hypothesis, name, ex, est, None, shots))
+    return rows
 
 
 def _run_pointer_basic(config: ScenarioConfig, rng: np.random.Generator) -> list[ReportRow]:
@@ -275,31 +269,23 @@ def _run_pointer_basic(config: ScenarioConfig, rng: np.random.Generator) -> list
     dephased = dephase(rho, ("s", "p"))
     probs = born_probabilities(coupled, ("s",))
 
-    def row(quantity: str, value: float, estimate=None, std=None, shots=None):
-        return ReportRow(config.scenario, "", quantity, value, estimate, std, shots)
-
     rows = [
-        row("composite_purity", purity(rho)),
-        row("reduced_purity", purity(reduced)),
-        row("coherence_composite", coherence_norm(rho)),
-        row("coherence_dephased", coherence_norm(dephased)),
+        ReportRow(config.scenario, "", quantity, value)
+        for quantity, value in (
+            ("composite_purity", purity(rho)),
+            ("reduced_purity", purity(reduced)),
+            ("coherence_composite", coherence_norm(rho)),
+            ("coherence_dephased", coherence_norm(dephased)),
+        )
     ]
-    if config.shots > 0:
-        counts = rng.multinomial(config.shots, probs)
-        for k in range(probs.size):
-            p_hat = counts[k] / config.shots
-            rows.append(
-                row(
-                    f"born_p{k}",
-                    float(probs[k]),
-                    p_hat,
-                    _binomial_se(p_hat, config.shots),
-                    config.shots,
-                )
+    counts = rng.multinomial(config.shots, probs) if config.shots > 0 else None
+    for k in range(probs.size):
+        p_hat = None if counts is None else counts[k] / config.shots
+        rows.append(
+            _probability_row(
+                config.scenario, "", f"born_p{k}", float(probs[k]), p_hat, config.shots
             )
-    else:
-        for k in range(probs.size):
-            rows.append(row(f"born_p{k}", float(probs[k])))
+        )
     return rows
 
 
@@ -318,31 +304,24 @@ def _run_bell_singlet(config: ScenarioConfig, rng: np.random.Generator) -> list[
     )
     exact = chsh_value(psi, settings)
 
-    def row(quantity, value, estimate=None, std=None, shots=None):
-        return ReportRow(config.scenario, "", quantity, value, estimate, std, shots)
-
-    rows = [
-        row("composite_purity", purity(rho)),
-        row("reduced_purity_e1", purity(reduced_e1)),
-        row("reduced_purity_e2", purity(reduced_e2)),
-        row("coherence_reduced_e1", coherence_norm(reduced_e1)),
-        row("sigma_zz_correlator", zz),
-        row("s_max", s_max),
-    ]
+    sampled = None
     if config.shots > 0:
         sampled = sample_inequality(
             psi, settings, config.shots, rng.spawn(1)[0], config.threads
         )
-        rows.append(
-            row("s_at_optimal", exact.s_value, sampled.s_value, sampled.std_error, config.shots)
+    return [
+        ReportRow(config.scenario, "", quantity, value)
+        for quantity, value in (
+            ("composite_purity", purity(rho)),
+            ("reduced_purity_e1", purity(reduced_e1)),
+            ("reduced_purity_e2", purity(reduced_e2)),
+            ("coherence_reduced_e1", coherence_norm(reduced_e1)),
+            ("sigma_zz_correlator", zz),
+            ("s_max", s_max),
         )
-        for name, ex, est in zip(_CORRELATOR_NAMES, exact.correlators, sampled.correlators):
-            rows.append(row(name, ex, est, None, config.shots))
-    else:
-        rows.append(row("s_at_optimal", exact.s_value))
-        for name, ex in zip(_CORRELATOR_NAMES, exact.correlators):
-            rows.append(row(name, ex))
-    return rows
+    ] + _inequality_rows(
+        config.scenario, "", "s_at_optimal", exact.s_value, exact.correlators, sampled
+    )
 
 
 def _run_proietti(config: ScenarioConfig, rng: np.random.Generator) -> list[ReportRow]:
@@ -358,20 +337,16 @@ def _run_proietti(config: ScenarioConfig, rng: np.random.Generator) -> list[Repo
     )
 
     rows = [
-        ReportRow(config.scenario, "", "herald_probability_side_a", herald_a),
-        ReportRow(config.scenario, "", "herald_probability_side_b", herald_b),
-        ReportRow(
-            config.scenario,
-            "",
-            "herald_probability_chained",
-            scenario.chained_herald_probability,
-        ),
-        ReportRow(config.scenario, "", "final_vs_reference_error", deviation),
-        ReportRow(config.scenario, "", "final_composite_purity", purity(rho_final)),
-        ReportRow(config.scenario, "", "min_single_factor_purity", min_purity),
-        ReportRow(
-            config.scenario, "", "local_deterministic_bound", local_deterministic_bound()
-        ),
+        ReportRow(config.scenario, "", quantity, value)
+        for quantity, value in (
+            ("herald_probability_side_a", herald_a),
+            ("herald_probability_side_b", herald_b),
+            ("herald_probability_chained", scenario.chained_herald_probability),
+            ("final_vs_reference_error", deviation),
+            ("final_composite_purity", purity(rho_final)),
+            ("min_single_factor_purity", min_purity),
+            ("local_deterministic_bound", local_deterministic_bound()),
+        )
     ]
 
     results = hypothesis_comparison(
@@ -386,28 +361,14 @@ def _run_proietti(config: ScenarioConfig, rng: np.random.Generator) -> list[Repo
     for res in results:
         name = res.hypothesis.name
         rows.append(ReportRow(config.scenario, name, "s_max", res.s_max))
-        if res.exact:
-            rows.append(ReportRow(config.scenario, name, "s_at_witness_settings", res.s_value))
-            for qname, ex in zip(_CORRELATOR_NAMES, res.correlators):
-                rows.append(ReportRow(config.scenario, name, qname, ex))
-        else:
-            rows.append(
-                ReportRow(
-                    config.scenario,
-                    name,
-                    "s_at_witness_settings",
-                    res.exact_s,
-                    res.s_value,
-                    res.std_error,
-                    res.shots,
-                )
-            )
-            for qname, ex, est in zip(
-                _CORRELATOR_NAMES, res.exact_correlators, res.correlators
-            ):
-                rows.append(
-                    ReportRow(config.scenario, name, qname, ex, est, None, res.shots)
-                )
+        rows += _inequality_rows(
+            config.scenario,
+            name,
+            "s_at_witness_settings",
+            res.exact_s,
+            res.exact_correlators,
+            None if res.exact else res,
+        )
         rows.append(
             ReportRow(
                 config.scenario,
@@ -425,32 +386,56 @@ def _run_counterexample(config: ScenarioConfig, rng: np.random.Generator) -> lis
     rows = []
     for k, hyp in enumerate(hypotheses):
         exact_p = counterexample_probability(hyp)
+        freq = None
         if config.shots > 0:
             freq = counterexample_frequencies(hyp, config.shots, streams[k])
-            rows.append(
-                ReportRow(
-                    config.scenario,
-                    hyp.name,
-                    "photon_probability",
-                    exact_p,
-                    freq,
-                    _binomial_se(freq, config.shots),
-                    config.shots,
-                )
+        rows.append(
+            _probability_row(
+                config.scenario, hyp.name, "photon_probability", exact_p, freq, config.shots
             )
-        else:
-            rows.append(
-                ReportRow(config.scenario, hyp.name, "photon_probability", exact_p)
-            )
+        )
     return rows
 
 
-_RUNNERS = {
-    "pointer_basic": _run_pointer_basic,
-    "bell_singlet": _run_bell_singlet,
-    "proietti": _run_proietti,
-    "counterexample": _run_counterexample,
+@dataclass(frozen=True)
+class Scenario:
+    """Everything the report layer knows about one scenario.
+
+    ``allowed_variants`` lists the CollapseHypothesis variants a config
+    may name (none for scenarios that take no hypotheses), and
+    ``default_hypotheses`` is what a config without hypotheses runs.
+    """
+
+    name: str
+    runner: Callable[[ScenarioConfig, np.random.Generator], list[ReportRow]]
+    factor_order: tuple[str, ...]
+    default_hypotheses: tuple[str, ...] = ()
+    allowed_variants: tuple[str, ...] = ()
+
+
+_SCENARIO_TABLE = {
+    spec.name: spec
+    for spec in (
+        Scenario(
+            "proietti",
+            _run_proietti,
+            PROIETTI_ORDER,
+            default_hypotheses=("unitary_only", "friend_dephasing"),
+            allowed_variants=_HYPOTHESIS_VARIANTS,
+        ),
+        Scenario(
+            "counterexample",
+            _run_counterexample,
+            COUNTEREXAMPLE_ORDER,
+            default_hypotheses=COUNTEREXAMPLE_HYPOTHESES,
+            allowed_variants=COUNTEREXAMPLE_HYPOTHESES,
+        ),
+        Scenario("pointer_basic", _run_pointer_basic, ("s", "p")),
+        Scenario("bell_singlet", _run_bell_singlet, SINGLET_ORDER),
+    )
 }
+
+SCENARIOS = tuple(_SCENARIO_TABLE)
 
 
 def run(config: ScenarioConfig) -> RunReport:
@@ -462,11 +447,12 @@ def run(config: ScenarioConfig) -> RunReport:
     """
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
-    rows = _RUNNERS[config.scenario](config, rng)
+    spec = _SCENARIO_TABLE[config.scenario]
+    rows = spec.runner(config, rng)
     elapsed = time.perf_counter() - started
     return RunReport(
         config=config,
-        factor_order=_FACTOR_ORDERS[config.scenario],
+        factor_order=spec.factor_order,
         rows=tuple(rows),
         wall_time_s=elapsed,
         version=__version__,
@@ -545,10 +531,13 @@ def emit(
 
     Location precedence: explicit ``path`` argument, then the config's
     ``output_path``, then ``$WFSIM_OUT_DIR`` (with a default file name),
-    then the working directory.  OSError propagates to the caller.
+    then the working directory.  The text goes to a temporary file in
+    the target's directory that is then renamed over the target, so an
+    interrupted write never leaves half a report.  OSError propagates to
+    the caller.
     """
     fmt = output_format or report.config.output_format
-    if fmt not in ("csv", "json"):
+    if fmt not in _FORMATS:
         raise ConfigError(f"output_format must be 'csv' or 'json', got {fmt!r}")
     if path is None:
         path = report.config.output_path
@@ -558,5 +547,13 @@ def emit(
         path = os.path.join(out_dir, default_name) if out_dir else default_name
     out = Path(path)
     text = render_csv(report) if fmt == "csv" else render_json(report)
-    out.write_text(text, encoding="utf-8")
+    tmp = out.parent / f".{out.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, out)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
     return out

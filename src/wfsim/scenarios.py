@@ -53,6 +53,9 @@ PROIETTI_ORDER = ("a", "alpha_prime", "alpha", "b", "beta_prime", "beta")
 COUNTEREXAMPLE_ORDER = ("A", "B", "C")
 SINGLET_ORDER = ("e1", "e2")
 
+# The two readings the counterexample protocol compares, in report order.
+COUNTEREXAMPLE_HYPOTHESES = ("unitary_only", "subjective_collapse")
+
 _SIDES = {
     "A": ("a", "alpha_prime", "alpha"),
     "B": ("b", "beta_prime", "beta"),
@@ -290,8 +293,7 @@ class ProiettiScenario:
         * stochastic_collapse(p): each wing collapses independently with
           probability p; convex mixture of the four combinations.
         """
-        if isinstance(hypothesis, str):
-            hypothesis = CollapseHypothesis.parse(hypothesis)
+        hypothesis = CollapseHypothesis.parse(hypothesis)
         rho_u = self.final.state.density()
         variant = hypothesis.variant
         if variant == "unitary_only":
@@ -350,9 +352,15 @@ def _counterexample_amplitudes(amplitudes: Sequence[complex]) -> tuple[complex, 
     return c_up, c_down
 
 
-def _coerce_hypothesis(hypothesis: CollapseHypothesis | str) -> CollapseHypothesis:
-    if isinstance(hypothesis, str):
-        return CollapseHypothesis.parse(hypothesis)
+def _counterexample_hypothesis(
+    hypothesis: CollapseHypothesis | str,
+) -> CollapseHypothesis:
+    hypothesis = CollapseHypothesis.parse(hypothesis)
+    if hypothesis.variant not in COUNTEREXAMPLE_HYPOTHESES:
+        raise ShapeError(
+            f"the counterexample protocol compares "
+            f"{' with '.join(COUNTEREXAMPLE_HYPOTHESES)}, not {hypothesis.name}"
+        )
     return hypothesis
 
 
@@ -370,24 +378,19 @@ def counterexample_state_under(
     protocol specifies; other amplitudes are supported but exercise the
     same machinery without an external reference.
     """
-    hypothesis = _coerce_hypothesis(hypothesis)
+    hypothesis = _counterexample_hypothesis(hypothesis)
     c_up, c_down = _counterexample_amplitudes(amplitudes)
     space = CompositeSpace.qubits(*COUNTEREXAMPLE_ORDER)
     if hypothesis.variant == "unitary_only":
         state = PureState.from_mapping(space, {"uu0": c_up, "dd0": c_down})
         return ScenarioState(stage="final", state=state, hypothesis=hypothesis)
-    if hypothesis.variant == "subjective_collapse":
-        if rng is None:
-            raise InvalidState("subjective_collapse sampling needs a Generator")
-        p_up = abs(c_up) ** 2
-        branch = 0 if rng.random() < p_up else 1
-        state = PureState.basis(space, "uu0" if branch == 0 else "dd0")
-        return ScenarioState(
-            stage="collapsed", state=state, hypothesis=hypothesis, branch=branch
-        )
-    raise ShapeError(
-        f"the counterexample protocol compares unitary_only with "
-        f"subjective_collapse, not {hypothesis.name}"
+    if rng is None:
+        raise InvalidState("subjective_collapse sampling needs a Generator")
+    p_up = abs(c_up) ** 2
+    branch = 0 if rng.random() < p_up else 1
+    state = PureState.basis(space, "uu0" if branch == 0 else "dd0")
+    return ScenarioState(
+        stage="collapsed", state=state, hypothesis=hypothesis, branch=branch
     )
 
 
@@ -396,21 +399,14 @@ def counterexample_density(
     amplitudes: Sequence[complex] = (1 / _SQRT2, 1 / _SQRT2),
 ) -> DensityOperator:
     """Exact ensemble density operator for either hypothesis."""
-    hypothesis = _coerce_hypothesis(hypothesis)
+    hypothesis = _counterexample_hypothesis(hypothesis)
     c_up, c_down = _counterexample_amplitudes(amplitudes)
     space = CompositeSpace.qubits(*COUNTEREXAMPLE_ORDER)
     if hypothesis.variant == "unitary_only":
         return PureState.from_mapping(space, {"uu0": c_up, "dd0": c_down}).density()
-    if hypothesis.variant == "subjective_collapse":
-        up = PureState.basis(space, "uu0").density()
-        down = PureState.basis(space, "dd0").density()
-        return DensityOperator.mixture(
-            [(abs(c_up) ** 2, up), (abs(c_down) ** 2, down)]
-        )
-    raise ShapeError(
-        f"the counterexample protocol compares unitary_only with "
-        f"subjective_collapse, not {hypothesis.name}"
-    )
+    up = PureState.basis(space, "uu0").density()
+    down = PureState.basis(space, "dd0").density()
+    return DensityOperator.mixture([(abs(c_up) ** 2, up), (abs(c_down) ** 2, down)])
 
 
 def counterexample_probability(
@@ -453,30 +449,25 @@ def counterexample_frequencies(
     """
     if runs < 1:
         raise ShapeError("runs must be at least 1")
-    hypothesis = _coerce_hypothesis(hypothesis)
+    hypothesis = _counterexample_hypothesis(hypothesis)
     c_up, c_down = _counterexample_amplitudes(amplitudes)
     meas = counterexample_measurement()
     if hypothesis.variant == "unitary_only":
         p = counterexample_probability(hypothesis, amplitudes)
         hits = rng.random(runs) < p
         return float(hits.mean())
-    if hypothesis.variant == "subjective_collapse":
-        from .measurement import born_probabilities
+    from .measurement import born_probabilities
 
-        space = CompositeSpace.qubits(*COUNTEREXAMPLE_ORDER)
-        p_branch = np.array(
-            [
-                born_probabilities(PureState.basis(space, "uu0"), meas)[0],
-                born_probabilities(PureState.basis(space, "dd0"), meas)[0],
-            ]
-        )
-        branches = (rng.random(runs) >= abs(c_up) ** 2).astype(int)
-        hits = rng.random(runs) < p_branch[branches]
-        return float(hits.mean())
-    raise ShapeError(
-        f"the counterexample protocol compares unitary_only with "
-        f"subjective_collapse, not {hypothesis.name}"
+    space = CompositeSpace.qubits(*COUNTEREXAMPLE_ORDER)
+    p_branch = np.array(
+        [
+            born_probabilities(PureState.basis(space, "uu0"), meas)[0],
+            born_probabilities(PureState.basis(space, "dd0"), meas)[0],
+        ]
     )
+    branches = (rng.random(runs) >= abs(c_up) ** 2).astype(int)
+    hits = rng.random(runs) < p_branch[branches]
+    return float(hits.mean())
 
 
 def bell_singlet() -> PureState:

@@ -1,0 +1,61 @@
+"""Byte-for-byte gate on the CSV and JSON report of every scenario.
+
+The files under ``tests/golden/`` hold the reports at ``seed=7`` and
+``grid_step=pi/16``, sampled (``shots=1000``) and exact (``shots=0``),
+with the ``wall_time_s`` line cut from the JSON.  A change that alters
+report bytes on purpose rewrites them with
+``PYTHONPATH=src python tests/test_golden.py`` and lists the old and new
+values in CHANGES.md; the diff of ``tests/golden/`` is then the reviewed
+record of what moved.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+from wfsim.report import ScenarioConfig, render_csv, render_json, run
+
+GOLDEN = Path(__file__).parent / "golden"
+SCENARIO_NAMES = ("proietti", "counterexample", "pointer_basic", "bell_singlet")
+SHOTS = (1000, 0)
+FORMATS = ("csv", "json")
+
+_WALL_TIME_LINE = re.compile(r',\n  "wall_time_s": [^\n]*')
+
+
+def golden_path(scenario: str, shots: int, fmt: str) -> Path:
+    return GOLDEN / f"{scenario}_shots{shots}.{fmt}"
+
+
+def render_golden(scenario: str, shots: int, fmt: str) -> bytes:
+    config = ScenarioConfig(
+        scenario=scenario,
+        seed=7,
+        shots=shots,
+        grid_step=math.pi / 16,
+        output_format=fmt,
+    )
+    report = run(config)
+    if fmt == "csv":
+        return render_csv(report).encode("utf-8")
+    return _WALL_TIME_LINE.sub("", render_json(report)).encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("shots", SHOTS)
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_report_bytes_match_golden(scenario, shots, fmt):
+    expected = golden_path(scenario, shots, fmt).read_bytes()
+    assert render_golden(scenario, shots, fmt) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name in SCENARIO_NAMES:
+        for shots in SHOTS:
+            for fmt in FORMATS:
+                golden_path(name, shots, fmt).write_bytes(render_golden(name, shots, fmt))

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -66,6 +67,17 @@ class TestScenarioConfig:
             ScenarioConfig(threads=0)
         with pytest.raises(ConfigError):
             ScenarioConfig(output_format="yaml")
+        for bad in (
+            {"seed": True},
+            {"shots": True},
+            {"seed": True, "shots": True},
+            {"threads": True},
+            {"grid_step": "fine"},
+            {"grid_step": "0.1"},
+            {"grid_step": True},
+        ):
+            with pytest.raises(ConfigError):
+                ScenarioConfig(**bad)
 
     def test_from_mapping_rejects_unknown_key_with_line(self):
         with pytest.raises(ConfigError, match=r"cfg\.json:4"):
@@ -96,6 +108,17 @@ class TestScenarioConfig:
             ScenarioConfig.from_mapping({"shots": True})
         with pytest.raises(ConfigError):
             ScenarioConfig.from_mapping({"grid_step": "fine"})
+        for bad in (
+            {"seed": True},
+            {"threads": True},
+            {"grid_step": "0.1"},
+            {"grid_step": False},
+            {"hypotheses": 5},
+            {"hypotheses": ["unitary_only", 3]},
+            {"output_path": 5},
+        ):
+            with pytest.raises(ConfigError):
+                ScenarioConfig.from_mapping(bad)
 
 
 class TestRunPointerBasic:
@@ -233,6 +256,28 @@ class TestEmission:
         with pytest.raises(OSError):
             emit(report, path=tmp_path / "missing_dir" / "r.csv")
 
+    def test_emit_failed_rename_keeps_old_report(self, tmp_path, monkeypatch):
+        target = tmp_path / "r.csv"
+        target.write_text("previous report\n")
+        report = run(ScenarioConfig(scenario="pointer_basic", hypotheses=()))
+
+        def refuse(src, dst):
+            raise OSError("synthetic rename failure")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="synthetic rename failure"):
+            emit(report, path=target)
+        assert target.read_text() == "previous report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+    def test_emit_replaces_existing_report(self, tmp_path):
+        target = tmp_path / "r.csv"
+        target.write_text("previous report\n")
+        report = run(ScenarioConfig(scenario="pointer_basic", hypotheses=()))
+        emit(report, path=target)
+        assert target.read_text() == render_csv(report)
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
 
 class TestCliExitCodes:
     def test_success(self, tmp_path, capsys):
@@ -251,6 +296,20 @@ class TestCliExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{cfg}:3" in err
+
+    def test_config_line_of_key_not_of_equal_string_value(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{\n  "output_path": "shots",\n  "shots": -1\n}\n')
+        assert cli.main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:3: shots must be" in err
+
+    def test_config_line_ignores_nested_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{\n  "output_path": {"shots": 1},\n  "shots": -1\n}\n')
+        assert cli.main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:3: shots must be" in err
 
     def test_invalid_json_reports_line(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"

@@ -170,6 +170,14 @@ class TestProiettiScenario:
             atol=1e-14,
         )
 
+    def test_stochastic_one_is_subjective_collapse(self):
+        """p=1 is built as subjective_collapse; on this state it also equals
+        friend_projective, because each friend anti-copies its photon."""
+        scenario = proietti_scenario()
+        p1 = scenario.exact_state_under(CollapseHypothesis.stochastic(1.0)).matrix
+        for other in (SUBJECTIVE_COLLAPSE, FRIEND_PROJECTIVE):
+            assert np.max(np.abs(p1 - scenario.exact_state_under(other).matrix)) == 0.0
+
     def test_stochastic_intermediate_is_valid(self):
         rho = proietti_scenario().exact_state_under("stochastic_collapse(0.35)")
         assert validate(rho).ok

@@ -35,7 +35,7 @@ def convergence():
 
 def report_pipeline():
     # the same run() the CLI calls; identical config and seed means
-    # identical bytes, whatever machine or thread count
+    # identical bytes, whatever machine it runs on
     config = ScenarioConfig(scenario="bell_singlet", shots=50_000, seed=11, grid_step=math.pi / 16)
     report = run(config)
     print(f"\nscenario '{config.scenario}' produced {len(report.rows)} rows "

@@ -42,7 +42,6 @@ the lexicographically smallest (theta_b1, phi_b1, theta_b0, phi_b0).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Sequence, Union
@@ -69,6 +68,16 @@ from .measurement import (
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 TSIRELSON_TOL = 1e-9
+
+# Accepted grid steps, inclusive.  The scan cost grows as step**-4, so each
+# halving below pi/128 (already tens of seconds per state) costs 16 times more.
+GRID_STEP_RANGE = (math.pi / 128, math.pi / 8)
+
+
+def grid_step_in_range(step: float) -> bool:
+    """Whether ``step`` lies in GRID_STEP_RANGE, up to rounding."""
+    low, high = GRID_STEP_RANGE
+    return low - 1e-12 <= step <= high + 1e-12
 
 
 def _pair_basis_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -308,7 +317,6 @@ def optimize_settings(
     grid_step: float = math.pi / 64,
     alice_labels: Sequence[str] | None = None,
     bob_labels: Sequence[str] | None = None,
-    threads: int | None = None,
 ) -> tuple[MeasurementSettings, float]:
     """Deterministic settings search maximizing |S|; see module docstring.
 
@@ -320,8 +328,8 @@ def optimize_settings(
     noise, since Bob's coarse grid is a subset of the fine one and
     Alice's response is exact.
     """
-    if not 0.0 < grid_step <= math.pi / 8 + 1e-12:
-        raise ShapeError(f"grid_step {grid_step!r} outside (0, pi/8]")
+    if not grid_step_in_range(grid_step):
+        raise ShapeError(f"grid_step {grid_step!r} outside [pi/128, pi/8]")
     if alice_labels is None and bob_labels is None:
         if state.space.nfactors != 2:
             raise ShapeError(
@@ -342,18 +350,13 @@ def optimize_settings(
     norms2 = np.einsum("ij,ij->i", w, w)
     n = vectors.shape[0]
 
-    block_rows = n if n * n <= (1 << 25) else max(64, (1 << 24) // n)
-    spans = [(s, min(s + block_rows, n)) for s in range(0, n, block_rows)]
-    if threads is not None and threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda sp: _scan_block(w, norms2, *sp), spans))
-    else:
-        results = [_scan_block(w, norms2, s, e) for s, e in spans]
-
+    # About 2**24 pairs per block; even at pi/128 a block holds 508 rows.
+    block_rows = n if n * n <= (1 << 25) else (1 << 24) // n
     best_value = -math.inf
     best_flat = 0
-    for value, flat in results:  # block order, strict >, keeps the earliest
-        if value > best_value:
+    for start in range(0, n, block_rows):
+        value, flat = _scan_block(w, norms2, start, min(start + block_rows, n))
+        if value > best_value:  # strict >: the earliest block keeps a tie
             best_value = value
             best_flat = flat
 
@@ -407,7 +410,6 @@ def sample_inequality(
     settings: MeasurementSettings,
     shots: int,
     rng: np.random.Generator,
-    threads: int | None = None,
     hypothesis: CollapseHypothesis | None = None,
 ) -> InequalityResult:
     """Estimate S from finite per-setting counts.
@@ -416,8 +418,7 @@ def sample_inequality(
     (A0,B1), (A0,B0), owns an independent child stream spawned from
     ``rng`` (one spawn call, children in that order), and draws its
     outcome counts from a multinomial over the exact joint distribution.
-    The split rule makes results independent of the thread count.  The
-    standard error is the plug-in estimate sqrt(sum (1 - E_k^2) / shots).
+    The standard error is the plug-in estimate sqrt(sum (1 - E_k^2) / shots).
     """
     if shots < 1:
         raise ShapeError("sample_inequality needs shots >= 1")
@@ -425,16 +426,10 @@ def sample_inequality(
         (settings.alice[i], settings.bob[j]) for i, j in _SETTING_ORDER
     ]
     distributions = [_joint_distribution(state, a, b) for a, b in pairs]
-    streams = rng.spawn(len(pairs))
-
-    def _draw(k: int) -> np.ndarray:
-        return streams[k].multinomial(shots, distributions[k])
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(pairs))) as pool:
-            counts = list(pool.map(_draw, range(len(pairs))))
-    else:
-        counts = [_draw(k) for k in range(len(pairs))]
+    counts = [
+        stream.multinomial(shots, p)
+        for stream, p in zip(rng.spawn(len(pairs)), distributions)
+    ]
 
     estimates = []
     variances = []
@@ -461,7 +456,6 @@ def hypothesis_comparison(
     shots: int = 0,
     rng: np.random.Generator | None = None,
     grid_step: float = math.pi / 64,
-    threads: int | None = None,
     consistency_tol: float = 1e-6,
 ) -> list[InequalityResult]:
     """Evaluate each hypothesis against the unitary-model statistics.
@@ -471,41 +465,46 @@ def hypothesis_comparison(
     evaluated exactly at those shared settings.  A hypothesis is flagged
     inconsistent when its exact S at the shared settings differs from the
     unitary value by more than ``consistency_tol``.  Each result also
-    carries the hypothesis's own grid-search maximum ``s_max``.  With
+    carries the hypothesis's own grid-search maximum ``s_max``; each
+    state is built and searched once, so the search for the shared
+    settings also gives ``unitary_only`` its ``s_max``.  With
     ``shots > 0`` the returned results are sampling estimates (one child
     stream per hypothesis, spawned from ``rng`` in list order) with the
     exact companions attached.
     """
+    if shots > 0 and rng is None:
+        raise ShapeError("sampling a comparison needs a Generator")
     parsed = [CollapseHypothesis.parse(h) for h in hypotheses]
-    scenario_states = {hyp.name: scenario.exact_state_under(hyp) for hyp in parsed}
+    states: dict[str, State] = {}
+    for hyp in (UNITARY_ONLY, *parsed):
+        if hyp.name not in states:
+            states[hyp.name] = scenario.exact_state_under(hyp)
 
-    rho_unitary = scenario.exact_state_under(UNITARY_ONLY)
-    alice_labels = tuple(scenario.alice_labels)
-    bob_labels = tuple(scenario.bob_labels)
+    rho_unitary = states[UNITARY_ONLY.name]
+    labels = (tuple(scenario.alice_labels), tuple(scenario.bob_labels))
+    s_max: dict[str, float] = {}
     if settings is None:
-        settings, _ = optimize_settings(
-            rho_unitary, grid_step, alice_labels, bob_labels, threads
+        settings, s_max[UNITARY_ONLY.name] = optimize_settings(
+            rho_unitary, grid_step, *labels
         )
     s_data = chsh_value(rho_unitary, settings).s_value
 
-    streams = rng.spawn(len(parsed)) if (shots > 0 and rng is not None) else None
-    if shots > 0 and streams is None:
-        raise ShapeError("sampling a comparison needs a Generator")
-
+    streams = rng.spawn(len(parsed)) if shots > 0 else None
     results: list[InequalityResult] = []
     for k, hyp in enumerate(parsed):
-        rho = scenario_states[hyp.name]
+        rho = states[hyp.name]
         exact = chsh_value(rho, settings, hypothesis=hyp)
-        _, s_max = optimize_settings(rho, grid_step, alice_labels, bob_labels, threads)
+        if hyp.name not in s_max:
+            _, s_max[hyp.name] = optimize_settings(rho, grid_step, *labels)
         evaluated = (
-            sample_inequality(rho, settings, shots, streams[k], threads, hyp)
+            sample_inequality(rho, settings, shots, streams[k], hyp)
             if shots > 0
             else exact
         )
         results.append(
             replace(
                 evaluated,
-                s_max=s_max,
+                s_max=s_max[hyp.name],
                 exact_s=exact.s_value,
                 exact_correlators=exact.correlators,
                 consistent_with_data=abs(exact.s_value - s_data) <= consistency_tol,

@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid-step",
         type=float,
         dest="grid_step",
-        help="angular resolution of the settings search, in (0, pi/8]",
+        help="angular resolution of the settings search, in [pi/128, pi/8]; "
+        "the search time grows as step**-4",
     )
     parser.add_argument(
         "--format",
@@ -58,12 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format",
     )
     parser.add_argument("--out", dest="output_path", help="output file path")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        help="worker threads for the settings search and sampling "
-        "(default: none, everything runs serially); results do not depend on it",
-    )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )

@@ -14,7 +14,7 @@ Randomness everywhere in the package comes from ``numpy.random.Generator``
 (PCG64 via ``numpy.random.default_rng``).  A run owns its generator; when
 work is split, child streams are derived with ``Generator.spawn`` in a
 documented fixed order, so results are reproducible for a given master
-seed regardless of threading.
+seed.
 """
 
 from __future__ import annotations

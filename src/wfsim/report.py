@@ -3,9 +3,8 @@
 A report is a flat list of quantity rows so the CSV and JSON emissions
 are literally the same table.  Numbers are printed with 12 significant
 digits, which round-trips exactly through a double.  For a fixed
-configuration and seed the data rows are byte-identical across runs and
-across thread counts; wall time is the one field excluded from that
-guarantee.
+configuration and seed the data rows are byte-identical across runs;
+wall time is the one field excluded from that guarantee.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .chsh import (
     InequalityResult,
     chsh_value,
     correlator,
+    grid_step_in_range,
     hypothesis_comparison,
     local_deterministic_bound,
     optimize_settings,
@@ -100,7 +100,6 @@ class ScenarioConfig:
     grid_step: float = math.pi / 64
     output_format: str = "csv"
     output_path: str | None = None
-    threads: int | None = None
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -116,6 +115,7 @@ class ScenarioConfig:
         if not isinstance(hypotheses, (list, tuple)):
             raise ConfigError(f"hypotheses must be a list of names, got {hypotheses!r}")
         object.__setattr__(self, "hypotheses", tuple(hypotheses))
+        seen: set[str] = set()
         for text in self.hypotheses:
             if not isinstance(text, str):
                 raise ConfigError(f"bad hypotheses entry {text!r}: not a name")
@@ -123,6 +123,9 @@ class ScenarioConfig:
                 hyp = CollapseHypothesis.parse(text)
             except (InvalidState, ValueError) as exc:
                 raise ConfigError(f"bad hypotheses entry {text!r}: {exc}") from exc
+            if hyp.name in seen:
+                raise ConfigError(f"hypotheses list names {hyp.name!r} twice")
+            seen.add(hyp.name)
             if hyp.variant not in spec.allowed_variants:
                 raise ConfigError(
                     f"hypotheses for scenario {self.scenario!r} must come from "
@@ -135,10 +138,10 @@ class ScenarioConfig:
         if (
             isinstance(self.grid_step, bool)
             or not isinstance(self.grid_step, numbers.Real)
-            or not 0.0 < float(self.grid_step) <= math.pi / 8 + 1e-12
+            or not grid_step_in_range(float(self.grid_step))
         ):
             raise ConfigError(
-                f"grid_step must lie in (0, pi/8], got {self.grid_step!r}"
+                f"grid_step must lie in [pi/128, pi/8], got {self.grid_step!r}"
             )
         object.__setattr__(self, "grid_step", float(self.grid_step))
         if self.output_format not in _FORMATS:
@@ -147,8 +150,6 @@ class ScenarioConfig:
             )
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
-        if self.threads is not None and (not _is_int(self.threads) or self.threads < 1):
-            raise ConfigError(f"threads must be a positive integer, got {self.threads!r}")
 
     @classmethod
     def from_mapping(
@@ -299,16 +300,12 @@ def _run_bell_singlet(config: ScenarioConfig, rng: np.random.Generator) -> list[
         DichotomicObservable.pauli("z", "e1"),
         DichotomicObservable.pauli("z", "e2"),
     )
-    settings, s_max = optimize_settings(
-        psi, config.grid_step, threads=config.threads
-    )
+    settings, s_max = optimize_settings(psi, config.grid_step)
     exact = chsh_value(psi, settings)
 
     sampled = None
     if config.shots > 0:
-        sampled = sample_inequality(
-            psi, settings, config.shots, rng.spawn(1)[0], config.threads
-        )
+        sampled = sample_inequality(psi, settings, config.shots, rng.spawn(1)[0])
     return [
         ReportRow(config.scenario, "", quantity, value)
         for quantity, value in (
@@ -356,7 +353,6 @@ def _run_proietti(config: ScenarioConfig, rng: np.random.Generator) -> list[Repo
         shots=config.shots,
         rng=rng if config.shots > 0 else None,
         grid_step=config.grid_step,
-        threads=config.threads,
     )
     for res in results:
         name = res.hypothesis.name

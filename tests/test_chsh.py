@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import wfsim.chsh as chsh
 from wfsim import (
     CLASSICAL_BOUND,
     CompositeSpace,
@@ -209,20 +210,6 @@ class TestOptimizeSettings:
         again = chsh_value(psi, settings)
         assert again.s_value == pytest.approx(s_max, abs=1e-13)
 
-    def test_thread_count_does_not_change_answer(self):
-        scenario = proietti_scenario()
-        rho = scenario.exact_state_under("friend_dephasing")
-        kwargs = dict(
-            grid_step=PI / 16,
-            alice_labels=scenario.alice_labels,
-            bob_labels=scenario.bob_labels,
-        )
-        s1, v1 = optimize_settings(rho, threads=1, **kwargs)
-        s3, v3 = optimize_settings(rho, threads=3, **kwargs)
-        assert v1 == v3
-        assert s1.bob_angles == s3.bob_angles
-        assert s1.alice_angles == s3.alice_angles
-
     def test_dephased_state_stays_classical(self):
         scenario = proietti_scenario()
         rho = scenario.exact_state_under("friend_dephasing")
@@ -240,6 +227,10 @@ class TestOptimizeSettings:
             optimize_settings(bell_singlet(), grid_step=0.0)
         with pytest.raises(ShapeError):
             optimize_settings(bell_singlet(), grid_step=1.0)
+        with pytest.raises(ShapeError):
+            optimize_settings(bell_singlet(), grid_step=PI / 256)
+        with pytest.raises(ShapeError):
+            optimize_settings(bell_singlet(), grid_step=1e-3)
 
     def test_four_factor_state_needs_wing_labels(self):
         rho = proietti_scenario().exact_state_under("unitary_only")
@@ -254,16 +245,6 @@ class TestSampleInequality:
         r2 = sample_inequality(bell_singlet(), settings, 2000, np.random.default_rng(5))
         assert r1.s_value == r2.s_value
         assert r1.correlators == r2.correlators
-
-    def test_thread_count_does_not_change_draws(self):
-        settings, _ = optimize_settings(bell_singlet(), grid_step=PI / 16)
-        r1 = sample_inequality(
-            bell_singlet(), settings, 2000, np.random.default_rng(6), threads=1
-        )
-        r4 = sample_inequality(
-            bell_singlet(), settings, 2000, np.random.default_rng(6), threads=4
-        )
-        assert r1.s_value == r4.s_value
 
     def test_single_shot_correlators_are_plus_minus_one(self):
         settings, _ = optimize_settings(bell_singlet(), grid_step=PI / 16)
@@ -345,6 +326,42 @@ class TestHypothesisComparison:
             hypothesis_comparison(
                 scenario, ["unitary_only"], shots=10, grid_step=PI / 16
             )
+
+    def test_each_state_is_searched_once(self, monkeypatch):
+        calls = []
+        search = chsh.optimize_settings
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(chsh, "optimize_settings", counted)
+        scenario = proietti_scenario()
+        for hypotheses in (["unitary_only", "friend_dephasing"], ["friend_dephasing"]):
+            calls.clear()
+            hypothesis_comparison(scenario, hypotheses, grid_step=PI / 16)
+            assert len(calls) == 2
+        calls.clear()
+        with pytest.raises(ShapeError):
+            hypothesis_comparison(scenario, ["unitary_only"], shots=10, grid_step=PI / 16)
+        assert calls == []
+
+    def test_unitary_s_max_is_its_own_search(self):
+        scenario = proietti_scenario()
+        rho = scenario.exact_state_under("unitary_only")
+        labels = (scenario.alice_labels, scenario.bob_labels)
+        searched, s_own = optimize_settings(rho, PI / 16, *labels)
+        (result,) = hypothesis_comparison(scenario, ["unitary_only"], grid_step=PI / 16)
+        assert result.s_max == s_own
+        assert result.s_value == chsh_value(rho, searched).s_value
+        defaults = MeasurementSettings.defaults(
+            rho.space.subspace(labels[0]), rho.space.subspace(labels[1])
+        )
+        (at_defaults,) = hypothesis_comparison(
+            scenario, ["unitary_only"], settings=defaults, grid_step=PI / 16
+        )
+        assert at_defaults.s_max == s_own
+        assert at_defaults.s_value == chsh_value(rho, defaults).s_value
 
     def test_stochastic_sweep_interpolates(self):
         """s_max decreases from the ceiling to the dephased value as the

@@ -41,8 +41,13 @@ class TestScenarioConfig:
             ScenarioConfig(scenario="pendulum")
 
     def test_bad_hypothesis_name(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(hypotheses=("gravity_collapse",))
+        for bad in (
+            ("gravity_collapse",),
+            "unitary_only,unitary_only",
+            ("stochastic_collapse(0.5)", "stochastic_collapse(p=0.5)"),
+        ):
+            with pytest.raises(ConfigError):
+                ScenarioConfig(hypotheses=bad)
 
     def test_counterexample_hypothesis_restriction(self):
         with pytest.raises(ConfigError):
@@ -64,20 +69,27 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(grid_step=1.0)
         with pytest.raises(ConfigError):
-            ScenarioConfig(threads=0)
+            ScenarioConfig(grid_step=math.pi / 256)
+        with pytest.raises(ConfigError):
+            ScenarioConfig(grid_step=1e-3)
         with pytest.raises(ConfigError):
             ScenarioConfig(output_format="yaml")
         for bad in (
             {"seed": True},
             {"shots": True},
             {"seed": True, "shots": True},
-            {"threads": True},
             {"grid_step": "fine"},
             {"grid_step": "0.1"},
             {"grid_step": True},
         ):
             with pytest.raises(ConfigError):
                 ScenarioConfig(**bad)
+
+    def test_grid_step_range_is_inclusive(self):
+        for step in (math.pi / 128, math.pi / 8):
+            assert ScenarioConfig(grid_step=step).grid_step == step
+        with pytest.raises(ConfigError, match=r"\[pi/128, pi/8\]"):
+            ScenarioConfig(grid_step=math.pi / 129)
 
     def test_from_mapping_rejects_unknown_key_with_line(self):
         with pytest.raises(ConfigError, match=r"cfg\.json:4"):
@@ -110,7 +122,6 @@ class TestScenarioConfig:
             ScenarioConfig.from_mapping({"grid_step": "fine"})
         for bad in (
             {"seed": True},
-            {"threads": True},
             {"grid_step": "0.1"},
             {"grid_step": False},
             {"hypotheses": 5},
@@ -350,7 +361,7 @@ class TestCliExitCodes:
 class TestCliDeterminism:
     """Byte-level reproducibility through the real process boundary."""
 
-    def _run(self, tmp_path, name, threads):
+    def _run(self, tmp_path, name):
         out = tmp_path / name
         proc = subprocess.run(
             [
@@ -365,8 +376,6 @@ class TestCliDeterminism:
                 "5000",
                 "--grid-step",
                 str(math.pi / 16),
-                "--threads",
-                str(threads),
                 "--out",
                 str(out),
             ],
@@ -377,14 +386,19 @@ class TestCliDeterminism:
         return out.read_bytes()
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
-        first = self._run(tmp_path, "a.csv", threads=1)
-        second = self._run(tmp_path, "b.csv", threads=1)
+        first = self._run(tmp_path, "a.csv")
+        second = self._run(tmp_path, "b.csv")
         assert first == second
 
-    def test_thread_counts_are_byte_identical(self, tmp_path):
-        serial = self._run(tmp_path, "t1.csv", threads=1)
-        threaded = self._run(tmp_path, "t4.csv", threads=4)
-        assert serial == threaded
+    def test_removed_threads_option_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "pointer_basic", "threads": 2}))
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        assert "unknown configuration key 'threads'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--scenario", "pointer_basic", "--threads", "2"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "r.csv").exists()
 
     def test_json_body_stable_except_wall_time(self, tmp_path):
         config = ScenarioConfig(

@@ -17,13 +17,14 @@ from wfsim import (
     SUBJECTIVE_COLLAPSE,
     UNITARY_ONLY,
     chsh_value,
+    exact_optimum,
     hypothesis_comparison,
     local_deterministic_bound,
     optimize_settings,
     proietti_scenario,
 )
 
-GRID = math.pi / 16  # coarse grid keeps the demo quick; pi/64 sharpens digits
+GRID = math.pi / 16  # grid cross-check of the exact optimum; pi/64 shrinks the gap
 
 
 def main():
@@ -38,33 +39,32 @@ def main():
     results = hypothesis_comparison(scenario, hypotheses, grid_step=GRID)
 
     print(f"local-deterministic bound: {local_deterministic_bound()}")
-    print(f"{'hypothesis':<28}{'own s_max':>12}{'S at shared':>14}{'consistent':>12}")
+    print(
+        f"{'hypothesis':<28}{'own s_max':>12}{'grid gap':>12}"
+        f"{'S at shared':>14}{'consistent':>12}"
+    )
     for res in results:
         name = res.hypothesis.name if res.hypothesis else "?"
         flag = "yes" if res.consistent_with_data else "no"
-        print(f"{name:<28}{res.s_max:>12.6f}{res.s_value:>14.6f}{flag:>12}")
+        print(
+            f"{name:<28}{res.s_max:>12.6f}{res.grid_gap:>12.2e}"
+            f"{res.s_value:>14.6f}{flag:>12}"
+        )
 
     # sweep the per-side collapse probability: the attainable maximum
-    # slides from 2*sqrt(2) down to sqrt(2) as collapse turns on
+    # slides from 2*sqrt(2) down to sqrt(2) as collapse turns on; the
+    # grid search never beats the exact optimum
+    labels = (scenario.alice_labels, scenario.bob_labels)
     print("\ncollapse probability sweep (own optimum per point):")
     for p in np.linspace(0.0, 1.0, 5):
         state = scenario.exact_state_under(f"stochastic_collapse(p={p})")
-        settings, s_max = optimize_settings(
-            state,
-            grid_step=GRID,
-            alice_labels=scenario.alice_labels,
-            bob_labels=scenario.bob_labels,
-        )
+        _, s_max = exact_optimum(state, *labels)
+        _, s_grid = optimize_settings(state, GRID, *labels)
         above = "violates" if s_max > 2.0 + 1e-9 else "classical"
-        print(f"  p = {p:.2f}  s_max = {s_max:.6f}  ({above})")
+        print(f"  p = {p:.2f}  s_max = {s_max:.6f}  grid gap = {s_max - s_grid:.2e}  ({above})")
 
     # the angles behind the unitary optimum, for the curious
-    settings, s_max = optimize_settings(
-        scenario.exact_state_under(UNITARY_ONLY),
-        grid_step=GRID,
-        alice_labels=scenario.alice_labels,
-        bob_labels=scenario.bob_labels,
-    )
+    settings, s_max = exact_optimum(scenario.exact_state_under(UNITARY_ONLY), *labels)
     print(f"\nunitary optimum {s_max:.9f} at")
     print("  alice (theta, phi):", [tuple(round(v, 6) for v in a) for a in settings.alice_angles])
     print("  bob   (theta, phi):", [tuple(round(v, 6) for v in b) for b in settings.bob_angles])

@@ -25,18 +25,32 @@ correlator is exactly bilinear in the two Bloch vectors through a real
 
 Settings search
 ---------------
-``optimize_settings`` scans Bob's two directions over the full
-(theta, phi) product grid and, for each Bob pair, uses the exact
-closed-form optimum for Alice: the best unit vectors against fixed
-(b1, b0) are along K(b1 + b0) and K(b1 - b0), giving
+For fixed Bob directions (b1, b0) Alice's best unit vectors are along
+K(b1 + b0) and K(b1 - b0), giving
 
     S(b1, b0) = |K(b1 + b0)| + |K(b1 - b0)|.
 
-The scan is therefore exhaustive over Bob's grid with Alice exact, which
-keeps the search deterministic and makes refinement monotone: halving
-grid_step produces a superset of Bob grid points, so the maximum can
-only grow.  Ties take the first candidate in row-major grid order, i.e.
-the lexicographically smallest (theta_b1, phi_b1, theta_b0, phi_b0).
+``exact_optimum`` maximizes this in closed form (R., P. & M. Horodecki,
+Phys. Lett. A 200, 340 (1995)): with mu1 >= mu2 the two largest
+eigenvalues of K^T K and v1, v2 their eigenvectors, the supremum
+2 sqrt(mu1 + mu2) is attained at
+
+    b1, b0 = cos(t) v1 +/- sin(t) v2,   tan(t) = sqrt(mu2) / sqrt(mu1).
+
+Eigenvectors are fixed by one canonical rule, so degenerate spectra give
+reproducible settings: eigenvalues that agree within
+1e-12 * max(1, mu1) form one group, and each group's eigenvectors are
+replaced by the Gram-Schmidt of the z, x and y axes, in that order,
+projected onto the group's eigenspace (a remainder shorter than 1e-9
+counts as zero and is skipped).  That fixes every sign and gives the
+textbook b1, b0 = (z +/- x)/sqrt(2) for the singlet.
+
+``optimize_settings`` is the exhaustive reference: it scans Bob's two
+directions over the full (theta, phi) product grid with Alice exact, so
+halving grid_step produces a superset of Bob grid points and the
+maximum can only grow, up to the exact value.  Ties take the first
+candidate in row-major grid order, i.e. the lexicographically smallest
+(theta_b1, phi_b1, theta_b0, phi_b0).
 """
 
 from __future__ import annotations
@@ -44,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -133,7 +147,7 @@ class MeasurementSettings:
     ``alice`` and ``bob`` are (obs0, obs1) pairs; angles, when the
     setting came from the Bloch families, are ((theta0, phi0),
     (theta1, phi1)) for reporting.  ``origin`` says where the settings
-    came from ("defaults", "optimized(...)", or "custom").
+    came from ("defaults", "exact", "optimized(...)", or "custom").
     """
 
     alice: tuple[DichotomicObservable, DichotomicObservable]
@@ -176,11 +190,12 @@ class InequalityResult:
     correlator order is (E11, E10, E01, E00) matching
     S = E11 + E10 + E01 - E00.  For sampled results (``exact=False``)
     they are estimates and ``exact_s``/``exact_correlators`` carry the
-    exact companions at the same settings.  ``s_max`` is the grid-search
-    maximum for the same state when a search ran.
-    ``consistent_with_data`` is set by hypothesis comparisons: whether
-    this hypothesis reproduces the unitary-model statistics that stand in
-    for the observed data.
+    exact companions at the same settings.  ``s_max`` is the exact
+    maximum for the same state when one was computed, and ``grid_gap``
+    is ``s_max`` minus the grid-search maximum when a grid cross-check
+    ran.  ``consistent_with_data`` is set by hypothesis comparisons:
+    whether this hypothesis reproduces the unitary-model statistics that
+    stand in for the observed data.
     """
 
     s_value: float
@@ -191,6 +206,7 @@ class InequalityResult:
     shots: int | None = None
     std_error: float | None = None
     s_max: float | None = None
+    grid_gap: float | None = None
     exact_s: float | None = None
     exact_correlators: tuple[float, float, float, float] | None = None
     consistent_with_data: bool | None = None
@@ -312,39 +328,8 @@ def _angles_of(vector: np.ndarray) -> tuple[float, float]:
     return theta, phi
 
 
-def optimize_settings(
-    state: State,
-    grid_step: float = math.pi / 64,
-    alice_labels: Sequence[str] | None = None,
-    bob_labels: Sequence[str] | None = None,
-) -> tuple[MeasurementSettings, float]:
-    """Deterministic settings search maximizing |S|; see module docstring.
-
-    For a two-factor state the wings default to one factor each;
-    otherwise pass each wing's labels explicitly (e.g. the four-photon
-    final state measures the pairs ("a", "alpha") and ("b", "beta")).
-    Returns the maximizing settings and the value.  Refining the grid
-    (halving grid_step) never decreases the result beyond arithmetic
-    noise, since Bob's coarse grid is a subset of the fine one and
-    Alice's response is exact.
-    """
-    if not grid_step_in_range(grid_step):
-        raise ShapeError(f"grid_step {grid_step!r} outside [pi/128, pi/8]")
-    if alice_labels is None and bob_labels is None:
-        if state.space.nfactors != 2:
-            raise ShapeError(
-                f"state has factors {state.space.labels}; pass alice_labels "
-                "and bob_labels to say which wing measures what"
-            )
-        alice_labels = (state.space.labels[0],)
-        bob_labels = (state.space.labels[1],)
-    if alice_labels is None or bob_labels is None:
-        raise ShapeError("give both wings' labels or neither")
-
-    alice_space = state.space.subspace(alice_labels)
-    bob_space = state.space.subspace(bob_labels)
-    kernel = _correlation_kernel(state, alice_space, bob_space)
-
+def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's best (b1, b0) over the product grid, first in row-major order on ties."""
     _, _, vectors = _sphere_grid(grid_step)
     w = vectors @ kernel.T  # row i = K b_i
     norms2 = np.einsum("ij,ij->i", w, w)
@@ -361,8 +346,80 @@ def optimize_settings(
             best_flat = flat
 
     idx_b1, idx_b0 = divmod(best_flat, n)
-    b1_vec = vectors[idx_b1]
-    b0_vec = vectors[idx_b0]
+    return vectors[idx_b1], vectors[idx_b0]
+
+
+# z, x, y: the order in which the canonical rule projects the axes.
+_CANONICAL_AXES = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def _exact_bob_pair(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's (b1, b0) attaining 2 sqrt(mu1 + mu2); see module docstring.
+
+    The singular values sigma of K are the square roots of the
+    eigenvalues mu of K^T K and its right singular vectors are their
+    eigenvectors; working from the SVD keeps tan(t) = sigma2 / sigma1
+    accurate when mu2 is tiny or zero.
+    """
+    _, sigma, vt = np.linalg.svd(kernel)
+    mu = sigma * sigma
+    tol = 1e-12 * max(1.0, float(mu[0]))
+    basis: list[np.ndarray] = []
+    start = 0
+    while start < 3:
+        stop = start + 1
+        while stop < 3 and mu[stop - 1] - mu[stop] <= tol:
+            stop += 1
+        # Built from the other eigenvectors, so a fully degenerate
+        # spectrum projects with the exact identity.
+        others = np.delete(vt, np.s_[start:stop], axis=0)
+        projector = np.eye(3) - others.T @ others
+        group: list[np.ndarray] = []
+        for axis in _CANONICAL_AXES:
+            if len(group) == stop - start:
+                break
+            rest = projector @ axis
+            for u in group:
+                rest = rest - (u @ rest) * u
+            norm = float(np.linalg.norm(rest))
+            if norm > 1e-9:
+                group.append(rest / norm)
+        basis += group
+        start = stop
+    t = math.atan2(float(sigma[1]), float(sigma[0]))
+    along, across = math.cos(t) * basis[0], math.sin(t) * basis[1]
+    return along + across, along - across
+
+
+def _best_settings(
+    state: State,
+    alice_labels: Sequence[str] | None,
+    bob_labels: Sequence[str] | None,
+    bob_pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    origin: str,
+) -> tuple[MeasurementSettings, float]:
+    """Shared body of both searches.
+
+    Resolves each wing's factors, takes Bob's (b1, b0) = bob_pair(K),
+    answers them with Alice's exact optimum along K(b1 + b0) and
+    K(b1 - b0), and evaluates S there with ``chsh_value``, so every
+    returned value has passed the quantum-ceiling guard.
+    """
+    if alice_labels is None and bob_labels is None:
+        if state.space.nfactors != 2:
+            raise ShapeError(
+                f"state has factors {state.space.labels}; pass alice_labels "
+                "and bob_labels to say which wing measures what"
+            )
+        alice_labels = (state.space.labels[0],)
+        bob_labels = (state.space.labels[1],)
+    if alice_labels is None or bob_labels is None:
+        raise ShapeError("give both wings' labels or neither")
+
+    alice_space = state.space.subspace(alice_labels)
+    bob_space = state.space.subspace(bob_labels)
+    kernel = _correlation_kernel(state, alice_space, bob_space)
+    b1_vec, b0_vec = bob_pair(kernel)
 
     def _alice_vector(direction: np.ndarray) -> np.ndarray:
         norm = float(np.linalg.norm(direction))
@@ -380,10 +437,71 @@ def optimize_settings(
         bob=tuple(observable_from_bloch(t, p, bob_space) for t, p in b_angles),
         alice_angles=a_angles,
         bob_angles=b_angles,
-        origin=f"optimized(grid_step={grid_step:.9g})",
+        origin=origin,
     )
-    result = chsh_value(state, settings)
-    return settings, result.s_value
+    return settings, chsh_value(state, settings).s_value
+
+
+def exact_optimum(
+    state: State,
+    alice_labels: Sequence[str] | None = None,
+    bob_labels: Sequence[str] | None = None,
+) -> tuple[MeasurementSettings, float]:
+    """Settings attaining the maximum of S, in closed form; see module docstring.
+
+    The wings default as in ``optimize_settings``.  Returns the
+    canonical maximizing settings (origin "exact") and S there.
+    """
+    return _best_settings(state, alice_labels, bob_labels, _exact_bob_pair, "exact")
+
+
+def optimize_settings(
+    state: State,
+    grid_step: float = math.pi / 64,
+    alice_labels: Sequence[str] | None = None,
+    bob_labels: Sequence[str] | None = None,
+) -> tuple[MeasurementSettings, float]:
+    """Deterministic grid search maximizing |S|; see module docstring.
+
+    For a two-factor state the wings default to one factor each;
+    otherwise pass each wing's labels explicitly (e.g. the four-photon
+    final state measures the pairs ("a", "alpha") and ("b", "beta")).
+    Returns the maximizing settings and the value.  Refining the grid
+    (halving grid_step) never decreases the result beyond arithmetic
+    noise, since Bob's coarse grid is a subset of the fine one and
+    Alice's response is exact; ``exact_optimum`` is the limit.
+    """
+    if not grid_step_in_range(grid_step):
+        raise ShapeError(f"grid_step {grid_step!r} outside [pi/128, pi/8]")
+    return _best_settings(
+        state,
+        alice_labels,
+        bob_labels,
+        lambda kernel: _grid_bob_pair(kernel, grid_step),
+        f"optimized(grid_step={grid_step:.9g})",
+    )
+
+
+def _grid_gap(
+    state: State,
+    s_max: float,
+    grid_step: float,
+    alice_labels: Sequence[str] | None = None,
+    bob_labels: Sequence[str] | None = None,
+) -> float:
+    """``s_max`` minus the grid-search maximum at ``grid_step``.
+
+    No grid point can beat the supremum, so a gap below -1e-9 raises
+    InvariantViolation.
+    """
+    _, grid_value = optimize_settings(state, grid_step, alice_labels, bob_labels)
+    gap = s_max - grid_value
+    if gap < -1e-9:
+        raise InvariantViolation(
+            f"grid search at step {grid_step!r} found S = {grid_value!r}, above the "
+            f"exact maximum {s_max!r}"
+        )
+    return gap
 
 
 _SETTING_ORDER = ((1, 1), (1, 0), (0, 1), (0, 0))
@@ -455,47 +573,60 @@ def hypothesis_comparison(
     settings: MeasurementSettings | None = None,
     shots: int = 0,
     rng: np.random.Generator | None = None,
-    grid_step: float = math.pi / 64,
+    grid_step: float | None = None,
     consistency_tol: float = 1e-6,
 ) -> list[InequalityResult]:
     """Evaluate each hypothesis against the unitary-model statistics.
 
     The unitary-only exact state stands in for "the data": settings
-    default to the grid optimum for that state, and every hypothesis is
-    evaluated exactly at those shared settings.  A hypothesis is flagged
+    default to its exact optimum, and every hypothesis is evaluated
+    exactly at those shared settings.  A hypothesis is flagged
     inconsistent when its exact S at the shared settings differs from the
     unitary value by more than ``consistency_tol``.  Each result also
-    carries the hypothesis's own grid-search maximum ``s_max``; each
-    state is built and searched once, so the search for the shared
-    settings also gives ``unitary_only`` its ``s_max``.  With
-    ``shots > 0`` the returned results are sampling estimates (one child
-    stream per hypothesis, spawned from ``rng`` in list order) with the
-    exact companions attached.
+    carries the exact maximum ``s_max`` of the hypothesis's own state.
+    With ``grid_step`` set, each distinct hypothesis state is also
+    searched once on that grid, and ``grid_gap`` is ``s_max`` minus the
+    grid maximum.  States are reused by content: a hypothesis whose
+    density matrix equals one already built shares its optimum and its
+    grid search.  With ``shots > 0`` the returned results are sampling
+    estimates (one child stream per hypothesis, spawned from ``rng`` in
+    list order) with the exact companions attached.
     """
     if shots > 0 and rng is None:
         raise ShapeError("sampling a comparison needs a Generator")
     parsed = [CollapseHypothesis.parse(h) for h in hypotheses]
-    states: dict[str, State] = {}
-    for hyp in (UNITARY_ONLY, *parsed):
-        if hyp.name not in states:
-            states[hyp.name] = scenario.exact_state_under(hyp)
-
-    rho_unitary = states[UNITARY_ONLY.name]
     labels = (tuple(scenario.alice_labels), tuple(scenario.bob_labels))
-    s_max: dict[str, float] = {}
+    states: list[DensityOperator] = []
+    which: dict[str, int] = {}  # hypothesis name -> index into states
+    for hyp in (UNITARY_ONLY, *parsed):
+        if hyp.name in which:
+            continue
+        rho = scenario.exact_state_under(hyp)
+        for index, seen in enumerate(states):
+            if np.array_equal(seen.matrix, rho.matrix):
+                which[hyp.name] = index
+                break
+        else:
+            which[hyp.name] = len(states)
+            states.append(rho)
+
+    rho_unitary = states[0]
+    s_max: dict[int, float] = {}
     if settings is None:
-        settings, s_max[UNITARY_ONLY.name] = optimize_settings(
-            rho_unitary, grid_step, *labels
-        )
+        settings, s_max[0] = exact_optimum(rho_unitary, *labels)
     s_data = chsh_value(rho_unitary, settings).s_value
 
+    grid_gap: dict[int, float] = {}
     streams = rng.spawn(len(parsed)) if shots > 0 else None
     results: list[InequalityResult] = []
     for k, hyp in enumerate(parsed):
-        rho = states[hyp.name]
+        index = which[hyp.name]
+        rho = states[index]
         exact = chsh_value(rho, settings, hypothesis=hyp)
-        if hyp.name not in s_max:
-            _, s_max[hyp.name] = optimize_settings(rho, grid_step, *labels)
+        if index not in s_max:
+            s_max[index] = exact_optimum(rho, *labels)[1]
+        if grid_step is not None and index not in grid_gap:
+            grid_gap[index] = _grid_gap(rho, s_max[index], grid_step, *labels)
         evaluated = (
             sample_inequality(rho, settings, shots, streams[k], hyp)
             if shots > 0
@@ -504,7 +635,8 @@ def hypothesis_comparison(
         results.append(
             replace(
                 evaluated,
-                s_max=s_max[hyp.name],
+                s_max=s_max[index],
+                grid_gap=grid_gap.get(index),
                 exact_s=exact.s_value,
                 exact_correlators=exact.correlators,
                 consistent_with_data=abs(exact.s_value - s_data) <= consistency_tol,

@@ -49,8 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid-step",
         type=float,
         dest="grid_step",
-        help="angular resolution of the settings search, in [pi/128, pi/8]; "
-        "the search time grows as step**-4",
+        help="also run a grid settings search at this angular resolution, in "
+        "[pi/128, pi/8], as a cross-check of each exact s_max; adds a grid_gap "
+        "row after each s_max; the search time grows as step**-4",
     )
     parser.add_argument(
         "--format",

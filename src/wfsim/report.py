@@ -26,12 +26,13 @@ import numpy as np
 from . import __version__
 from .chsh import (
     InequalityResult,
+    _grid_gap,
     chsh_value,
     correlator,
+    exact_optimum,
     grid_step_in_range,
     hypothesis_comparison,
     local_deterministic_bound,
-    optimize_settings,
     sample_inequality,
 )
 from .errors import ConfigError, InvalidState
@@ -91,13 +92,15 @@ class ScenarioConfig:
     ``__post_init__`` is the one validator: every type and range check
     lives there and raises ConfigError.  ``hypotheses`` may also be one
     comma-separated string; ``None`` takes the scenario's defaults.
+    ``grid_step`` is ``None`` (no grid) or the step of a grid search run
+    as a cross-check of each exact ``s_max``, reported as ``grid_gap``.
     """
 
     scenario: str = "proietti"
     hypotheses: tuple[str, ...] | None = None
     shots: int = 0
     seed: int = 0
-    grid_step: float = math.pi / 64
+    grid_step: float | None = None
     output_format: str = "csv"
     output_path: str | None = None
 
@@ -135,15 +138,17 @@ class ScenarioConfig:
             raise ConfigError(f"shots must be a non-negative integer, got {self.shots!r}")
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if (
-            isinstance(self.grid_step, bool)
-            or not isinstance(self.grid_step, numbers.Real)
-            or not grid_step_in_range(float(self.grid_step))
-        ):
-            raise ConfigError(
-                f"grid_step must lie in [pi/128, pi/8], got {self.grid_step!r}"
-            )
-        object.__setattr__(self, "grid_step", float(self.grid_step))
+        if self.grid_step is not None:
+            if (
+                isinstance(self.grid_step, bool)
+                or not isinstance(self.grid_step, numbers.Real)
+                or not grid_step_in_range(float(self.grid_step))
+            ):
+                raise ConfigError(
+                    "grid_step must be null or lie in [pi/128, pi/8], "
+                    f"got {self.grid_step!r}"
+                )
+            object.__setattr__(self, "grid_step", float(self.grid_step))
         if self.output_format not in _FORMATS:
             raise ConfigError(
                 f"output_format must be 'csv' or 'json', got {self.output_format!r}"
@@ -300,8 +305,12 @@ def _run_bell_singlet(config: ScenarioConfig, rng: np.random.Generator) -> list[
         DichotomicObservable.pauli("z", "e1"),
         DichotomicObservable.pauli("z", "e2"),
     )
-    settings, s_max = optimize_settings(psi, config.grid_step)
+    settings, s_max = exact_optimum(psi)
     exact = chsh_value(psi, settings)
+    gap_rows = []
+    if config.grid_step is not None:
+        gap = _grid_gap(psi, s_max, config.grid_step)
+        gap_rows.append(ReportRow(config.scenario, "", "grid_gap", gap))
 
     sampled = None
     if config.shots > 0:
@@ -316,7 +325,7 @@ def _run_bell_singlet(config: ScenarioConfig, rng: np.random.Generator) -> list[
             ("sigma_zz_correlator", zz),
             ("s_max", s_max),
         )
-    ] + _inequality_rows(
+    ] + gap_rows + _inequality_rows(
         config.scenario, "", "s_at_optimal", exact.s_value, exact.correlators, sampled
     )
 
@@ -357,6 +366,8 @@ def _run_proietti(config: ScenarioConfig, rng: np.random.Generator) -> list[Repo
     for res in results:
         name = res.hypothesis.name
         rows.append(ReportRow(config.scenario, name, "s_max", res.s_max))
+        if res.grid_gap is not None:
+            rows.append(ReportRow(config.scenario, name, "grid_gap", res.grid_gap))
         rows += _inequality_rows(
             config.scenario,
             name,

@@ -58,6 +58,27 @@ def brute_expectation(matrix: np.ndarray, observable: np.ndarray) -> float:
     return float(total.real)
 
 
+_PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def brute_horodecki_value(matrix: np.ndarray) -> float:
+    """Maximum S of a two-qubit density matrix by the Horodecki criterion.
+
+    T[m, n] = Tr(rho sigma_m (x) sigma_n), each entry by the double loop
+    of ``brute_expectation``; the maximum is 2 sqrt(mu1 + mu2) over the
+    two largest eigenvalues of T^T T.
+    """
+    t = np.array(
+        [[brute_expectation(matrix, np.kron(sm, sn)) for sn in _PAULIS] for sm in _PAULIS]
+    )
+    mu = np.sort(np.linalg.eigvalsh(t.T @ t))[::-1]
+    return float(2.0 * np.sqrt(max(0.0, mu[0] + mu[1])))
+
+
 def random_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return vec / np.linalg.norm(vec)

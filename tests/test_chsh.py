@@ -19,6 +19,7 @@ from wfsim import (
     bell_singlet,
     chsh_value,
     correlator,
+    exact_optimum,
     hypothesis_comparison,
     local_deterministic_bound,
     observable_from_bloch,
@@ -238,6 +239,75 @@ class TestOptimizeSettings:
             optimize_settings(rho)
 
 
+class TestExactOptimum:
+    """The closed-form optimum and its canonical rule for degenerate spectra."""
+
+    # b1, b0 = (z + x)/sqrt(2), (z - x)/sqrt(2), as (theta, phi); angles
+    # are stored (obs0, obs1), i.e. (b0, b1).
+    TEXTBOOK_BOB = ((PI / 4, PI), (PI / 4, 0.0))
+
+    @staticmethod
+    def _unitary_and_labels():
+        scenario = proietti_scenario()
+        rho = scenario.exact_state_under("unitary_only")
+        return scenario, rho, (scenario.alice_labels, scenario.bob_labels)
+
+    def test_singlet_takes_textbook_settings(self):
+        settings, value = exact_optimum(bell_singlet())
+        np.testing.assert_allclose(settings.bob_angles, self.TEXTBOOK_BOB, atol=1e-15)
+        np.testing.assert_allclose(
+            settings.alice_angles, ((PI / 2, PI), (PI, 0.0)), atol=1e-15
+        )
+        assert settings.origin == "exact"
+        assert value == pytest.approx(TSIRELSON_BOUND, abs=1e-15)
+
+    def test_unitary_four_photon_takes_textbook_settings(self):
+        _, rho, labels = self._unitary_and_labels()
+        settings, value = exact_optimum(rho, *labels)
+        np.testing.assert_allclose(settings.bob_angles, self.TEXTBOOK_BOB, atol=1e-15)
+        np.testing.assert_allclose(
+            settings.alice_angles, ((PI / 4, 0.0), (3 * PI / 4, 0.0)), atol=1e-15
+        )
+        assert value == pytest.approx(TSIRELSON_BOUND, abs=1e-15)
+
+    def test_rank_one_kernel_measures_z_twice(self):
+        scenario, _, labels = self._unitary_and_labels()
+        rho = scenario.exact_state_under("friend_dephasing")
+        settings, value = exact_optimum(rho, *labels)
+        assert settings.bob_angles == ((0.0, 0.0), (0.0, 0.0))
+        assert value == pytest.approx(math.sqrt(2.0), abs=1e-15)
+
+    def test_degenerate_choice_is_stable_under_tiny_perturbations(self):
+        _, rho, labels = self._unitary_and_labels()
+        unitary_kernel = chsh._correlation_kernel(
+            rho, rho.space.subspace(labels[0]), rho.space.subspace(labels[1])
+        )
+        rng = np.random.default_rng(67)
+        for kernel in (-np.eye(3), unitary_kernel):
+            b1, b0 = chsh._exact_bob_pair(kernel)
+            for _ in range(20):
+                noise = 1e-15 * rng.uniform(-1.0, 1.0, size=(3, 3))
+                p1, p0 = chsh._exact_bob_pair(kernel + noise)
+                assert np.max(np.abs(p1 - b1)) < 2e-15
+                assert np.max(np.abs(p0 - b0)) < 2e-15
+
+    def test_attains_the_limit_of_grid_refinement(self):
+        scenario, _, labels = self._unitary_and_labels()
+        rho = scenario.exact_state_under("stochastic_collapse(0.3)")
+        _, exact = exact_optimum(rho, *labels)
+        gaps = [
+            exact - optimize_settings(rho, step, *labels)[1]
+            for step in (PI / 16, PI / 32, PI / 64)
+        ]
+        assert gaps[0] >= gaps[1] >= gaps[2] >= -1e-12
+        assert gaps[0] > 1e-6
+
+    def test_four_factor_state_needs_wing_labels(self):
+        _, rho, _ = self._unitary_and_labels()
+        with pytest.raises(ShapeError):
+            exact_optimum(rho)
+
+
 class TestSampleInequality:
     def test_same_seed_same_estimate(self):
         settings, _ = optimize_settings(bell_singlet(), grid_step=PI / 16)
@@ -337,10 +407,15 @@ class TestHypothesisComparison:
 
         monkeypatch.setattr(chsh, "optimize_settings", counted)
         scenario = proietti_scenario()
-        for hypotheses in (["unitary_only", "friend_dephasing"], ["friend_dephasing"]):
+        for hypotheses, grid_step, searches in (
+            (["unitary_only", "friend_dephasing"], None, 0),
+            (["unitary_only", "friend_dephasing"], PI / 16, 2),
+            (["friend_dephasing"], PI / 16, 1),
+            (["unitary_only", "stochastic_collapse(0)"], PI / 16, 1),
+        ):
             calls.clear()
-            hypothesis_comparison(scenario, hypotheses, grid_step=PI / 16)
-            assert len(calls) == 2
+            hypothesis_comparison(scenario, hypotheses, grid_step=grid_step)
+            assert len(calls) == searches, (hypotheses, grid_step)
         calls.clear()
         with pytest.raises(ShapeError):
             hypothesis_comparison(scenario, ["unitary_only"], shots=10, grid_step=PI / 16)
@@ -350,10 +425,12 @@ class TestHypothesisComparison:
         scenario = proietti_scenario()
         rho = scenario.exact_state_under("unitary_only")
         labels = (scenario.alice_labels, scenario.bob_labels)
-        searched, s_own = optimize_settings(rho, PI / 16, *labels)
+        optimum, s_own = exact_optimum(rho, *labels)
+        _, s_grid = optimize_settings(rho, PI / 16, *labels)
         (result,) = hypothesis_comparison(scenario, ["unitary_only"], grid_step=PI / 16)
         assert result.s_max == s_own
-        assert result.s_value == chsh_value(rho, searched).s_value
+        assert result.grid_gap == s_own - s_grid
+        assert result.s_value == chsh_value(rho, optimum).s_value
         defaults = MeasurementSettings.defaults(
             rho.space.subspace(labels[0]), rho.space.subspace(labels[1])
         )
@@ -361,7 +438,21 @@ class TestHypothesisComparison:
             scenario, ["unitary_only"], settings=defaults, grid_step=PI / 16
         )
         assert at_defaults.s_max == s_own
+        assert at_defaults.grid_gap == s_own - s_grid
         assert at_defaults.s_value == chsh_value(rho, defaults).s_value
+
+    def test_grid_above_the_exact_maximum_is_an_invariant_violation(self, monkeypatch):
+        search = chsh.optimize_settings
+
+        def inflated(*args, **kwargs):
+            settings, value = search(*args, **kwargs)
+            return settings, value + 1e-6
+
+        monkeypatch.setattr(chsh, "optimize_settings", inflated)
+        with pytest.raises(InvariantViolation, match="above the exact maximum"):
+            hypothesis_comparison(
+                proietti_scenario(), ["friend_dephasing"], grid_step=PI / 16
+            )
 
     def test_stochastic_sweep_interpolates(self):
         """s_max decreases from the ceiling to the dephased value as the

@@ -2,7 +2,9 @@
 
 The files under ``tests/golden/`` hold the reports at ``seed=7`` and
 ``grid_step=pi/16``, sampled (``shots=1000``) and exact (``shots=0``),
-with the ``wall_time_s`` line cut from the JSON.  A change that alters
+with the ``wall_time_s`` line cut from the JSON.  At pi/16 the reports
+carry the grid cross-check's ``grid_gap`` rows; the report without a
+grid must equal them with those rows removed.  A change that alters
 report bytes on purpose rewrites them with
 ``PYTHONPATH=src python tests/test_golden.py`` and lists the old and new
 values in CHANGES.md; the diff of ``tests/golden/`` is then the reviewed
@@ -51,6 +53,19 @@ def render_golden(scenario: str, shots: int, fmt: str) -> bytes:
 def test_report_bytes_match_golden(scenario, shots, fmt):
     expected = golden_path(scenario, shots, fmt).read_bytes()
     assert render_golden(scenario, shots, fmt) == expected
+
+
+@pytest.mark.parametrize("shots", SHOTS)
+@pytest.mark.parametrize("scenario", ("proietti", "bell_singlet"))
+def test_grid_cross_check_only_adds_grid_gap_rows(scenario, shots):
+    plain = run(ScenarioConfig(scenario=scenario, seed=7, shots=shots))
+    checked = run(
+        ScenarioConfig(scenario=scenario, seed=7, shots=shots, grid_step=math.pi / 16)
+    )
+    gap_rows = [row for row in checked.rows if row.quantity == "grid_gap"]
+    assert plain.config.grid_step is None
+    assert gap_rows and all(abs(row.exact_value) < 1e-12 for row in gap_rows)
+    assert plain.rows == tuple(row for row in checked.rows if row.quantity != "grid_gap")
 
 
 if __name__ == "__main__":

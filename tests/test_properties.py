@@ -18,11 +18,19 @@ from wfsim import (
     born_probabilities,
     chsh_value,
     dephase,
+    exact_optimum,
+    optimize_settings,
     partial_trace,
 )
 from wfsim.chsh import MeasurementSettings, observable_from_bloch
 
-from _oracles import brute_partial_trace, random_density, random_dims, random_pure
+from _oracles import (
+    brute_horodecki_value,
+    brute_partial_trace,
+    random_density,
+    random_dims,
+    random_pure,
+)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 EXAMPLES = settings(max_examples=40, deadline=None)
@@ -94,3 +102,15 @@ def test_dephase_is_idempotent(seed):
     once = dephase(rho, on)
     assert np.array_equal(dephase(once, on).matrix, once.matrix)
     assert np.array_equal(np.diag(once.matrix), np.diag(rho.matrix))
+
+
+@EXAMPLES
+@given(seed=SEEDS)
+def test_exact_optimum_matches_horodecki_oracle(seed):
+    rng = np.random.default_rng(seed)
+    rho = DensityOperator(CompositeSpace.qubits("x", "y"), random_density(rng, 4))
+    settings, value = exact_optimum(rho)
+    assert abs(value - brute_horodecki_value(rho.matrix)) < 1e-12
+    assert value == chsh_value(rho, settings).s_value
+    assert value >= optimize_settings(rho, math.pi / 16)[1] - 1e-12
+    assert value <= 2.0 * math.sqrt(2.0) + 1e-9

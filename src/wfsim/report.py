@@ -26,10 +26,9 @@ import numpy as np
 from . import __version__
 from .chsh import (
     InequalityResult,
+    _best_settings,
     _grid_gap,
-    chsh_value,
     correlator,
-    exact_optimum,
     grid_step_in_range,
     hypothesis_comparison,
     local_deterministic_bound,
@@ -305,11 +304,10 @@ def _run_bell_singlet(config: ScenarioConfig, rng: np.random.Generator) -> list[
         DichotomicObservable.pauli("z", "e1"),
         DichotomicObservable.pauli("z", "e2"),
     )
-    settings, s_max = exact_optimum(psi)
-    exact = chsh_value(psi, settings)
+    settings, exact = _best_settings(psi)
     gap_rows = []
     if config.grid_step is not None:
-        gap = _grid_gap(psi, s_max, config.grid_step)
+        gap = _grid_gap(psi, exact.s_value, config.grid_step)
         gap_rows.append(ReportRow(config.scenario, "", "grid_gap", gap))
 
     sampled = None
@@ -323,7 +321,7 @@ def _run_bell_singlet(config: ScenarioConfig, rng: np.random.Generator) -> list[
             ("reduced_purity_e2", purity(reduced_e2)),
             ("coherence_reduced_e1", coherence_norm(reduced_e1)),
             ("sigma_zz_correlator", zz),
-            ("s_max", s_max),
+            ("s_max", exact.s_value),
         )
     ] + gap_rows + _inequality_rows(
         config.scenario, "", "s_at_optimal", exact.s_value, exact.correlators, sampled

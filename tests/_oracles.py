@@ -79,6 +79,46 @@ def brute_horodecki_value(matrix: np.ndarray) -> float:
     return float(2.0 * np.sqrt(max(0.0, mu[0] + mu[1])))
 
 
+# Blockwise Pauli triple of a two-qubit wing, basis (|00>, |01>, |10>, |11>):
+# each Pauli acts on the block (|01>, |10>) and on the block (|00>, |11>).
+_PAIR_PAULIS = (
+    np.array([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=complex),
+    np.array(
+        [[0, 0, 0, -1j], [0, 0, -1j, 0], [0, 1j, 0, 0], [1j, 0, 0, 0]], dtype=complex
+    ),
+    np.diag([1, 1, -1, -1]).astype(complex),
+)
+
+
+def brute_correlation_kernel(
+    matrix: np.ndarray, dims: list[int], alice: list[int], bob: list[int]
+) -> np.ndarray:
+    """K[m, n] = Tr(rho A_m (x) B_n) over qubit wings of one or two factors.
+
+    ``alice`` and ``bob`` hold axis positions, in the order each wing
+    lists its factors.  rho is reduced to the wing factors (ascending
+    axis order), and each kron(A_m, B_n), built in wing order, is
+    gathered into that ascending order by flat-index arithmetic.
+    """
+    wings = list(alice) + list(bob)
+    reduced = brute_partial_trace(matrix, dims, wings)
+    kept = sorted(wings)
+    wing_strides = strides_for([dims[a] for a in wings])
+    kept_strides = strides_for([dims[a] for a in kept])
+    gather = np.empty(reduced.shape[0], dtype=np.intp)
+    for combo in itertools.product(*[range(dims[a]) for a in kept]):
+        digit = dict(zip(kept, combo))
+        flat = sum(digit[a] * s for a, s in zip(kept, kept_strides))
+        gather[flat] = sum(digit[a] * s for a, s in zip(wings, wing_strides))
+    triples = {1: _PAULIS, 2: _PAIR_PAULIS}
+    kernel = np.empty((3, 3))
+    for m, a_op in enumerate(triples[len(alice)]):
+        for n, b_op in enumerate(triples[len(bob)]):
+            joint = np.kron(a_op, b_op)[np.ix_(gather, gather)]
+            kernel[m, n] = brute_expectation(reduced, joint)
+    return kernel
+
+
 def random_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return vec / np.linalg.norm(vec)

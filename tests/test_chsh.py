@@ -223,6 +223,33 @@ class TestOptimizeSettings:
         assert s_max <= CLASSICAL_BOUND + 1e-6
         assert s_max == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
+    # Row-major grid indices of the (b1, b0) the scan picks.  Several of
+    # these kernels have near-ties on the grid, so the picks pin both the
+    # order of the scan's arithmetic and its tie rule.
+    PINNED_PICKS = {
+        "singlet": {16: (174, 430), 32: (476, 1500)},
+        "unitary_only": {16: (70, 286), 32: (64, 1088)},
+        "friend_dephasing": {16: (0, 32), 32: (0, 64)},
+        "stochastic_collapse(0.3)": {16: (336, 448), 32: (96, 864)},
+    }
+
+    def test_grid_picks_are_pinned(self):
+        scenario = proietti_scenario()
+        kernels = {"singlet": -np.eye(3)}
+        for name in list(self.PINNED_PICKS)[1:]:
+            rho = scenario.exact_state_under(name)
+            kernels[name] = chsh._correlation_kernel(
+                rho,
+                rho.space.subspace(scenario.alice_labels),
+                rho.space.subspace(scenario.bob_labels),
+            )
+        for name, picks in self.PINNED_PICKS.items():
+            for div, (i1, i0) in picks.items():
+                _, _, vectors = chsh._sphere_grid(PI / div)
+                b1, b0 = chsh._grid_bob_pair(kernels[name], PI / div)
+                assert np.array_equal(b1, vectors[i1]), (name, div)
+                assert np.array_equal(b0, vectors[i0]), (name, div)
+
     def test_grid_step_validation(self):
         with pytest.raises(ShapeError):
             optimize_settings(bell_singlet(), grid_step=0.0)

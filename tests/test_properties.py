@@ -22,9 +22,10 @@ from wfsim import (
     optimize_settings,
     partial_trace,
 )
-from wfsim.chsh import MeasurementSettings, observable_from_bloch
+from wfsim.chsh import MeasurementSettings, _correlation_kernel, observable_from_bloch
 
 from _oracles import (
+    brute_correlation_kernel,
     brute_horodecki_value,
     brute_partial_trace,
     random_density,
@@ -114,3 +115,27 @@ def test_exact_optimum_matches_horodecki_oracle(seed):
     assert value == chsh_value(rho, settings).s_value
     assert value >= optimize_settings(rho, math.pi / 16)[1] - 1e-12
     assert value <= 2.0 * math.sqrt(2.0) + 1e-9
+
+
+@EXAMPLES
+@given(seed=SEEDS)
+def test_correlation_kernel_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    labels = [f"q{k}" for k in range(n)]
+    space = CompositeSpace.qubits(*labels)
+    order = rng.permutation(n).tolist()
+    n_alice = int(rng.integers(1, min(2, n - 1) + 1))
+    n_bob = int(rng.integers(1, min(2, n - n_alice) + 1))
+    alice, bob = order[:n_alice], order[n_alice : n_alice + n_bob]
+    wings = (
+        space.subspace([labels[a] for a in alice]),
+        space.subspace([labels[b] for b in bob]),
+    )
+    mixed = DensityOperator(space, random_density(rng, space.dim))
+    pure = PureState(space, random_pure(rng, space.dim))
+    for state, matrix in ((mixed, mixed.matrix), (pure, pure.density().matrix)):
+        kernel = _correlation_kernel(state, *wings)
+        expected = brute_correlation_kernel(matrix, list(space.dims), alice, bob)
+        assert kernel.flags.c_contiguous
+        assert np.max(np.abs(kernel - expected)) < 1e-12

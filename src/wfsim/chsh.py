@@ -72,15 +72,10 @@ from .hilbert import (
     PureState,
     _PAULI_TRIPLE,
     _bloch_operator,
+    _reduced_matrix,
     expectation,
-    partial_trace,
 )
-from .measurement import (
-    UNITARY_ONLY,
-    CollapseHypothesis,
-    ProjectiveMeasurement,
-    born_probabilities,
-)
+from .measurement import UNITARY_ONLY, CollapseHypothesis, _clipped_distribution
 
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -267,16 +262,8 @@ def _correlation_kernel(
     d_a, d_b = alice_space.dim, bob_space.dim
     if (a3.shape[-1], b3.shape[-1]) != (d_a, d_b):
         raise ShapeError(f"wings of dimensions ({d_a}, {d_b}) are not qubit wings")
-    rho = state.density() if isinstance(state, PureState) else state
-    wings = alice_space.labels + bob_space.labels
-    if len(wings) < rho.space.nfactors:
-        rho = partial_trace(rho, wings)
-    perm = rho.space.axes(wings)
-    r = (
-        rho.matrix.reshape(rho.space.dims * 2)
-        .transpose(perm + tuple(len(perm) + p for p in perm))
-        .reshape(d_a, d_b, d_a, d_b)
-    )
+    wings = state.space.subspace(alice_space.labels + bob_space.labels)
+    r = _reduced_matrix(state, wings).reshape(d_a, d_b, d_a, d_b)
     # Contiguous: K @ v on a strided view of the same numbers can round differently.
     kernel = np.ascontiguousarray(np.einsum("ijkl,mki,nlj->mn", r, a3, b3).real)
     if np.max(np.abs(kernel)) > 1.0 + 1e-10:
@@ -509,17 +496,21 @@ _SETTING_ORDER = ((1, 1), (1, 0), (0, 1), (0, 0))
 def _joint_distribution(
     state: State, a: DichotomicObservable, b: DichotomicObservable
 ) -> np.ndarray:
-    """p(s_a, s_b) over (++, +-, -+, --) for one setting pair."""
-    a_plus, a_minus = a.projectors()
-    b_plus, b_minus = b.projectors()
-    space = CompositeSpace(a.space.factors + b.space.factors)
-    projs = tuple(
-        np.kron(pa, pb)
-        for pa in (a_plus, a_minus)
-        for pb in (b_plus, b_minus)
+    """p(s_a, s_b) over (++, +-, -+, --) for one setting pair.
+
+    Any two +/-1 observables on disjoint factors give
+    p(s_a, s_b) = (1 + s_a <A> + s_b <B> + s_a s_b E) / 4, so two
+    expectations and the correlator fix the distribution.  An entry below
+    -1e-10 raises InvariantViolation; the rest are clipped and
+    renormalized as in ``born_probabilities``.
+    """
+    mean_a, mean_b, e = expectation(state, a), expectation(state, b), correlator(state, a, b)
+    probs = np.array(
+        [(1.0 + sa * mean_a + sb * mean_b + sa * sb * e) / 4.0 for sa in (1, -1) for sb in (1, -1)]
     )
-    meas = ProjectiveMeasurement(space, projs, ("++", "+-", "-+", "--"))
-    return born_probabilities(state, meas)
+    if probs.min() < -1e-10:
+        raise InvariantViolation(f"joint distribution {probs!r} has a negative entry")
+    return _clipped_distribution(probs)
 
 
 def sample_inequality(

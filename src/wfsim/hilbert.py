@@ -17,6 +17,11 @@ Conventions
 * ``VALIDITY_TOL`` (1e-10) guards constructor invariants.
   ``ALGEBRA_TOL`` (1e-12) is the headroom claimed for algebraic
   identities at these dimensions.
+* Every subsystem operation (reordering, partial trace, expectation, and
+  the Born rule and collapse in ``measurement``) moves the named factors
+  to the front with one private primitive, ``_factors_first``, and acts
+  on the small matrix or reduced state it yields; no operator is lifted
+  to the full space.  :func:`embed` is kept as a public utility.
 
 All values are immutable after construction (arrays are marked
 read-only), so they are safe to share between threads.
@@ -247,13 +252,8 @@ class PureState:
             raise ShapeError(
                 f"reorder needs a permutation of {self.space.labels}, got {tuple(labels)}"
             )
-        perm = self.space.axes(labels)
-        tens = self.amplitudes.reshape(self.space.dims).transpose(perm)
-        return PureState(
-            self.space.subspace(labels),
-            tens.reshape(-1),
-            normalized=self.normalized,
-        )
+        sub = self.space.subspace(labels)
+        return PureState(sub, _factors_first(self, sub).reshape(-1), self.normalized)
 
 
 def _density_residuals(matrix: np.ndarray) -> tuple[float, float, float]:
@@ -443,39 +443,78 @@ def tensor(*states: PureState) -> PureState:
     )
 
 
+def _front_order(space: CompositeSpace, sub: CompositeSpace) -> tuple[int, ...]:
+    """Axis permutation putting ``sub``'s factors first, in ``sub``'s order.
+
+    The remaining factors follow in their original order.  A factor whose
+    dimension in ``sub`` differs from the one in ``space`` raises ShapeError.
+    """
+    for lbl, dim in sub.factors:
+        if space.dim_of(lbl) != dim:
+            raise ShapeError(
+                f"factor {lbl!r} has dim {dim} in the operator but "
+                f"{space.dim_of(lbl)} in the target space"
+            )
+    front = space.axes(sub.labels)
+    return front + tuple(a for a in range(space.nfactors) if a not in front)
+
+
+def _factors_first(
+    state: Union[PureState, DensityOperator], sub: CompositeSpace
+) -> np.ndarray:
+    """The state with ``sub``'s factors moved to the front (see ``_front_order``).
+
+    A PureState gives the (d_sub, d_rest) matrix M[i, r] = <i r|psi>; a
+    DensityOperator gives the (d_sub, d_rest, d_sub, d_rest) tensor
+    <i r|rho|j s>.
+    """
+    space = state.space
+    perm = _front_order(space, sub)
+    shape = (sub.dim, space.dim // sub.dim)
+    if isinstance(state, PureState):
+        return state.amplitudes.reshape(space.dims).transpose(perm).reshape(shape)
+    both = perm + tuple(space.nfactors + a for a in perm)
+    return state.matrix.reshape(space.dims * 2).transpose(both).reshape(shape * 2)
+
+
+def _factors_back(front: np.ndarray, space: CompositeSpace, sub: CompositeSpace) -> np.ndarray:
+    """Flat amplitudes over ``space`` from a front-ordered array; inverts ``_factors_first``."""
+    perm = _front_order(space, sub)
+    tens = front.reshape(tuple(space.dims[a] for a in perm))
+    return tens.transpose(np.argsort(perm)).reshape(-1)
+
+
+def _reduced_matrix(
+    state: Union[PureState, DensityOperator], sub: CompositeSpace
+) -> np.ndarray:
+    """The state reduced to ``sub``'s factors, as a matrix in ``sub``'s order.
+
+    M M^dag for a pure state, the trace over the rest index for a density.
+    A sub-normalized PureState raises InvalidState.
+    """
+    front = _factors_first(state, sub)
+    if isinstance(state, DensityOperator):
+        return np.trace(front, axis1=1, axis2=3)
+    if not state.normalized:
+        raise InvalidState("a sub-normalized state has no reduced state; normalize() it first")
+    return front @ front.conj().T
+
+
 def partial_trace(
     rho: Union[DensityOperator, PureState], keep: Sequence[str]
 ) -> DensityOperator:
     """Trace out every factor not listed in ``keep``.
 
-    The result acts on the kept factors in their *original* relative
+    The state is reduced to the kept factors in their *original* relative
     order (regardless of the order they are listed in ``keep``), per the
-    big-endian indexing convention.  Accepts a normalized PureState as a
-    convenience, forming its density operator first.
+    big-endian indexing convention, and the result is validated as a
+    DensityOperator.  Accepts a normalized PureState too.
     """
-    if isinstance(rho, PureState):
-        rho = rho.density()
     keep = tuple(keep)
     if not keep:
         raise ShapeError("keep must name at least one factor")
-    keep_axes = sorted(rho.space.axes(keep))
-    n = rho.space.nfactors
-    dims = rho.space.dims
-    tens = rho.matrix.reshape(dims + dims)
-
-    letters = [chr(ord("a") + i) for i in range(2 * n)]
-    row = list(letters[:n])
-    col = list(letters[n:])
-    for ax in range(n):
-        if ax not in keep_axes:
-            col[ax] = row[ax]
-    out = [row[ax] for ax in keep_axes] + [col[ax] for ax in keep_axes]
-    subscripts = "".join(row) + "".join(col) + "->" + "".join(out)
-    reduced = np.einsum(subscripts, tens)
-
-    kept_labels = [rho.space.labels[ax] for ax in keep_axes]
-    sub = rho.space.subspace(kept_labels)
-    return DensityOperator(sub, reduced.reshape(sub.dim, sub.dim))
+    sub = rho.space.subspace(sorted(keep, key=rho.space.axis))
+    return DensityOperator(sub, _reduced_matrix(rho, sub))
 
 
 def purity(rho: DensityOperator) -> float:
@@ -484,6 +523,15 @@ def purity(rho: DensityOperator) -> float:
     Uses the hermitian identity Tr(rho^2) = sum |rho_ij|^2.
     """
     return float(np.vdot(rho.matrix, rho.matrix).real)
+
+
+def _differs_on(space: CompositeSpace, labels: Sequence[str]) -> np.ndarray:
+    """Mask of (row, column) basis pairs whose digits differ on any named factor."""
+    grid = np.unravel_index(np.arange(space.dim), space.dims)
+    differs = np.zeros((space.dim, space.dim), dtype=bool)
+    for ax in space.axes(labels):
+        differs |= grid[ax][:, None] != grid[ax][None, :]
+    return differs
 
 
 def coherence_norm(
@@ -500,15 +548,7 @@ def coherence_norm(
     """
     if basis_labels is None:
         basis_labels = rho.space.labels
-    axes = rho.space.axes(basis_labels)
-    if not axes:
-        return 0.0
-    grid = np.unravel_index(np.arange(rho.space.dim), rho.space.dims)
-    differs = np.zeros((rho.space.dim, rho.space.dim), dtype=bool)
-    for ax in axes:
-        comp = grid[ax]
-        differs |= comp[:, None] != comp[None, :]
-    return float(np.abs(rho.matrix[differs]).sum())
+    return float(np.abs(rho.matrix[_differs_on(rho.space, basis_labels)]).sum())
 
 
 def embed(
@@ -519,23 +559,12 @@ def embed(
     ``sub``'s labels must all exist in ``space`` with matching dimensions;
     the embedding respects ``space``'s factor order.
     """
-    for lbl, dim in sub.factors:
-        if space.dim_of(lbl) != dim:
-            raise ShapeError(
-                f"factor {lbl!r} has dim {dim} in the operator but "
-                f"{space.dim_of(lbl)} in the target space"
-            )
-    sub_axes = space.axes(sub.labels)
-    rest_axes = [i for i in range(space.nfactors) if i not in sub_axes]
-    rest_dim = math.prod(space.dims[i] for i in rest_axes) if rest_axes else 1
-
-    full = np.kron(matrix, np.eye(rest_dim))
-    cur_order = list(sub_axes) + rest_axes
-    cur_dims = tuple(space.dims[i] for i in cur_order)
-    tens = full.reshape(cur_dims + cur_dims)
-    perm = [cur_order.index(i) for i in range(space.nfactors)]
-    perm = perm + [space.nfactors + p for p in perm]
-    return tens.transpose(perm).reshape(space.dim, space.dim)
+    perm = _front_order(space, sub)
+    full = np.kron(matrix, np.eye(space.dim // sub.dim))
+    back = tuple(np.argsort(perm))
+    front_dims = tuple(space.dims[a] for a in perm)
+    tens = full.reshape(front_dims * 2).transpose(back + tuple(space.nfactors + a for a in back))
+    return tens.reshape(space.dim, space.dim)
 
 
 def expectation(
@@ -543,22 +572,23 @@ def expectation(
     obs: DichotomicObservable,
     on: Sequence[str] | None = None,
 ) -> float:
-    """<O> with the observable embedded (identity elsewhere) by label.
+    """<O> for an observable on some factors (identity elsewhere), by label.
 
     ``on`` retargets the observable onto the named factors of the state's
-    space; by default the observable's own labels are used.  For a
-    dichotomic observable the result lies in [-1, 1] up to tolerance.
+    space; by default the observable's own labels are used.  A pure state
+    is contracted as <M, O M> with M from ``_factors_first``, a density
+    as Tr(O rho_sub).  For a dichotomic observable the result lies in
+    [-1, 1] up to tolerance.
     """
     if on is not None:
         obs = obs.retarget(on)
-    space = state.space
-    full = embed(obs.matrix, obs.space, space)
-    if isinstance(state, PureState):
+    if isinstance(state, DensityOperator):
+        value = np.einsum("ij,ji->", _reduced_matrix(state, obs.space), obs.matrix)
+    else:
+        front = _factors_first(state, obs.space)
         if not state.normalized:
             raise InvalidState("expectation requires a normalized state")
-        value = np.vdot(state.amplitudes, full @ state.amplitudes)
-    else:
-        value = np.einsum("ij,ji->", state.matrix, full)
+        value = np.vdot(front, obs.matrix @ front)
     return float(value.real)
 
 

@@ -34,9 +34,13 @@ from .hilbert import (
     DensityOperator,
     DichotomicObservable,
     PureState,
+    _differs_on,
+    _factors_back,
+    _factors_first,
     _freeze,
-    embed,
+    _reduced_matrix,
     partial_trace,
+    tensor,
 )
 
 
@@ -71,59 +75,43 @@ class PointerCoupling:
 def couple_pointer(psi: PureState, coupling: PointerCoupling) -> PureState:
     """Correlate the pointer with the system basis: c_i |s_i, ready> -> c_i |s_i, p_i>.
 
-    If the pointer factor is absent it is appended (in its ready state
-    implicitly) as a new last factor of the same dimension as the system
-    factor.  If it is present, every populated amplitude must have the
-    pointer in its ready state, otherwise PointerNotReady is raised.
-    Norm is preserved exactly; the map is unitary on the coupled sector.
+    If the pointer factor is absent it is appended in its ready state as a
+    new last factor of the same dimension as the system factor.  Every
+    populated amplitude must have the pointer in its ready state,
+    otherwise PointerNotReady is raised.  Norm is preserved exactly; the
+    map is unitary on the coupled sector.
     """
     space = psi.space
-    ax_s = space.axis(coupling.system_label)
-    sdim = space.dims[ax_s]
-    if max(coupling.copy_basis) >= sdim or coupling.pointer_ready_index >= sdim:
+    sdim = space.dim_of(coupling.system_label)
+    present = coupling.pointer_label in space.labels
+    pdim = space.dim_of(coupling.pointer_label) if present else sdim
+    if max(coupling.copy_basis) >= pdim or coupling.pointer_ready_index >= pdim:
         raise ShapeError(
             f"copy map {coupling.copy_basis} (ready {coupling.pointer_ready_index}) "
-            f"does not fit pointer dimension {sdim}"
+            f"does not fit pointer dimension {pdim}"
         )
-    if len(coupling.copy_basis) < sdim:
+    if len(coupling.copy_basis) != sdim:
         raise ShapeError(
             f"copy map covers {len(coupling.copy_basis)} system states, "
             f"system factor has {sdim}"
         )
+    ready = coupling.pointer_ready_index
+    if not present:
+        pointer = CompositeSpace(((coupling.pointer_label, sdim),))
+        psi = tensor(psi, PureState.basis(pointer, (ready,)))
+        space = psi.space
 
-    if coupling.pointer_label in space.labels:
-        ax_p = space.axis(coupling.pointer_label)
-        tens = psi.amplitudes.reshape(space.dims)
-        ready = coupling.pointer_ready_index
-        occupied = np.moveaxis(tens, ax_p, 0)
-        stray = np.delete(occupied, ready, axis=0)
-        if stray.size and float(np.max(np.abs(stray))) > ALGEBRA_TOL:
-            raise PointerNotReady(
-                f"pointer {coupling.pointer_label!r} is not in its ready state "
-                f"(index {ready})"
-            )
-        out = np.zeros_like(tens)
-        sl_in: list = [slice(None)] * tens.ndim
-        sl_out: list = [slice(None)] * tens.ndim
-        for i in range(sdim):
-            sl_in[ax_s] = i
-            sl_in[ax_p] = ready
-            sl_out[ax_s] = i
-            sl_out[ax_p] = coupling.copy_basis[i]
-            out[tuple(sl_out)] = tens[tuple(sl_in)]
-        return PureState(space, out.reshape(-1), normalized=psi.normalized)
-
-    new_space = CompositeSpace(space.factors + ((coupling.pointer_label, sdim),))
-    tens = psi.amplitudes.reshape(space.dims)
-    out = np.zeros(space.dims + (sdim,), dtype=complex)
-    sl_in = [slice(None)] * tens.ndim
-    sl_out = [slice(None)] * (tens.ndim + 1)
-    for i in range(sdim):
-        sl_in[ax_s] = i
-        sl_out[ax_s] = i
-        sl_out[-1] = coupling.copy_basis[i]
-        out[tuple(sl_out)] = tens[tuple(sl_in)]
-    return PureState(new_space, out.reshape(-1), normalized=psi.normalized)
+    pair = space.subspace((coupling.system_label, coupling.pointer_label))
+    front = _factors_first(psi, pair).reshape(sdim, pdim, -1)  # (system, pointer, rest)
+    stray = np.delete(front, ready, axis=1)
+    if stray.size and float(np.max(np.abs(stray))) > ALGEBRA_TOL:
+        raise PointerNotReady(
+            f"pointer {coupling.pointer_label!r} is not in its ready state "
+            f"(index {ready})"
+        )
+    out = np.zeros_like(front)
+    out[np.arange(sdim), coupling.copy_basis] = front[:, ready]
+    return PureState(space, _factors_back(out, space, pair), normalized=psi.normalized)
 
 
 def improper_mixture(psi: PureState, keep: Sequence[str]) -> DensityOperator:
@@ -132,7 +120,7 @@ def improper_mixture(psi: PureState, keep: Sequence[str]) -> DensityOperator:
     The name is the point: the result is diagnostically a mixture, but it
     arises from entanglement, not from ignorance of a definite outcome.
     """
-    return partial_trace(psi.density(), keep)
+    return partial_trace(psi, keep)
 
 
 def dephase(rho: DensityOperator, on: Sequence[str]) -> DensityOperator:
@@ -142,15 +130,9 @@ def dephase(rho: DensityOperator, on: Sequence[str]) -> DensityOperator:
     result is the proper-mixture description in which the targeted
     factors have a definite but unknown basis value.
     """
-    axes = rho.space.axes(on)
-    if not axes:
+    if not on:
         raise ShapeError("dephase needs at least one target factor")
-    grid = np.unravel_index(np.arange(rho.space.dim), rho.space.dims)
-    same = np.ones((rho.space.dim, rho.space.dim), dtype=bool)
-    for ax in axes:
-        comp = grid[ax]
-        same &= comp[:, None] == comp[None, :]
-    return DensityOperator(rho.space, np.where(same, rho.matrix, 0.0))
+    return DensityOperator(rho.space, np.where(_differs_on(rho.space, on), 0.0, rho.matrix))
 
 
 @dataclass(frozen=True)
@@ -247,18 +229,12 @@ def born_probabilities(
     a total deviating from 1 beyond tolerance raises InvariantViolation.
     """
     meas = _as_measurement(state.space, basis_or_obs)
-    if isinstance(state, PureState):
-        if not state.normalized:
-            raise InvalidState("born_probabilities requires a normalized state")
-        probs = np.empty(len(meas.projectors))
-        for k, proj in enumerate(meas.projectors):
-            full = embed(proj, meas.space, state.space)
-            probs[k] = np.vdot(state.amplitudes, full @ state.amplitudes).real
-    else:
-        probs = np.empty(len(meas.projectors))
-        for k, proj in enumerate(meas.projectors):
-            full = embed(proj, meas.space, state.space)
-            probs[k] = np.einsum("ij,ji->", state.matrix, full).real
+    rho_sub = _reduced_matrix(state, meas.space)
+    return _clipped_distribution(np.einsum("kij,ji->k", np.stack(meas.projectors), rho_sub).real)
+
+
+def _clipped_distribution(probs: np.ndarray) -> np.ndarray:
+    """Clip at zero and renormalize; a total off 1 beyond VALIDITY_TOL raises."""
     probs = np.clip(probs, 0.0, None)
     total = float(probs.sum())
     if abs(total - 1.0) > VALIDITY_TOL:
@@ -298,11 +274,10 @@ def projective_collapse(
             )
     probs = born_probabilities(state, meas)
     outcome = int(rng.choice(probs.size, p=probs))
-    full = embed(meas.projectors[outcome], meas.space, state.space)
-    branch = full @ state.amplitudes
+    branch = meas.projectors[outcome] @ _factors_first(state, meas.space)
     nrm2 = float(np.vdot(branch, branch).real)
-    collapsed = PureState(state.space, branch / math.sqrt(nrm2))
-    return outcome, collapsed
+    amplitudes = _factors_back(branch, state.space, meas.space) / math.sqrt(nrm2)
+    return outcome, PureState(state.space, amplitudes)
 
 
 _HYPOTHESIS_VARIANTS = (

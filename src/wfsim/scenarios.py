@@ -38,13 +38,17 @@ from .hilbert import (
     CompositeSpace,
     DensityOperator,
     PureState,
+    _factors_first,
     tensor,
 )
 from .measurement import (
     SUBJECTIVE_COLLAPSE,
     UNITARY_ONLY,
     CollapseHypothesis,
+    PointerCoupling,
     ProjectiveMeasurement,
+    born_probabilities,
+    couple_pointer,
     dephase,
     projective_collapse,
 )
@@ -160,36 +164,17 @@ def friend_interaction(joint: PureState, side: str) -> ScenarioState:
     if not joint.normalized:
         raise InvalidState("friend_interaction expects a normalized input")
 
-    ax_in = space.axis(in_label)
-    ax_prime = space.axis(prime_label)
-    ax_friend = space.axis(friend_label)
-    if space.dims[ax_in] != 2 or space.dims[ax_prime] != 2 or space.dims[ax_friend] != 2:
+    if any(space.dim_of(lbl) != 2 for lbl in (in_label, prime_label, friend_label)):
         raise ShapeError("friend interaction is defined for two-dimensional factors")
 
-    tens = joint.amplitudes.reshape(space.dims)
-    # Contract (prime, friend) against the singlet bra.
-    contracted = np.tensordot(tens, _SINGLET_MATRIX.conj(), axes=([ax_prime, ax_friend], [0, 1]))
-
-    removed = sorted((ax_prime, ax_friend))
-    new_in = ax_in - sum(1 for r in removed if r < ax_in)
-    new_friend = ax_friend - (1 if ax_prime < ax_friend else 0)
-
-    out_factors = [f for i, f in enumerate(space.factors) if i != ax_prime]
-    out_space = CompositeSpace(tuple(out_factors))
-    out_shape = list(contracted.shape)
-    out_shape.insert(new_friend, 2)
-    out = np.zeros(out_shape, dtype=complex)
-
-    in_axis_out = new_in if new_in < new_friend else new_in + 1
-    for i in (0, 1):
-        sl_src: list = [slice(None)] * contracted.ndim
-        sl_src[new_in] = i
-        sl_dst: list = [slice(None)] * out.ndim
-        sl_dst[in_axis_out] = i
-        sl_dst[new_friend] = 1 - i
-        out[tuple(sl_dst)] = 0.5 * contracted[tuple(sl_src)]
-
-    raw = PureState(out_space, out.reshape(-1), normalized=False)
+    # Contract (prime, friend) against the singlet bra, then scale by M's 1/2.
+    front = _factors_first(joint, space.subspace((prime_label, friend_label)))
+    contracted = _SINGLET_MATRIX.conj().reshape(-1) @ front
+    rest = tuple(f for f in space.factors if f[0] not in (prime_label, friend_label))
+    heralded = PureState(CompositeSpace(rest), 0.5 * contracted, normalized=False)
+    # The anti-copy re-creates the friend as a last factor; put it back in place.
+    coupled = couple_pointer(heralded, PointerCoupling(in_label, friend_label, (1, 0)))
+    raw = coupled.reorder([lbl for lbl in space.labels if lbl != prime_label])
     herald = raw.squared_norm
     if herald <= ALGEBRA_TOL:
         raise HeraldImpossible(
@@ -414,8 +399,6 @@ def counterexample_probability(
     amplitudes: Sequence[complex] = (1 / _SQRT2, 1 / _SQRT2),
 ) -> float:
     """Exact P(photon received by F) under a hypothesis."""
-    from .measurement import born_probabilities
-
     rho = counterexample_density(hypothesis, amplitudes)
     return float(born_probabilities(rho, counterexample_measurement())[0])
 
@@ -456,8 +439,6 @@ def counterexample_frequencies(
         p = counterexample_probability(hypothesis, amplitudes)
         hits = rng.random(runs) < p
         return float(hits.mean())
-    from .measurement import born_probabilities
-
     space = CompositeSpace.qubits(*COUNTEREXAMPLE_ORDER)
     p_branch = np.array(
         [

@@ -79,6 +79,26 @@ def brute_horodecki_value(matrix: np.ndarray) -> float:
     return float(2.0 * np.sqrt(max(0.0, mu[0] + mu[1])))
 
 
+def gather_index(dims: list[int], order: list[int]) -> np.ndarray:
+    """Flat-index map from ascending axis order to the given axis order.
+
+    ``order`` lists axis positions.  Entry f is the flat index, with the
+    factors taken in ``order``, of the basis state whose flat index over
+    the same factors in ascending order is f; so an operator ``op`` written
+    in ``order`` reads ``op[np.ix_(g, g)]`` in the ascending order that
+    ``brute_partial_trace`` returns.
+    """
+    kept = sorted(order)
+    order_strides = strides_for([dims[a] for a in order])
+    kept_strides = strides_for([dims[a] for a in kept])
+    gather = np.empty(int(np.prod([dims[a] for a in kept])), dtype=np.intp)
+    for combo in itertools.product(*[range(dims[a]) for a in kept]):
+        digit = dict(zip(kept, combo))
+        flat = sum(digit[a] * s for a, s in zip(kept, kept_strides))
+        gather[flat] = sum(digit[a] * s for a, s in zip(order, order_strides))
+    return gather
+
+
 # Blockwise Pauli triple of a two-qubit wing, basis (|00>, |01>, |10>, |11>):
 # each Pauli acts on the block (|01>, |10>) and on the block (|00>, |11>).
 _PAIR_PAULIS = (
@@ -102,14 +122,7 @@ def brute_correlation_kernel(
     """
     wings = list(alice) + list(bob)
     reduced = brute_partial_trace(matrix, dims, wings)
-    kept = sorted(wings)
-    wing_strides = strides_for([dims[a] for a in wings])
-    kept_strides = strides_for([dims[a] for a in kept])
-    gather = np.empty(reduced.shape[0], dtype=np.intp)
-    for combo in itertools.product(*[range(dims[a]) for a in kept]):
-        digit = dict(zip(kept, combo))
-        flat = sum(digit[a] * s for a, s in zip(kept, kept_strides))
-        gather[flat] = sum(digit[a] * s for a, s in zip(wings, wing_strides))
+    gather = gather_index(dims, wings)
     triples = {1: _PAULIS, 2: _PAIR_PAULIS}
     kernel = np.empty((3, 3))
     for m, a_op in enumerate(triples[len(alice)]):
@@ -122,6 +135,12 @@ def brute_correlation_kernel(
 def random_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return vec / np.linalg.norm(vec)
+
+
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Unitary from the QR decomposition of a complex Ginibre matrix."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from wfsim import (
     ShapeError,
     UnknownSubsystem,
     bloch_vector,
+    born_probabilities,
     coherence_norm,
     embed,
     expectation,
@@ -375,6 +376,17 @@ class TestEmbedAndExpectation:
             got = expectation(rho, obs)
             want = brute_expectation(rho.matrix, full)
             assert got == pytest.approx(want, abs=1e-12)
+
+    def test_factor_dimension_mismatch_raises_shape_error(self):
+        """A qubit observable on a three-dimensional factor is rejected by name."""
+        space = CompositeSpace((("q", 3), ("r", 2)))
+        psi = PureState.basis(space, (1, 0))
+        z = DichotomicObservable.pauli("z", "q")
+        for state in (psi, psi.density()):
+            with pytest.raises(ShapeError, match="factor 'q' has dim 2"):
+                expectation(state, z)
+            with pytest.raises(ShapeError, match="factor 'q' has dim 2"):
+                born_probabilities(state, z)
 
 
 class TestValidate:

@@ -74,6 +74,15 @@ class TestPointerCoupling:
         )
         assert coupled.amplitude("01") == pytest.approx(1.0)
 
+    def test_present_pointer_dimension_bounds_the_copy_map(self):
+        """The copy map is checked against the pointer factor's own dimension."""
+        narrow = PureState.basis(CompositeSpace((("s", 3), ("p", 2))), (1, 0))
+        with pytest.raises(ShapeError, match="pointer dimension 2"):
+            couple_pointer(narrow, PointerCoupling("s", "p", copy_basis=(0, 1, 2)))
+        wide = PureState.basis(CompositeSpace((("s", 2), ("p", 3))), (1, 2))
+        coupled = couple_pointer(wide, PointerCoupling("s", "p", (0, 1), pointer_ready_index=2))
+        assert coupled.amplitude((1, 1)) == 1.0
+
     def test_copy_map_must_be_injective(self):
         with pytest.raises(InvalidState):
             PointerCoupling("s", "p", copy_basis=(0, 0))

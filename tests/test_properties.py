@@ -14,23 +14,36 @@ from hypothesis import strategies as st
 from wfsim import (
     CompositeSpace,
     DensityOperator,
+    DichotomicObservable,
+    ProjectiveMeasurement,
     PureState,
     born_probabilities,
     chsh_value,
     dephase,
+    embed,
     exact_optimum,
+    expectation,
     optimize_settings,
     partial_trace,
+    projective_collapse,
 )
-from wfsim.chsh import MeasurementSettings, _correlation_kernel, observable_from_bloch
+from wfsim.chsh import (
+    MeasurementSettings,
+    _correlation_kernel,
+    _joint_distribution,
+    observable_from_bloch,
+)
 
 from _oracles import (
     brute_correlation_kernel,
+    brute_expectation,
     brute_horodecki_value,
     brute_partial_trace,
+    gather_index,
     random_density,
     random_dims,
     random_pure,
+    random_unitary,
 )
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -139,3 +152,72 @@ def test_correlation_kernel_matches_brute_force(seed):
         expected = brute_correlation_kernel(matrix, list(space.dims), alice, bob)
         assert kernel.flags.c_contiguous
         assert np.max(np.abs(kernel - expected)) < 1e-12
+
+
+@EXAMPLES
+@given(seed=SEEDS)
+def test_measurement_on_reduced_state_matches_embed_route(seed):
+    """Born rule, expectation and collapse agree with the full-space route.
+
+    The measured factors are any subset of 2-4 qubits in any order; the
+    reference reduces by brute force and gathers each measured-order
+    operator into the ascending order, and the collapse reference applies
+    the embedded projector to the whole state.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    labels = [f"q{k}" for k in range(n)]
+    space = CompositeSpace.qubits(*labels)
+    measured = rng.permutation(n)[: int(rng.integers(1, n + 1))].tolist()
+    sub = space.subspace([labels[a] for a in measured])
+    gather = np.ix_(*[gather_index(list(space.dims), measured)] * 2)
+    unitary = random_unitary(rng, sub.dim)
+    projectors = [np.outer(u, u.conj()) for u in unitary.T]
+    meas = ProjectiveMeasurement(sub, tuple(projectors), tuple(map(str, range(sub.dim))))
+    signs = rng.choice((-1.0, 1.0), size=sub.dim)
+    obs = DichotomicObservable(sub, (unitary * signs) @ unitary.conj().T)
+    pure = PureState(space, random_pure(rng, space.dim))
+    mixed = DensityOperator(space, random_density(rng, space.dim))
+    for state, matrix in ((pure, pure.density().matrix), (mixed, mixed.matrix)):
+        reduced = brute_partial_trace(matrix, list(space.dims), measured)
+        want = [brute_expectation(reduced, p[gather]) for p in projectors]
+        assert np.max(np.abs(born_probabilities(state, meas) - want)) < 1e-12
+        diagonal = [brute_expectation(reduced, np.diag(e)[gather]) for e in np.eye(sub.dim)]
+        assert np.max(np.abs(born_probabilities(state, sub.labels) - diagonal)) < 1e-12
+        want_obs = brute_expectation(reduced, obs.matrix[gather])
+        assert abs(expectation(state, obs) - want_obs) < 1e-12
+
+    outcome, collapsed = projective_collapse(pure, basis=meas, rng=rng)
+    branch = embed(projectors[outcome], sub, space) @ pure.amplitudes
+    assert collapsed.space == space
+    assert np.max(np.abs(collapsed.amplitudes - branch / np.linalg.norm(branch))) < 1e-12
+
+
+@EXAMPLES
+@given(seed=SEEDS)
+def test_joint_distribution_matches_projector_route(seed):
+    """(1 + s_a<A> + s_b<B> + s_a s_b E)/4 equals Born over the four kron projectors."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    labels = [f"q{k}" for k in range(n)]
+    space = CompositeSpace.qubits(*labels)
+    order = [labels[k] for k in rng.permutation(n)]
+    n_alice = int(rng.integers(1, min(2, n - 1) + 1))
+    n_bob = int(rng.integers(1, min(2, n - n_alice) + 1))
+    alice = space.subspace(order[:n_alice])
+    bob = space.subspace(order[n_alice : n_alice + n_bob])
+
+    def bloch(wing):
+        theta, phi = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)
+        return observable_from_bloch(theta, phi, wing)
+
+    a, b = bloch(alice), bloch(bob)
+    projectors = tuple(np.kron(pa, pb) for pa in a.projectors() for pb in b.projectors())
+    four = ProjectiveMeasurement(
+        CompositeSpace(alice.factors + bob.factors), projectors, ("++", "+-", "-+", "--")
+    )
+    mixed = DensityOperator(space, random_density(rng, space.dim))
+    pure = PureState(space, random_pure(rng, space.dim))
+    for state in (mixed, pure):
+        joint = _joint_distribution(state, a, b)
+        assert np.max(np.abs(joint - born_probabilities(state, four))) < 1e-12

@@ -23,6 +23,14 @@ Both families satisfy the Pauli algebra observable-by-observable, so the
 correlator is exactly bilinear in the two Bloch vectors through a real
 3x3 kernel K:  E(a, b) = a . K b.
 
+Moment table
+------------
+Every inequality number comes from one table M[m, n] = Tr(rho A_m (x) B_n)
+over stacks of Alice's and Bob's operators (``_wing_moments``).  Over each
+wing's (I, obs0, obs1) row 0 and column 0 are the marginals and the rest
+the correlators; over the basis triples M is K.  An entry beyond
+1 + 1e-10 in magnitude raises InvariantViolation.
+
 Settings search
 ---------------
 For fixed Bob directions (b1, b0) Alice's best unit vectors are along
@@ -73,7 +81,6 @@ from .hilbert import (
     _PAULI_TRIPLE,
     _bloch_operator,
     _reduced_matrix,
-    expectation,
 )
 from .measurement import UNITARY_ONLY, CollapseHypothesis, _clipped_distribution
 
@@ -140,6 +147,8 @@ class MeasurementSettings:
     def __post_init__(self) -> None:
         if len(self.alice) != 2 or len(self.bob) != 2:
             raise ShapeError("settings need exactly two observables per wing")
+        if any(obs0.space != obs1.space for obs0, obs1 in (self.alice, self.bob)):
+            raise ShapeError("each wing's two observables must act on one space")
 
     @classmethod
     def defaults(
@@ -202,18 +211,48 @@ class InequalityResult:
 
 State = Union[PureState, DensityOperator]
 
+# (Alice, Bob) setting indices of the correlators in S order: E11, E10, E01, E00.
+_SETTING_ORDER = ((1, 1), (1, 0), (0, 1), (0, 0))
+
+
+def _wing_moments(
+    state: State,
+    alice_space: CompositeSpace,
+    bob_space: CompositeSpace,
+    alice_ops: np.ndarray,
+    bob_ops: np.ndarray,
+) -> np.ndarray:
+    """M[m, n] = Tr(rho A_m (x) B_n) for stacks of wing operators; see module docstring.
+
+    rho, reduced to the wings' factors and reordered to (Alice, Bob), is
+    read as r[i, j, k, l] = <i j| rho |k l>, and
+    M[m, n] = sum r[i, j, k, l] A_m[k, i] B_n[l, j].
+    """
+    overlap = set(alice_space.labels) & set(bob_space.labels)
+    if overlap:
+        raise ShapeError(f"observables overlap on factors {sorted(overlap)}")
+    d_a, d_b = alice_space.dim, bob_space.dim
+    if (alice_ops.shape[-1], bob_ops.shape[-1]) != (d_a, d_b):
+        raise ShapeError(f"operator stacks do not fit wings of dimensions ({d_a}, {d_b})")
+    wings = CompositeSpace(alice_space.factors + bob_space.factors)
+    r = _reduced_matrix(state, wings).reshape(d_a, d_b, d_a, d_b)
+    # Contiguous: K @ v on a strided view of the same numbers can round differently.
+    moments = np.ascontiguousarray(np.einsum("ijkl,mki,nlj->mn", r, alice_ops, bob_ops).real)
+    if np.max(np.abs(moments)) > 1.0 + 1e-10:
+        raise InvariantViolation(f"wing moment outside [-1, 1]: {moments!r}")
+    return moments
+
+
+def _settings_moments(state: State, settings: MeasurementSettings) -> np.ndarray:
+    """The settings' table: ``_wing_moments`` over (I, obs0, obs1) on each wing."""
+    wings = (settings.alice, settings.bob)
+    stacks = [np.stack([np.eye(obs0.space.dim), obs0.matrix, obs1.matrix]) for obs0, obs1 in wings]
+    return _wing_moments(state, settings.alice[0].space, settings.bob[0].space, *stacks)
+
 
 def correlator(state: State, a: DichotomicObservable, b: DichotomicObservable) -> float:
     """E = <A tensor B> for observables on disjoint factors of the state."""
-    overlap = set(a.space.labels) & set(b.space.labels)
-    if overlap:
-        raise ShapeError(f"observables overlap on factors {sorted(overlap)}")
-    joint_space = CompositeSpace(a.space.factors + b.space.factors)
-    joint = DichotomicObservable(joint_space, np.kron(a.matrix, b.matrix))
-    value = expectation(state, joint)
-    if abs(value) > 1.0 + 1e-10:
-        raise InvariantViolation(f"correlator {value!r} outside [-1, 1]")
-    return value
+    return float(_wing_moments(state, a.space, b.space, a.matrix[None], b.matrix[None])[0, 0])
 
 
 def chsh_value(
@@ -222,19 +261,10 @@ def chsh_value(
     hypothesis: CollapseHypothesis | None = None,
 ) -> InequalityResult:
     """Exact S for the given settings, with the quantum ceiling enforced."""
-    a0, a1 = settings.alice
-    b0, b1 = settings.bob
-    e11 = correlator(state, a1, b1)
-    e10 = correlator(state, a1, b0)
-    e01 = correlator(state, a0, b1)
-    e00 = correlator(state, a0, b0)
-    s = e11 + e10 + e01 - e00
-    return InequalityResult(
-        s_value=s,
-        correlators=(e11, e10, e01, e00),
-        hypothesis=hypothesis,
-        exact=True,
-    )
+    m = _settings_moments(state, settings)
+    correlators = tuple(float(m[i + 1, j + 1]) for i, j in _SETTING_ORDER)
+    e11, e10, e01, e00 = correlators
+    return InequalityResult(e11 + e10 + e01 - e00, correlators, hypothesis=hypothesis)
 
 
 def local_deterministic_bound() -> float:
@@ -252,23 +282,9 @@ def local_deterministic_bound() -> float:
 def _correlation_kernel(
     state: State, alice_space: CompositeSpace, bob_space: CompositeSpace
 ) -> np.ndarray:
-    """K[m, n] = E(basis_m on Alice, basis_n on Bob); E(a,b) = a.K b.
-
-    One contraction: rho, reduced to the wings' factors and reordered to
-    (Alice, Bob), is read as r[i, j, k, l] = <i j| rho |k l>, and
-    K[m, n] = sum r[i, j, k, l] A_m[k, i] B_n[l, j] = Tr(rho A_m (x) B_n).
-    """
+    """K[m, n] = E(basis_m on Alice, basis_n on Bob); E(a,b) = a.K b."""
     a3, b3 = (_basis_triple(wing.nfactors) for wing in (alice_space, bob_space))
-    d_a, d_b = alice_space.dim, bob_space.dim
-    if (a3.shape[-1], b3.shape[-1]) != (d_a, d_b):
-        raise ShapeError(f"wings of dimensions ({d_a}, {d_b}) are not qubit wings")
-    wings = state.space.subspace(alice_space.labels + bob_space.labels)
-    r = _reduced_matrix(state, wings).reshape(d_a, d_b, d_a, d_b)
-    # Contiguous: K @ v on a strided view of the same numbers can round differently.
-    kernel = np.ascontiguousarray(np.einsum("ijkl,mki,nlj->mn", r, a3, b3).real)
-    if np.max(np.abs(kernel)) > 1.0 + 1e-10:
-        raise InvariantViolation(f"correlation kernel entry outside [-1, 1]: {kernel!r}")
-    return kernel
+    return _wing_moments(state, alice_space, bob_space, a3, b3)
 
 
 def _sphere_grid(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -490,27 +506,8 @@ def _grid_gap(
     return gap
 
 
-_SETTING_ORDER = ((1, 1), (1, 0), (0, 1), (0, 0))
-
-
-def _joint_distribution(
-    state: State, a: DichotomicObservable, b: DichotomicObservable
-) -> np.ndarray:
-    """p(s_a, s_b) over (++, +-, -+, --) for one setting pair.
-
-    Any two +/-1 observables on disjoint factors give
-    p(s_a, s_b) = (1 + s_a <A> + s_b <B> + s_a s_b E) / 4, so two
-    expectations and the correlator fix the distribution.  An entry below
-    -1e-10 raises InvariantViolation; the rest are clipped and
-    renormalized as in ``born_probabilities``.
-    """
-    mean_a, mean_b, e = expectation(state, a), expectation(state, b), correlator(state, a, b)
-    probs = np.array(
-        [(1.0 + sa * mean_a + sb * mean_b + sa * sb * e) / 4.0 for sa in (1, -1) for sb in (1, -1)]
-    )
-    if probs.min() < -1e-10:
-        raise InvariantViolation(f"joint distribution {probs!r} has a negative entry")
-    return _clipped_distribution(probs)
+# Outcome signs (s_a, s_b) in the order ++, +-, -+, --.
+_SIGNS_A, _SIGNS_B = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
 
 
 def sample_inequality(
@@ -525,19 +522,24 @@ def sample_inequality(
     Each of the four setting pairs, in the fixed order (A1,B1), (A1,B0),
     (A0,B1), (A0,B0), owns an independent child stream spawned from
     ``rng`` (one spawn call, children in that order), and draws its
-    outcome counts from a multinomial over the exact joint distribution.
-    The standard error is the plug-in estimate sqrt(sum (1 - E_k^2) / shots).
+    outcome counts from a multinomial over the exact joint distribution
+    p(s_a, s_b) = (1 + s_a <A> + s_b <B> + s_a s_b E) / 4 on
+    (++, +-, -+, --), which holds for any two +/-1 observables on disjoint
+    factors; <A>, <B> and E come from the settings' moment table.  An
+    entry below -1e-10 raises InvariantViolation; the rest are clipped
+    and renormalized as in ``born_probabilities``.  The standard error is
+    the plug-in estimate sqrt(sum (1 - E_k^2) / shots).
     """
     if shots < 1:
         raise ShapeError("sample_inequality needs shots >= 1")
-    pairs = [
-        (settings.alice[i], settings.bob[j]) for i, j in _SETTING_ORDER
-    ]
-    distributions = [_joint_distribution(state, a, b) for a, b in pairs]
-    counts = [
-        stream.multinomial(shots, p)
-        for stream, p in zip(rng.spawn(len(pairs)), distributions)
-    ]
+    m = _settings_moments(state, settings)
+    counts = []
+    for stream, (i, j) in zip(rng.spawn(len(_SETTING_ORDER)), _SETTING_ORDER):
+        a, b, e = m[i + 1, 0], m[0, j + 1], m[i + 1, j + 1]
+        probs = (1.0 + _SIGNS_A * a + _SIGNS_B * b + _SIGNS_A * _SIGNS_B * e) / 4.0
+        if probs.min() < -1e-10:
+            raise InvariantViolation(f"joint distribution {probs!r} has a negative entry")
+        counts.append(stream.multinomial(shots, _clipped_distribution(probs)))
 
     estimates = []
     variances = []
@@ -587,17 +589,17 @@ def hypothesis_comparison(
     parsed = [CollapseHypothesis.parse(h) for h in hypotheses]
     labels = (tuple(scenario.alice_labels), tuple(scenario.bob_labels))
     states: list[DensityOperator] = []
-    which: dict[str, int] = {}  # hypothesis name -> index into states
+    which: dict[CollapseHypothesis, int] = {}  # hypothesis -> index into states
     for hyp in (UNITARY_ONLY, *parsed):
-        if hyp.name in which:
+        if hyp in which:
             continue
         rho = scenario.exact_state_under(hyp)
         for index, seen in enumerate(states):
             if np.array_equal(seen.matrix, rho.matrix):
-                which[hyp.name] = index
+                which[hyp] = index
                 break
         else:
-            which[hyp.name] = len(states)
+            which[hyp] = len(states)
             states.append(rho)
 
     rho_unitary = states[0]
@@ -613,7 +615,7 @@ def hypothesis_comparison(
     streams = rng.spawn(len(parsed)) if shots > 0 else None
     results: list[InequalityResult] = []
     for k, hyp in enumerate(parsed):
-        index = which[hyp.name]
+        index = which[hyp]
         rho = states[index]
         exact = replace(data, hypothesis=hyp) if index == 0 else chsh_value(rho, settings, hyp)
         if index not in s_max:

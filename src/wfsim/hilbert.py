@@ -575,20 +575,15 @@ def expectation(
     """<O> for an observable on some factors (identity elsewhere), by label.
 
     ``on`` retargets the observable onto the named factors of the state's
-    space; by default the observable's own labels are used.  A pure state
-    is contracted as <M, O M> with M from ``_factors_first``, a density
-    as Tr(O rho_sub).  For a dichotomic observable the result lies in
+    space; by default the observable's own labels are used.  Pure or
+    mixed, the value is Tr(O rho_sub) on the reduced state from
+    ``_reduced_matrix``, so a sub-normalized PureState raises
+    InvalidState.  For a dichotomic observable the result lies in
     [-1, 1] up to tolerance.
     """
     if on is not None:
         obs = obs.retarget(on)
-    if isinstance(state, DensityOperator):
-        value = np.einsum("ij,ji->", _reduced_matrix(state, obs.space), obs.matrix)
-    else:
-        front = _factors_first(state, obs.space)
-        if not state.normalized:
-            raise InvalidState("expectation requires a normalized state")
-        value = np.vdot(front, obs.matrix @ front)
+    value = np.einsum("ij,ji->", _reduced_matrix(state, obs.space), obs.matrix)
     return float(value.real)
 
 

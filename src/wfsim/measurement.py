@@ -348,9 +348,11 @@ class CollapseHypothesis:
 
     @property
     def name(self) -> str:
-        if self.variant == "stochastic_collapse":
-            return f"stochastic_collapse({self.probability:g})"
-        return self.variant
+        """The variant; p is printed with ``:g`` where that parses back to p, else with repr."""
+        if self.variant != "stochastic_collapse":
+            return self.variant
+        p, short = self.probability, f"{self.probability:g}"
+        return f"stochastic_collapse({short if float(short) == p else repr(p)})"
 
     def __str__(self) -> str:
         return self.name

@@ -110,10 +110,15 @@ _PAIR_PAULIS = (
 )
 
 
-def brute_correlation_kernel(
-    matrix: np.ndarray, dims: list[int], alice: list[int], bob: list[int]
+def brute_wing_moments(
+    matrix: np.ndarray,
+    dims: list[int],
+    alice: list[int],
+    bob: list[int],
+    alice_ops,
+    bob_ops,
 ) -> np.ndarray:
-    """K[m, n] = Tr(rho A_m (x) B_n) over qubit wings of one or two factors.
+    """M[m, n] = Tr(rho A_m (x) B_n) for sequences of operators on two wings.
 
     ``alice`` and ``bob`` hold axis positions, in the order each wing
     lists its factors.  rho is reduced to the wing factors (ascending
@@ -123,13 +128,20 @@ def brute_correlation_kernel(
     wings = list(alice) + list(bob)
     reduced = brute_partial_trace(matrix, dims, wings)
     gather = gather_index(dims, wings)
-    triples = {1: _PAULIS, 2: _PAIR_PAULIS}
-    kernel = np.empty((3, 3))
-    for m, a_op in enumerate(triples[len(alice)]):
-        for n, b_op in enumerate(triples[len(bob)]):
+    moments = np.empty((len(alice_ops), len(bob_ops)))
+    for m, a_op in enumerate(alice_ops):
+        for n, b_op in enumerate(bob_ops):
             joint = np.kron(a_op, b_op)[np.ix_(gather, gather)]
-            kernel[m, n] = brute_expectation(reduced, joint)
-    return kernel
+            moments[m, n] = brute_expectation(reduced, joint)
+    return moments
+
+
+def brute_correlation_kernel(
+    matrix: np.ndarray, dims: list[int], alice: list[int], bob: list[int]
+) -> np.ndarray:
+    """K: the wing moments over each qubit wing's (blockwise) Pauli triple."""
+    triples = {1: _PAULIS, 2: _PAIR_PAULIS}
+    return brute_wing_moments(matrix, dims, alice, bob, triples[len(alice)], triples[len(bob)])
 
 
 def random_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -141,6 +153,12 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Unitary from the QR decomposition of a complex Ginibre matrix."""
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     return q
+
+
+def random_dichotomic(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """U diag(+/-1) U^dag for a random unitary U and random signs."""
+    unitary = random_unitary(rng, dim)
+    return (unitary * rng.choice((-1.0, 1.0), size=dim)) @ unitary.conj().T
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:

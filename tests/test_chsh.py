@@ -8,6 +8,7 @@ import pytest
 import wfsim.chsh as chsh
 from wfsim import (
     CLASSICAL_BOUND,
+    CollapseHypothesis,
     CompositeSpace,
     DichotomicObservable,
     InequalityResult,
@@ -26,6 +27,7 @@ from wfsim import (
     optimize_settings,
     proietti_scenario,
     sample_inequality,
+    ScenarioConfig,
     source_state,
 )
 
@@ -154,6 +156,16 @@ class TestChshValue:
         result = chsh_value(psi, settings)
         e11, e10, e01, e00 = result.correlators
         assert result.s_value == pytest.approx(e11 + e10 + e01 - e00, abs=1e-13)
+
+    def test_wing_on_two_spaces_rejected(self):
+        """A wing's two observables are stacked into one table, so they share one space."""
+        e1, e2 = CompositeSpace.qubits("e1"), CompositeSpace.qubits("e2")
+        other = CompositeSpace.qubits("e3")
+        z = {space: observable_from_bloch(0.0, 0.0, space) for space in (e1, e2, other)}
+        with pytest.raises(ShapeError, match="one space"):
+            MeasurementSettings(alice=(z[e1], z[other]), bob=(z[e2], z[e2]))
+        with pytest.raises(ShapeError, match="one space"):
+            MeasurementSettings(alice=(z[e1], z[e1]), bob=(z[e2], z[other]))
 
     def test_exact_ceiling_enforced_at_construction(self):
         with pytest.raises(InvariantViolation):
@@ -392,6 +404,18 @@ class TestHypothesisComparison:
         assert by_name["friend_dephasing"].s_max == pytest.approx(
             math.sqrt(2.0), abs=1e-9
         )
+
+    def test_nearby_stochastic_probabilities_stay_apart(self):
+        """p values that agree to six digits get distinct names and their own states."""
+        names = ["stochastic_collapse(0.1234567)", "stochastic_collapse(0.1234568)"]
+        results = hypothesis_comparison(proietti_scenario(), names)
+        assert [r.hypothesis.name for r in results] == names
+        for result in results:
+            p = result.hypothesis.probability
+            assert abs(result.s_max - math.sqrt(2.0) * (1.0 + (1.0 - p) ** 2)) < 1e-12
+            assert CollapseHypothesis.parse(result.hypothesis.name) == result.hypothesis
+        config = ScenarioConfig(scenario="proietti", hypotheses=tuple(names))
+        assert config.hypotheses == tuple(names)
 
     def test_exact_results_carry_their_own_companions(self):
         scenario = proietti_scenario()

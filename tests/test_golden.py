@@ -6,13 +6,15 @@ with the ``wall_time_s`` line cut from the JSON.  At pi/16 the reports
 carry the grid cross-check's ``grid_gap`` rows; the report without a
 grid must equal them with those rows removed.  A change that alters
 report bytes on purpose rewrites them with
-``PYTHONPATH=src python tests/test_golden.py`` and lists the old and new
-values in CHANGES.md; the diff of ``tests/golden/`` is then the reviewed
-record of what moved.
+``PYTHONPATH=src python tests/test_golden.py``, which rewrites only the
+files that changed and prints each changed line, old (``-``) then new
+(``+``); those lines go into CHANGES.md, and the diff of ``tests/golden/``
+is then the reviewed record of what moved.
 """
 
 from __future__ import annotations
 
+import difflib
 import math
 import re
 from pathlib import Path
@@ -68,9 +70,27 @@ def test_grid_cross_check_only_adds_grid_gap_rows(scenario, shots):
     assert plain.rows == tuple(row for row in checked.rows if row.quantity != "grid_gap")
 
 
-if __name__ == "__main__":
+def rewrite_goldens() -> None:
+    """Rewrite the golden files that changed; print each changed line, old then new.
+
+    Each hunk is headed by its ``@@ -old +new @@`` line numbers.
+    """
     GOLDEN.mkdir(exist_ok=True)
     for name in SCENARIO_NAMES:
         for shots in SHOTS:
             for fmt in FORMATS:
-                golden_path(name, shots, fmt).write_bytes(render_golden(name, shots, fmt))
+                path = golden_path(name, shots, fmt)
+                new = render_golden(name, shots, fmt)
+                old = path.read_bytes() if path.exists() else b""
+                if new == old:
+                    continue
+                print(f"{path.name}:")
+                old_lines, new_lines = (b.decode("utf-8").splitlines() for b in (old, new))
+                for line in difflib.unified_diff(old_lines, new_lines, n=0, lineterm=""):
+                    if line[:3] not in ("---", "+++"):
+                        print(f"  {line}")
+                path.write_bytes(new)
+
+
+if __name__ == "__main__":
+    rewrite_goldens()

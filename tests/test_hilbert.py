@@ -377,6 +377,12 @@ class TestEmbedAndExpectation:
             want = brute_expectation(rho.matrix, full)
             assert got == pytest.approx(want, abs=1e-12)
 
+    def test_expectation_of_sub_normalized_state_rejected(self):
+        space = CompositeSpace.qubits("a", "b")
+        branch = PureState.from_mapping(space, {"01": 0.5}, normalized=False)
+        with pytest.raises(InvalidState):
+            expectation(branch, DichotomicObservable.pauli("z", "a"))
+
     def test_factor_dimension_mismatch_raises_shape_error(self):
         """A qubit observable on a three-dimensional factor is rejected by name."""
         space = CompositeSpace((("q", 3), ("r", 2)))

@@ -286,6 +286,14 @@ class TestCollapseHypothesis:
         assert hyp.probability == pytest.approx(0.3)
         assert hyp.name == "stochastic_collapse(0.3)"
 
+    def test_names_round_trip(self):
+        """:g where it parses back to p, so today's names keep their bytes; repr otherwise."""
+        for p, name in ((0.0, "0"), (0.1, "0.1"), (0.3, "0.3"), (1.0, "1"), (1e-07, "1e-07")):
+            assert CollapseHypothesis.stochastic(p).name == f"stochastic_collapse({name})"
+        for p in (0.1234567, 0.1234568, 1.0 / 3.0, 0.7000000000000001):
+            hyp = CollapseHypothesis.stochastic(p)
+            assert CollapseHypothesis.parse(hyp.name) == hyp
+
     def test_parse_stochastic_keyword_form(self):
         hyp = CollapseHypothesis.parse("stochastic_collapse(p=0.5)")
         assert hyp.probability == pytest.approx(0.5)

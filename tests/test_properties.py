@@ -28,10 +28,12 @@ from wfsim import (
     projective_collapse,
 )
 from wfsim.chsh import (
+    _SETTING_ORDER,
     MeasurementSettings,
     _correlation_kernel,
-    _joint_distribution,
+    _wing_moments,
     observable_from_bloch,
+    sample_inequality,
 )
 
 from _oracles import (
@@ -39,8 +41,10 @@ from _oracles import (
     brute_expectation,
     brute_horodecki_value,
     brute_partial_trace,
+    brute_wing_moments,
     gather_index,
     random_density,
+    random_dichotomic,
     random_dims,
     random_pure,
     random_unitary,
@@ -193,31 +197,96 @@ def test_measurement_on_reduced_state_matches_embed_route(seed):
     assert np.max(np.abs(collapsed.amplitudes - branch / np.linalg.norm(branch))) < 1e-12
 
 
+class _RecordingStream:
+    """Stands in for a child Generator: records each multinomial's probabilities."""
+
+    def __init__(self, drawn):
+        self.drawn = drawn
+
+    def multinomial(self, shots, probs):
+        self.drawn.append(np.array(probs))
+        return np.array([shots, 0, 0, 0])
+
+
+class _RecordingGenerator:
+    def __init__(self):
+        self.drawn = []
+
+    def spawn(self, n):
+        return [_RecordingStream(self.drawn) for _ in range(n)]
+
+
+def _random_wings(rng, labels):
+    """Two disjoint wings of one or two factors each, in random label order."""
+    order = [labels[k] for k in rng.permutation(len(labels))]
+    n_alice = int(rng.integers(1, min(2, len(labels) - 1) + 1))
+    n_bob = int(rng.integers(1, min(2, len(labels) - n_alice) + 1))
+    return order[:n_alice], order[n_alice : n_alice + n_bob]
+
+
 @EXAMPLES
 @given(seed=SEEDS)
 def test_joint_distribution_matches_projector_route(seed):
-    """(1 + s_a<A> + s_b<B> + s_a s_b E)/4 equals Born over the four kron projectors."""
+    """The four distributions ``sample_inequality`` draws from equal Born over kron projectors.
+
+    For each setting pair (A_i, B_j), in S order, the distribution
+    (1 + s_a<A> + s_b<B> + s_a s_b E)/4 read from the moment table must
+    match the Born probabilities of the four projectors P_a (x) P_b.
+    """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 5))
     labels = [f"q{k}" for k in range(n)]
     space = CompositeSpace.qubits(*labels)
-    order = [labels[k] for k in rng.permutation(n)]
-    n_alice = int(rng.integers(1, min(2, n - 1) + 1))
-    n_bob = int(rng.integers(1, min(2, n - n_alice) + 1))
-    alice = space.subspace(order[:n_alice])
-    bob = space.subspace(order[n_alice : n_alice + n_bob])
+    alice_labels, bob_labels = _random_wings(rng, labels)
+    alice, bob = space.subspace(alice_labels), space.subspace(bob_labels)
 
     def bloch(wing):
         theta, phi = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)
         return observable_from_bloch(theta, phi, wing)
 
-    a, b = bloch(alice), bloch(bob)
-    projectors = tuple(np.kron(pa, pb) for pa in a.projectors() for pb in b.projectors())
-    four = ProjectiveMeasurement(
-        CompositeSpace(alice.factors + bob.factors), projectors, ("++", "+-", "-+", "--")
-    )
+    settings = MeasurementSettings(alice=(bloch(alice), bloch(alice)), bob=(bloch(bob), bloch(bob)))
+    joint_space = CompositeSpace(alice.factors + bob.factors)
     mixed = DensityOperator(space, random_density(rng, space.dim))
     pure = PureState(space, random_pure(rng, space.dim))
     for state in (mixed, pure):
-        joint = _joint_distribution(state, a, b)
-        assert np.max(np.abs(joint - born_probabilities(state, four))) < 1e-12
+        recorder = _RecordingGenerator()
+        sample_inequality(state, settings, 10, recorder)
+        assert len(recorder.drawn) == 4
+        for (i, j), joint in zip(_SETTING_ORDER, recorder.drawn):
+            a, b = settings.alice[i], settings.bob[j]
+            projectors = tuple(np.kron(pa, pb) for pa in a.projectors() for pb in b.projectors())
+            four = ProjectiveMeasurement(joint_space, projectors, ("++", "+-", "-+", "--"))
+            assert np.max(np.abs(joint - born_probabilities(state, four))) < 1e-12
+
+
+@EXAMPLES
+@given(seed=SEEDS)
+def test_wing_moments_match_brute_force(seed):
+    """M[m, n] = Tr(rho A_m (x) B_n) against the brute partial trace and krons.
+
+    Factors of dimension 2 or 3; each wing one or two factors in any label
+    order, leftover factors traced out; each stack is the identity and up
+    to two random dichotomic observables, in random order.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    dims = [int(d) for d in rng.integers(2, 4, size=n)]
+    labels = [f"q{k}" for k in range(n)]
+    space = CompositeSpace(tuple(zip(labels, dims)))
+    alice_labels, bob_labels = _random_wings(rng, labels)
+    alice, bob = space.subspace(alice_labels), space.subspace(bob_labels)
+
+    def stack(wing):
+        extra = int(rng.integers(0, 3))
+        ops = [np.eye(wing.dim)] + [random_dichotomic(rng, wing.dim) for _ in range(extra)]
+        return np.stack([ops[k] for k in rng.permutation(len(ops))])
+
+    a_ops, b_ops = stack(alice), stack(bob)
+    axes = ([labels.index(l) for l in alice_labels], [labels.index(l) for l in bob_labels])
+    mixed = DensityOperator(space, random_density(rng, space.dim))
+    pure = PureState(space, random_pure(rng, space.dim))
+    for state, matrix in ((mixed, mixed.matrix), (pure, pure.density().matrix)):
+        moments = _wing_moments(state, alice, bob, a_ops, b_ops)
+        expected = brute_wing_moments(matrix, dims, *axes, a_ops, b_ops)
+        assert moments.shape == (len(a_ops), len(b_ops))
+        assert np.max(np.abs(moments - expected)) < 1e-12

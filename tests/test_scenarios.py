@@ -6,6 +6,7 @@ amplitudes cos(pi/8)/sqrt2 = 0.6532814824381883 and sin(pi/8)/sqrt2 =
 counterexample photon probabilities 1 and 1/2.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -42,6 +43,7 @@ from wfsim import (
     source_state,
     validate,
 )
+from wfsim.chsh import _basis_triple, _wing_moments
 from wfsim.measurement import CollapseHypothesis
 
 COS_AMP = 0.6532814824381883
@@ -189,6 +191,31 @@ class TestProiettiScenario:
             scenario.exact_state_under(FRIEND_DEPHASING).matrix,
             atol=1e-15,
         )
+
+    def test_hypotheses_agree_on_every_local_marginal(self):
+        """The hypotheses differ only in joint correlations, never locally.
+
+        Over each wing's (I, basis triple), the moment table's row 0 and
+        column 0 hold the marginals: both are (1, 0, 0, 0) on the
+        hypothesis states and on the expected final state dephased on any
+        non-empty subset of its factors.
+        """
+        scenario = proietti_scenario()
+        stochastic = CollapseHypothesis.stochastic(0.3)
+        hypotheses = (UNITARY_ONLY, FRIEND_DEPHASING, SUBJECTIVE_COLLAPSE, stochastic)
+        states = [scenario.exact_state_under(h) for h in hypotheses]
+        rho = expected_final_state().density()
+        labels = rho.space.labels
+        for size in range(1, len(labels) + 1):
+            states += [dephase(rho, subset) for subset in itertools.combinations(labels, size)]
+        assert len(states) == 4 + 15
+        ops = np.concatenate([np.eye(4)[None], _basis_triple(2)])
+        wings = [states[0].space.subspace(w) for w in (scenario.alice_labels, scenario.bob_labels)]
+        unit = np.array([1.0, 0.0, 0.0, 0.0])
+        for state in states:
+            moments = _wing_moments(state, *wings, ops, ops)
+            assert np.max(np.abs(moments[0] - unit)) < 1e-12
+            assert np.max(np.abs(moments[:, 0] - unit)) < 1e-12
 
 
 class TestClaimedBranchCollapse:

@@ -87,6 +87,7 @@ from .measurement import UNITARY_ONLY, CollapseHypothesis, _clipped_distribution
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 TSIRELSON_TOL = 1e-9
+CONSISTENCY_TOL = 1e-6  # |S - S_data| at the shared settings that still reproduces the data
 
 # Accepted grid steps, inclusive.  The scan cost grows as step**-4: one pi/128
 # scan takes 7.6 s and 35 MB peak RSS on a 2-core Xeon, each halving 16x more.
@@ -202,7 +203,7 @@ class InequalityResult:
     consistent_with_data: bool | None = None
 
     def __post_init__(self) -> None:
-        if self.exact and abs(self.s_value) > TSIRELSON_BOUND + TSIRELSON_TOL:
+        if self.exact and not abs(self.s_value) <= TSIRELSON_BOUND + TSIRELSON_TOL:
             raise InvariantViolation(
                 f"exact |S| = {abs(self.s_value)!r} exceeds the quantum ceiling "
                 f"{TSIRELSON_BOUND} + {TSIRELSON_TOL}"
@@ -238,7 +239,7 @@ def _wing_moments(
     r = _reduced_matrix(state, wings).reshape(d_a, d_b, d_a, d_b)
     # Contiguous: K @ v on a strided view of the same numbers can round differently.
     moments = np.ascontiguousarray(np.einsum("ijkl,mki,nlj->mn", r, alice_ops, bob_ops).real)
-    if np.max(np.abs(moments)) > 1.0 + 1e-10:
+    if not np.max(np.abs(moments)) <= 1.0 + 1e-10:
         raise InvariantViolation(f"wing moment outside [-1, 1]: {moments!r}")
     return moments
 
@@ -566,7 +567,6 @@ def hypothesis_comparison(
     shots: int = 0,
     rng: np.random.Generator | None = None,
     grid_step: float | None = None,
-    consistency_tol: float = 1e-6,
 ) -> list[InequalityResult]:
     """Evaluate each hypothesis against the unitary-model statistics.
 
@@ -574,7 +574,7 @@ def hypothesis_comparison(
     default to its exact optimum, and every hypothesis is evaluated
     exactly at those shared settings.  A hypothesis is flagged
     inconsistent when its exact S at the shared settings differs from the
-    unitary value by more than ``consistency_tol``.  Each result also
+    unitary value by more than ``CONSISTENCY_TOL``.  Each result also
     carries the exact maximum ``s_max`` of the hypothesis's own state.
     With ``grid_step`` set, each distinct hypothesis state is also
     searched once on that grid, and ``grid_gap`` is ``s_max`` minus the
@@ -634,7 +634,7 @@ def hypothesis_comparison(
                 grid_gap=grid_gap.get(index),
                 exact_s=exact.s_value,
                 exact_correlators=exact.correlators,
-                consistent_with_data=abs(exact.s_value - s_data) <= consistency_tol,
+                consistent_with_data=abs(exact.s_value - s_data) <= CONSISTENCY_TOL,
             )
         )
     return results

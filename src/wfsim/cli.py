@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, InvariantViolation
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: str) -> tuple[dict, dict[str, int]]:
     """Parse a JSON config file and map each top-level key to its line."""
     try:
-        text = open(path, encoding="utf-8").read()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
     try:

@@ -60,6 +60,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """InvalidState if any entry is NaN or infinite (NaN would slip past a ``> tol`` guard)."""
+    if not np.isfinite(a).all():
+        raise InvalidState(f"{what} has non-finite entries")
+
+
+def _square_matrix(matrix: np.ndarray, space: CompositeSpace) -> np.ndarray:
+    """A complex copy of ``matrix``, checked to be (d, d) for ``space`` and finite."""
+    mat = np.array(matrix, dtype=complex)
+    d = space.dim
+    if mat.shape != (d, d):
+        raise ShapeError(f"matrix has shape {mat.shape}, space {space} needs ({d}, {d})")
+    _require_finite(mat, "matrix")
+    return mat
+
+
 @dataclass(frozen=True)
 class CompositeSpace:
     """An ordered collection of labeled tensor factors.
@@ -146,7 +162,7 @@ class CompositeSpace:
             for ch in which:
                 if ch in BASIS_CHARS:
                     digits.append(BASIS_CHARS[ch])
-                elif ch.isdigit():
+                elif ch.isdecimal():
                     digits.append(int(ch))
                 else:
                     raise ShapeError(f"unknown basis character {ch!r}")
@@ -189,6 +205,7 @@ class PureState:
                 f"amplitude vector has length {amps.size}, space {self.space} "
                 f"has dimension {self.space.dim}"
             )
+        _require_finite(amps, "amplitude vector")
         object.__setattr__(self, "amplitudes", _freeze(amps))
         if self.normalized:
             nrm2 = float(np.vdot(amps, amps).real)
@@ -281,12 +298,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
-        d = self.space.dim
-        if mat.shape != (d, d):
-            raise ShapeError(
-                f"matrix has shape {mat.shape}, space {self.space} needs ({d}, {d})"
-            )
+        mat = _square_matrix(self.matrix, self.space)
         herm, trace, mineig = _density_residuals(mat)
         if herm > VALIDITY_TOL:
             raise InvalidState(f"hermiticity residual {herm:.3e} exceeds {VALIDITY_TOL}")
@@ -314,7 +326,7 @@ class DensityOperator:
                 raise InvalidState(f"negative mixture weight {w}")
             mat += w * rho.matrix
             total += w
-        if abs(total - 1.0) > VALIDITY_TOL:
+        if not abs(total - 1.0) <= VALIDITY_TOL:
             raise InvalidState(f"mixture weights sum to {total!r}, not 1")
         return cls(space, mat)
 
@@ -337,16 +349,11 @@ class DichotomicObservable:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
-        d = self.space.dim
-        if mat.shape != (d, d):
-            raise ShapeError(
-                f"matrix has shape {mat.shape}, space {self.space} needs ({d}, {d})"
-            )
+        mat = _square_matrix(self.matrix, self.space)
         herm = float(np.max(np.abs(mat - mat.conj().T)))
         if herm > VALIDITY_TOL:
             raise InvalidState(f"hermiticity residual {herm:.3e} exceeds {VALIDITY_TOL}")
-        square = float(np.max(np.abs(mat @ mat - np.eye(d))))
+        square = float(np.max(np.abs(mat @ mat - np.eye(self.space.dim))))
         if square > VALIDITY_TOL:
             raise InvalidState(
                 f"observable does not square to identity (residual {square:.3e})"

@@ -10,6 +10,10 @@ apart:
   Born distribution with a caller-owned seeded generator and returns the
   renormalized projected state.
 
+A :class:`ProjectiveMeasurement` stores its k projectors as one read-only
+(k, d, d) stack, validated once when built; the Born rule and collapse
+resolve a measurement one way (``_as_measurement``) and use that stack.
+
 Randomness everywhere in the package comes from ``numpy.random.Generator``
 (PCG64 via ``numpy.random.default_rng``).  A run owns its generator; when
 work is split, child streams are derived with ``Generator.spawn`` in a
@@ -39,6 +43,7 @@ from .hilbert import (
     _factors_first,
     _freeze,
     _reduced_matrix,
+    _require_finite,
     partial_trace,
     tensor,
 )
@@ -140,57 +145,55 @@ class ProjectiveMeasurement:
     """A complete set of orthogonal projectors on a labeled subspace.
 
     ``space`` names the measured factors (a sub-collection of the target
-    state's space); projectors are matrices on that subspace.  Outcome
-    names are for reporting only.
+    state's space).  ``projectors`` takes any sequence of d x d arrays and
+    keeps them as one read-only complex (k, d, d) stack; outcome names are
+    for reporting only.
     """
 
     space: CompositeSpace
-    projectors: tuple[np.ndarray, ...]
+    projectors: np.ndarray
     outcomes: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        projs = tuple(np.array(p, dtype=complex) for p in self.projectors)
+        projs = [np.asarray(p, dtype=complex) for p in self.projectors]
         d = self.space.dim
-        if len(projs) < 1:
+        if not projs:
             raise ShapeError("a measurement needs at least one projector")
         if len(self.outcomes) != len(projs):
             raise ShapeError("one outcome name per projector")
-        total = np.zeros((d, d), dtype=complex)
         for k, p in enumerate(projs):
             if p.shape != (d, d):
                 raise ShapeError(f"projector {k} has shape {p.shape}, needs ({d}, {d})")
-            if float(np.max(np.abs(p - p.conj().T))) > VALIDITY_TOL:
-                raise InvalidState(f"projector {k} is not hermitian")
-            if float(np.max(np.abs(p @ p - p))) > VALIDITY_TOL:
-                raise InvalidState(f"projector {k} is not idempotent")
-            total += p
-        if float(np.max(np.abs(total - np.eye(d)))) > VALIDITY_TOL:
+        stack = np.array(projs)
+        _require_finite(stack, "projector stack")
+        for what, residual in (
+            ("hermitian", stack - stack.conj().swapaxes(1, 2)),
+            ("idempotent", stack @ stack - stack),
+        ):
+            bad = np.flatnonzero(np.abs(residual).max(axis=(1, 2)) > VALIDITY_TOL)
+            if bad.size:
+                raise InvalidState(f"projector {bad[0]} is not {what}")
+        if np.abs(stack.sum(axis=0) - np.eye(d)).max() > VALIDITY_TOL:
             raise InvalidState("projectors do not sum to identity")
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if float(np.max(np.abs(projs[i] @ projs[j]))) > VALIDITY_TOL:
-                    raise InvalidState(f"projectors {i} and {j} are not orthogonal")
-        object.__setattr__(self, "projectors", tuple(_freeze(p) for p in projs))
+        for i in range(len(projs) - 1):
+            bad = np.flatnonzero(np.abs(stack[i] @ stack[i + 1 :]).max(axis=(1, 2)) > VALIDITY_TOL)
+            if bad.size:
+                raise InvalidState(f"projectors {i} and {i + 1 + bad[0]} are not orthogonal")
+        object.__setattr__(self, "projectors", _freeze(stack))
         object.__setattr__(self, "outcomes", tuple(str(o) for o in self.outcomes))
 
     @classmethod
     def computational(cls, space: CompositeSpace) -> "ProjectiveMeasurement":
-        """Rank-1 projectors onto every computational basis state."""
-        projs = []
-        names = []
-        for k in range(space.dim):
-            p = np.zeros((space.dim, space.dim), dtype=complex)
-            p[k, k] = 1.0
-            projs.append(p)
-            digits = np.unravel_index(k, space.dims)
-            names.append("".join(str(int(dg)) for dg in digits))
-        return cls(space, tuple(projs), tuple(names))
+        """Rank-1 projectors onto every computational basis state, named by their digits."""
+        k = np.arange(space.dim)
+        stack = np.zeros((space.dim, space.dim, space.dim), dtype=complex)
+        stack[k, k, k] = 1.0
+        return cls(space, stack, tuple("".join(map(str, ix)) for ix in np.ndindex(space.dims)))
 
     @classmethod
     def of_observable(cls, obs: DichotomicObservable) -> "ProjectiveMeasurement":
         """Two-outcome measurement of a dichotomic observable, (+1, -1) order."""
-        plus, minus = obs.projectors()
-        return cls(obs.space, (plus, minus), ("+1", "-1"))
+        return cls(obs.space, obs.projectors(), ("+1", "-1"))
 
     @classmethod
     def binary(
@@ -230,14 +233,14 @@ def born_probabilities(
     """
     meas = _as_measurement(state.space, basis_or_obs)
     rho_sub = _reduced_matrix(state, meas.space)
-    return _clipped_distribution(np.einsum("kij,ji->k", np.stack(meas.projectors), rho_sub).real)
+    return _clipped_distribution(np.einsum("kij,ji->k", meas.projectors, rho_sub).real)
 
 
 def _clipped_distribution(probs: np.ndarray) -> np.ndarray:
-    """Clip at zero and renormalize; a total off 1 beyond VALIDITY_TOL raises."""
+    """Clip at zero and renormalize; a total off 1 beyond VALIDITY_TOL (or NaN) raises."""
     probs = np.clip(probs, 0.0, None)
     total = float(probs.sum())
-    if abs(total - 1.0) > VALIDITY_TOL:
+    if not abs(total - 1.0) <= VALIDITY_TOL:
         raise InvariantViolation(f"Born probabilities sum to {total!r}, not 1")
     return _freeze(probs / total)
 
@@ -261,17 +264,11 @@ def projective_collapse(
         raise InvalidState("projective_collapse needs a seeded numpy Generator")
     if isinstance(on, str):
         on = (on,)
-    if basis is None:
-        if on is None:
-            raise ShapeError("give either measured labels or an explicit basis")
-        meas = ProjectiveMeasurement.computational(state.space.subspace(on))
-    else:
-        meas = _as_measurement(state.space, basis)
-        if on is not None and tuple(on) != meas.space.labels:
-            raise ShapeError(
-                f"labels {tuple(on)} disagree with the measurement's "
-                f"{meas.space.labels}"
-            )
+    if basis is None and on is None:
+        raise ShapeError("give either measured labels or an explicit basis")
+    meas = _as_measurement(state.space, on if basis is None else basis)
+    if on is not None and tuple(on) != meas.space.labels:
+        raise ShapeError(f"labels {tuple(on)} disagree with the measurement's {meas.space.labels}")
     probs = born_probabilities(state, meas)
     outcome = int(rng.choice(probs.size, p=probs))
     branch = meas.projectors[outcome] @ _factors_first(state, meas.space)

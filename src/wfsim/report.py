@@ -527,11 +527,7 @@ def render_json(report: RunReport) -> str:
     return json.dumps(body, indent=2) + "\n"
 
 
-def emit(
-    report: RunReport,
-    output_format: str | None = None,
-    path: str | os.PathLike | None = None,
-) -> Path:
+def emit(report: RunReport, path: str | os.PathLike | None = None) -> Path:
     """Write the report; returns the path written.
 
     Location precedence: explicit ``path`` argument, then the config's
@@ -541,9 +537,7 @@ def emit(
     interrupted write never leaves half a report.  OSError propagates to
     the caller.
     """
-    fmt = output_format or report.config.output_format
-    if fmt not in _FORMATS:
-        raise ConfigError(f"output_format must be 'csv' or 'json', got {fmt!r}")
+    fmt = report.config.output_format
     if path is None:
         path = report.config.output_path
     if path is None:

@@ -116,6 +116,14 @@ class TestCorrelator:
         with pytest.raises(ShapeError):
             correlator(bell_singlet(), z, z)
 
+    def test_nan_moment_rejected(self):
+        """A NaN entry fails the |M| <= 1 guard of the moment table."""
+        psi = bell_singlet()
+        e1, e2 = psi.space.subspace(("e1",)), psi.space.subspace(("e2",))
+        nan_ops = np.full((1, 2, 2), math.nan, dtype=complex)
+        with pytest.raises(InvariantViolation):
+            chsh._wing_moments(psi, e1, e2, nan_ops, np.eye(2)[None])
+
     def test_magnitude_bounded(self):
         rng = np.random.default_rng(63)
         psi = PureState(CompositeSpace.qubits("e1", "e2"), random_pure(rng, 4))
@@ -170,6 +178,10 @@ class TestChshValue:
     def test_exact_ceiling_enforced_at_construction(self):
         with pytest.raises(InvariantViolation):
             InequalityResult(s_value=2.9, correlators=(1.0, 1.0, 1.0, -1.0))
+
+    def test_nan_exact_value_rejected(self):
+        with pytest.raises(InvariantViolation):
+            InequalityResult(s_value=math.nan, correlators=(0.0, 0.0, 0.0, 0.0))
 
     def test_sampled_results_may_exceed_ceiling(self):
         result = InequalityResult(

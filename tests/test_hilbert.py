@@ -80,6 +80,11 @@ class TestCompositeSpace:
         space = CompositeSpace.qubits("a", "b", "c")
         assert space.subspace(("c", "a")).labels == ("c", "a")
 
+    def test_basis_index_rejects_non_decimal_digit_characters(self):
+        """'²'.isdigit() is True but int('²') fails; it is an unknown character."""
+        with pytest.raises(ShapeError, match="unknown basis character"):
+            CompositeSpace.qubits("x").basis_index("²")
+
 
 class TestPureState:
     """Construction, normalization, and amplitude access."""
@@ -164,6 +169,32 @@ class TestDensityOperator:
         up = PureState.basis(space, "0").density()
         with pytest.raises(InvalidState):
             DensityOperator.mixture([(0.5, up)])
+
+
+class TestNonFiniteEntries:
+    """NaN compares false with every tolerance, so each constructor rejects it first."""
+
+    def test_pure_state(self):
+        space = CompositeSpace.qubits("x")
+        cases = (([math.nan, 0.0], True), ([math.nan, 0.0], False), ([math.inf, 0.0], False))
+        for amps, normalized in cases:
+            with pytest.raises(InvalidState, match="non-finite"):
+                PureState(space, np.array(amps), normalized=normalized)
+
+    def test_density_operator(self):
+        space = CompositeSpace.qubits("x")
+        with pytest.raises(InvalidState, match="non-finite"):
+            DensityOperator(space, [[math.nan, 0.0], [0.0, 0.0]])
+
+    def test_density_mixture_weight(self):
+        up = PureState.basis(CompositeSpace.qubits("x"), "0").density()
+        with pytest.raises(InvalidState):
+            DensityOperator.mixture([(math.nan, up)])
+
+    def test_dichotomic_observable(self):
+        space = CompositeSpace.qubits("x")
+        with pytest.raises(InvalidState, match="non-finite"):
+            DichotomicObservable(space, math.nan * np.eye(2))
 
 
 class TestTensor:

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from wfsim import (
+    InvariantViolation,
     CollapseHypothesis,
     CompositeSpace,
     DensityOperator,
@@ -27,6 +28,8 @@ from wfsim import (
     projective_collapse,
     purity,
 )
+
+from wfsim.measurement import _clipped_distribution
 
 from _oracles import random_pure
 
@@ -178,6 +181,55 @@ class TestProjectiveMeasurement:
             meas.projectors[0] + meas.projectors[1], np.eye(2), atol=1e-15
         )
 
+    def test_rejects_non_hermitian(self):
+        """[[1, 1], [0, 0]] is idempotent and completes to I, but is not hermitian."""
+        space = CompositeSpace.qubits("q")
+        p = np.array([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(InvalidState, match="projector 0 is not hermitian"):
+            ProjectiveMeasurement(space, (p, np.eye(2) - p), ("a", "b"))
+
+    def test_rejects_wrong_shape(self):
+        space = CompositeSpace.qubits("q")
+        with pytest.raises(ShapeError, match=r"projector 1 has shape \(3, 3\)"):
+            ProjectiveMeasurement(space, (np.diag([1.0, 0.0]), np.eye(3)), ("a", "b"))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ShapeError, match="at least one projector"):
+            ProjectiveMeasurement(CompositeSpace.qubits("q"), (), ())
+
+    def test_rejects_outcome_count_mismatch(self):
+        space = CompositeSpace.qubits("q")
+        with pytest.raises(ShapeError, match="one outcome name per projector"):
+            ProjectiveMeasurement(space, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), ("a",))
+
+    def test_rejects_non_finite(self):
+        space = CompositeSpace.qubits("q")
+        projectors = (np.diag([math.nan, 0.0]), np.diag([0.0, 1.0]))
+        with pytest.raises(InvalidState, match="non-finite"):
+            ProjectiveMeasurement(space, projectors, ("a", "b"))
+
+    def test_projectors_are_one_read_only_stack(self):
+        space = CompositeSpace.qubits("q")
+        given = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        meas = ProjectiveMeasurement(space, given, ("a", "b"))
+        given[0][0, 0] = 0.5
+        assert isinstance(meas.projectors, np.ndarray)
+        assert meas.projectors.shape == (2, 2, 2) and meas.projectors.dtype == complex
+        assert meas.projectors[0, 0, 0] == 1.0
+        with pytest.raises(ValueError):
+            meas.projectors[0, 0, 0] = 0.0
+
+    def test_computational_on_mixed_dimensions(self):
+        """Qutrit (x) qubit: outcomes named in C order; Born gives the |psi|^2 marginals."""
+        space = CompositeSpace((("t", 3), ("q", 2), ("e", 2)))
+        meas = ProjectiveMeasurement.computational(space.subspace(("t", "q")))
+        assert meas.outcomes == ("00", "01", "10", "11", "20", "21")
+        assert meas.projectors.shape == (6, 6, 6)
+        psi = PureState(space, random_pure(np.random.default_rng(41), space.dim))
+        marginals = (np.abs(psi.amplitudes) ** 2).reshape(6, 2).sum(axis=1)
+        np.testing.assert_allclose(born_probabilities(psi, meas), marginals, atol=1e-13)
+        np.testing.assert_allclose(born_probabilities(psi, ("t", "q")), marginals, atol=1e-13)
+
 
 class TestBornProbabilities:
     def test_computational_basis_matches_amplitudes(self):
@@ -199,6 +251,11 @@ class TestBornProbabilities:
             probs = born_probabilities(psi, ("b",))
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert (probs >= 0).all()
+
+    def test_nan_total_raises(self):
+        """A NaN total fails the sum-to-1 guard instead of passing it."""
+        with pytest.raises(InvariantViolation):
+            _clipped_distribution(np.array([math.nan, math.nan]))
 
     def test_observable_argument(self):
         psi = PureState.basis(CompositeSpace.qubits("q"), "0")

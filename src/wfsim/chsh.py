@@ -58,9 +58,14 @@ directions over the full (theta, phi) product grid with Alice exact, so
 halving grid_step produces a superset of Bob grid points and the
 maximum can only grow, up to the exact value.  Ties take the first
 candidate in row-major grid order, i.e. the lexicographically smallest
-(theta_b1, phi_b1, theta_b0, phi_b0).  The scan walks the pair table in
-row blocks of a fixed size, so its memory does not depend on the step; a
-later block wins only when strictly larger, which keeps that tie rule.
+(theta_b1, phi_b1, theta_b0, phi_b0).  S(b1, b0) and S(b0, b1) evaluate
+bitwise equal, and every phi of the theta = 0 row is the same z, so that
+first maximum has b1 at or before b0 and b1 not a later copy of z: the
+scan evaluates only the upper triangle i <= j of the distinct directions,
+keeping the first z.  It walks the triangle in row blocks of a fixed
+number of rows, each from its own first row on, so its memory does not
+depend on the step; a later block wins only when strictly larger, which
+keeps the tie rule.
 """
 
 from __future__ import annotations
@@ -90,7 +95,7 @@ TSIRELSON_TOL = 1e-9
 CONSISTENCY_TOL = 1e-6  # |S - S_data| at the shared settings that still reproduces the data
 
 # Accepted grid steps, inclusive.  The scan cost grows as step**-4: one pi/128
-# scan takes 7.6 s and 35 MB peak RSS on a 2-core Xeon, each halving 16x more.
+# scan takes 3.2-3.5 s and 36 MB peak RSS on a 2-core Xeon, each halving 16x more.
 GRID_STEP_RANGE = (math.pi / 128, math.pi / 8)
 
 
@@ -319,35 +324,37 @@ _BLOCK_PAIRS = 1 << 15
 
 def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
     """Bob's best (b1, b0) over the product grid, first in row-major order on ties."""
-    _, _, vectors = _sphere_grid(grid_step)
+    _, phis, vectors = _sphere_grid(grid_step)
+    vectors = np.delete(vectors, np.s_[1 : len(phis)], axis=0)  # theta = 0: one z
     w = vectors @ kernel.T  # row i = K b_i
+    twice = 2.0 * w  # exact, so plus and minus round as pair_sum +/- 2 gram
     norms2 = np.einsum("ij,ij->i", w, w)
     n = vectors.shape[0]
 
     rows = max(1, _BLOCK_PAIRS // n)
-    buffers = [np.empty((rows, n)) for _ in range(3)]
+    buffers = [np.empty(rows * n) for _ in range(3)]
     best_value = -math.inf
-    best_flat = 0
+    best_pair = (0, 0)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        gram, plus, minus = (buffer[: stop - start] for buffer in buffers)
-        np.matmul(w[start:stop], w.T, out=gram)
-        gram *= 2.0  # exact, so plus and minus round as pair_sum +/- 2 gram
-        np.add(norms2[start:stop, None], norms2[None, :], out=plus)
+        shape = (stop - start, n - start)  # columns from the block's first row on
+        gram, plus, minus = (buffer[: shape[0] * shape[1]].reshape(shape) for buffer in buffers)
+        np.matmul(twice[start:stop], w[start:].T, out=gram)
+        np.add(norms2[start:stop, None], norms2[None, start:], out=plus)
         np.subtract(plus, gram, out=minus)
         plus += gram
         for half in (plus, minus):
-            np.clip(half, 0.0, None, out=half)
+            np.maximum(half, 0.0, out=half)
             np.sqrt(half, out=half)
         plus += minus
         local = int(np.argmax(plus))
         value = float(plus.flat[local])
         if value > best_value:  # strict >: the earliest block keeps a tie
             best_value = value
-            best_flat = start * n + local
+            row, col = divmod(local, shape[1])
+            best_pair = (start + row, start + col)
 
-    idx_b1, idx_b0 = divmod(best_flat, n)
-    return vectors[idx_b1], vectors[idx_b0]
+    return vectors[best_pair[0]], vectors[best_pair[1]]
 
 
 # z, x, y: the order in which the canonical rule projects the axes.

@@ -84,6 +84,9 @@ class CompositeSpace:
     ----------
     factors : tuple of (label, dim) pairs
         Subsystem labels must be unique and dimensions positive.
+
+    ``labels``, ``dims`` and ``dim`` (the product of the dimensions) are
+    plain attributes computed at construction.
     """
 
     factors: tuple[tuple[str, int], ...]
@@ -93,31 +96,24 @@ class CompositeSpace:
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise ShapeError("a composite space needs at least one factor")
-        labels = [lbl for lbl, _ in factors]
+        labels = tuple(lbl for lbl, _ in factors)
         if len(set(labels)) != len(labels):
             dupes = sorted({l for l in labels if labels.count(l) > 1})
             raise LabelCollision(f"duplicate factor labels: {dupes}")
         for lbl, dim in factors:
             if dim < 1:
                 raise ShapeError(f"factor {lbl!r} has non-positive dimension {dim}")
+        # Derived once; not fields, so equality and hashing see only ``factors``.
+        dims = tuple(dim for _, dim in factors)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dim", math.prod(dims))
+        object.__setattr__(self, "_axis_of", {lbl: a for a, lbl in enumerate(labels)})
 
     @classmethod
     def qubits(cls, *labels: str) -> "CompositeSpace":
         """Space of two-dimensional factors with the given labels."""
         return cls(tuple((lbl, 2) for lbl in labels))
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lbl for lbl, _ in self.factors)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.factors)
-
-    @property
-    def dim(self) -> int:
-        """Total dimension (product of factor dimensions)."""
-        return math.prod(self.dims)
 
     @property
     def nfactors(self) -> int:
@@ -126,8 +122,8 @@ class CompositeSpace:
     def axis(self, label: str) -> int:
         """Position of the factor with this label, raising UnknownSubsystem."""
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._axis_of[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise UnknownSubsystem(
                 f"no factor labeled {label!r} in {self.labels}"
             ) from None

@@ -144,6 +144,26 @@ def brute_correlation_kernel(
     return brute_wing_moments(matrix, dims, alice, bob, triples[len(alice)], triples[len(bob)])
 
 
+def brute_grid_pair(kernel: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's (b1, b0) by one argmax over the full table of ordered grid pairs.
+
+    Every pair of ``_sphere_grid`` directions, repeats included, with the
+    scan's elementwise formula S = sqrt(p + 2g) + sqrt(p - 2g), where
+    p = |K b1|^2 + |K b0|^2 and g = K b1 . K b0; ``np.argmax`` takes the
+    first maximum in row-major order.
+    """
+    from wfsim.chsh import _sphere_grid
+
+    _, _, vectors = _sphere_grid(step)
+    w = vectors @ kernel.T
+    norms2 = np.einsum("ij,ij->i", w, w)
+    pair = norms2[:, None] + norms2[None, :]
+    gram = 2.0 * (w @ w.T)
+    table = np.sqrt(np.maximum(pair + gram, 0.0)) + np.sqrt(np.maximum(pair - gram, 0.0))
+    b1, b0 = divmod(int(np.argmax(table)), len(vectors))
+    return vectors[b1], vectors[b0]
+
+
 def random_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return vec / np.linalg.norm(vec)

@@ -50,8 +50,17 @@ class TestCompositeSpace:
         space = CompositeSpace.qubits("x", "y")
         assert space.axis("x") == 0
         assert space.axis("y") == 1
-        with pytest.raises(UnknownSubsystem):
+        with pytest.raises(UnknownSubsystem, match="no factor labeled 'z'"):
             space.axis("z")
+        with pytest.raises(UnknownSubsystem, match=r"no factor labeled \['x'\]"):
+            space.axis(["x"])  # unhashable
+
+    def test_equality_and_hash_follow_factors(self):
+        space = CompositeSpace((("x", 2), ("y", 3)))
+        same = CompositeSpace([["x", 2.0], ["y", 3]])
+        assert space == same and hash(space) == hash(same)
+        assert space != CompositeSpace((("y", 3), ("x", 2)))
+        assert repr(space) == "CompositeSpace(factors=(('x', 2), ('y', 3)))"
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(LabelCollision):

@@ -31,6 +31,7 @@ from wfsim.chsh import (
     _SETTING_ORDER,
     MeasurementSettings,
     _correlation_kernel,
+    _grid_bob_pair,
     _wing_moments,
     observable_from_bloch,
     sample_inequality,
@@ -39,6 +40,7 @@ from wfsim.chsh import (
 from _oracles import (
     brute_correlation_kernel,
     brute_expectation,
+    brute_grid_pair,
     brute_horodecki_value,
     brute_partial_trace,
     brute_wing_moments,
@@ -290,3 +292,23 @@ def test_wing_moments_match_brute_force(seed):
         expected = brute_wing_moments(matrix, dims, *axes, a_ops, b_ops)
         assert moments.shape == (len(a_ops), len(b_ops))
         assert np.max(np.abs(moments - expected)) < 1e-12
+
+
+@EXAMPLES
+@given(seed=SEEDS, kind=st.sampled_from(["random", "quarters", "diagonal"]))
+def test_grid_pair_matches_full_table(seed, kind):
+    """The half-triangle scan picks the full table's first maximum, bitwise.
+
+    Quarter-rounded and diagonal kernels have exact ties between
+    different grid pairs, so they exercise the tie rule.
+    """
+    rng = np.random.default_rng(seed)
+    kernel = rng.uniform(-1.0, 1.0, size=(3, 3))
+    if kind != "random":
+        kernel = np.round(4.0 * kernel) / 4.0
+    if kind == "diagonal":
+        kernel = np.diag(np.diag(kernel))
+    for step in (math.pi / 8, math.pi / 16):
+        picked = _grid_bob_pair(kernel, step)
+        expected = brute_grid_pair(kernel, step)
+        assert all(np.array_equal(a, b) for a, b in zip(picked, expected)), (kind, step)

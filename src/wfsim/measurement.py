@@ -10,9 +10,9 @@ apart:
   Born distribution with a caller-owned seeded generator and returns the
   renormalized projected state.
 
-A :class:`ProjectiveMeasurement` stores its k projectors as one read-only
-(k, d, d) stack, validated once when built; the Born rule and collapse
-resolve a measurement one way (``_as_measurement``) and use that stack.
+A :class:`ProjectiveMeasurement` is a read-only unitary frame W = [V_1 ... V_k],
+P_i = V_i V_i^dag, validated once by one Gram check W^dag W = I.  Born (p_i sums
+block i of diag(W^dag rho W)) and collapse (V_i V_i^dag M) resolve it one way.
 
 Randomness everywhere in the package comes from ``numpy.random.Generator``
 (PCG64 via ``numpy.random.default_rng``).  A run owns its generator; when
@@ -90,17 +90,14 @@ def couple_pointer(psi: PureState, coupling: PointerCoupling) -> PureState:
     sdim = space.dim_of(coupling.system_label)
     present = coupling.pointer_label in space.labels
     pdim = space.dim_of(coupling.pointer_label) if present else sdim
-    if max(coupling.copy_basis) >= pdim or coupling.pointer_ready_index >= pdim:
+    ready = coupling.pointer_ready_index
+    if max(coupling.copy_basis) >= pdim or ready >= pdim:
         raise ShapeError(
-            f"copy map {coupling.copy_basis} (ready {coupling.pointer_ready_index}) "
-            f"does not fit pointer dimension {pdim}"
+            f"copy map {coupling.copy_basis} (ready {ready}) does not fit pointer dimension {pdim}"
         )
     if len(coupling.copy_basis) != sdim:
-        raise ShapeError(
-            f"copy map covers {len(coupling.copy_basis)} system states, "
-            f"system factor has {sdim}"
-        )
-    ready = coupling.pointer_ready_index
+        n = len(coupling.copy_basis)
+        raise ShapeError(f"copy map covers {n} system states, system factor has {sdim}")
     if not present:
         pointer = CompositeSpace(((coupling.pointer_label, sdim),))
         psi = tensor(psi, PureState.basis(pointer, (ready,)))
@@ -111,8 +108,7 @@ def couple_pointer(psi: PureState, coupling: PointerCoupling) -> PureState:
     stray = np.delete(front, ready, axis=1)
     if stray.size and float(np.max(np.abs(stray))) > ALGEBRA_TOL:
         raise PointerNotReady(
-            f"pointer {coupling.pointer_label!r} is not in its ready state "
-            f"(index {ready})"
+            f"pointer {coupling.pointer_label!r} is not in its ready state (index {ready})"
         )
     out = np.zeros_like(front)
     out[np.arange(sdim), coupling.copy_basis] = front[:, ready]
@@ -140,26 +136,27 @@ def dephase(rho: DensityOperator, on: Sequence[str]) -> DensityOperator:
     return DensityOperator(rho.space, np.where(_differs_on(rho.space, on), 0.0, rho.matrix))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProjectiveMeasurement:
-    """A complete set of orthogonal projectors on a labeled subspace.
+    """A complete set of orthogonal projectors on ``space``, a sub-collection of factors.
 
-    ``space`` names the measured factors (a sub-collection of the target
-    state's space).  ``projectors`` takes any sequence of d x d arrays and
-    keeps them as one read-only complex (k, d, d) stack; outcome names are
-    for reporting only.
+    ``frame`` is the read-only unitary W = [V_1 ... V_k], P_i = V_i V_i^dag; row i of
+    the read-only (k, d) boolean ``blocks`` marks the columns of V_i, so its row sums
+    are the block sizes.  Outcome names are for reporting only.
     """
 
     space: CompositeSpace
-    projectors: np.ndarray
+    frame: np.ndarray
+    blocks: np.ndarray
     outcomes: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        projs = [np.asarray(p, dtype=complex) for p in self.projectors]
-        d = self.space.dim
+    def __init__(self, space: CompositeSpace, projectors: Sequence, outcomes: Sequence) -> None:
+        """From any sequence of d x d projectors; V_i: the eigenvectors of P_i above 1/2."""
+        projs = [np.asarray(p, dtype=complex) for p in projectors]
+        d = space.dim
         if not projs:
             raise ShapeError("a measurement needs at least one projector")
-        if len(self.outcomes) != len(projs):
+        if len(outcomes) != len(projs):
             raise ShapeError("one outcome name per projector")
         for k, p in enumerate(projs):
             if p.shape != (d, d):
@@ -175,36 +172,49 @@ class ProjectiveMeasurement:
                 raise InvalidState(f"projector {bad[0]} is not {what}")
         if np.abs(stack.sum(axis=0) - np.eye(d)).max() > VALIDITY_TOL:
             raise InvalidState("projectors do not sum to identity")
-        for i in range(len(projs) - 1):
-            bad = np.flatnonzero(np.abs(stack[i] @ stack[i + 1 :]).max(axis=(1, 2)) > VALIDITY_TOL)
-            if bad.size:
-                raise InvalidState(f"projectors {i} and {i + 1 + bad[0]} are not orthogonal")
-        object.__setattr__(self, "projectors", _freeze(stack))
-        object.__setattr__(self, "outcomes", tuple(str(o) for o in self.outcomes))
+        values, vectors = np.linalg.eigh(stack)
+        kept = values > 0.5
+        self._set_frame(space, vectors.transpose(1, 0, 2)[:, kept], kept.sum(axis=1), outcomes)
+
+    def _set_frame(self, space, frame, sizes, outcomes) -> ProjectiveMeasurement:
+        """Store the frame after the Gram check: each block of W^dag W - I has Frobenius
+        norm at most VALIDITY_TOL, which bounds every entry of P_i P_j and P_i^2 - P_i."""
+        blocks = np.repeat(np.eye(len(sizes), dtype=bool), sizes, axis=1)
+        gram = np.abs(frame.conj().T @ frame - np.eye(space.dim)) ** 2
+        bad = blocks @ gram @ blocks.T > VALIDITY_TOL**2
+        if bad.any():
+            i, j = sorted(np.argwhere(bad)[0])
+            raise InvalidState(
+                f"projectors {i} and {j} are not orthogonal" if i < j
+                else f"projector {i} is not idempotent"
+            )
+        vars(self).update(space=space, frame=_freeze(frame), blocks=_freeze(blocks))
+        vars(self)["outcomes"] = tuple(map(str, outcomes))
+        return self
+
+    @property
+    def projectors(self) -> np.ndarray:
+        """The read-only complex (k, d, d) stack of V_i V_i^dag, derived on each access."""
+        return _freeze(np.einsum("kc,ic,jc->kij", self.blocks, self.frame, self.frame.conj()))
 
     @classmethod
     def computational(cls, space: CompositeSpace) -> "ProjectiveMeasurement":
-        """Rank-1 projectors onto every computational basis state, named by their digits."""
-        k = np.arange(space.dim)
-        stack = np.zeros((space.dim, space.dim, space.dim), dtype=complex)
-        stack[k, k, k] = 1.0
-        return cls(space, stack, tuple("".join(map(str, ix)) for ix in np.ndindex(space.dims)))
+        """Rank-1 projectors onto every computational basis state, named by their digits: W = I."""
+        names = ("".join(map(str, ix)) for ix in np.ndindex(space.dims))
+        frame = np.eye(space.dim, dtype=complex)
+        return object.__new__(cls)._set_frame(space, frame, [1] * space.dim, names)
 
     @classmethod
     def of_observable(cls, obs: DichotomicObservable) -> "ProjectiveMeasurement":
-        """Two-outcome measurement of a dichotomic observable, (+1, -1) order."""
-        return cls(obs.space, obs.projectors(), ("+1", "-1"))
+        """Two-outcome measurement of an observable: W is its eigenbasis, +1 block first."""
+        values, vectors = np.linalg.eigh(obs.matrix)
+        sizes = (plus := int(np.count_nonzero(values > 0)), values.size - plus)
+        return object.__new__(cls)._set_frame(obs.space, vectors[:, ::-1], sizes, ("+1", "-1"))
 
     @classmethod
-    def binary(
-        cls,
-        space: CompositeSpace,
-        projector: np.ndarray,
-        outcomes: tuple[str, str] = ("hit", "miss"),
-    ) -> "ProjectiveMeasurement":
+    def binary(cls, space, projector, outcomes=("hit", "miss")) -> ProjectiveMeasurement:
         """{P, I - P} for a single projector P."""
-        p = np.asarray(projector, dtype=complex)
-        return cls(space, (p, np.eye(space.dim) - p), outcomes)
+        return cls(space, (projector, np.eye(space.dim) - projector), outcomes)
 
 
 MeasurementLike = Union[ProjectiveMeasurement, DichotomicObservable, Sequence[str]]
@@ -233,7 +243,8 @@ def born_probabilities(
     """
     meas = _as_measurement(state.space, basis_or_obs)
     rho_sub = _reduced_matrix(state, meas.space)
-    return _clipped_distribution(np.einsum("kij,ji->k", meas.projectors, rho_sub).real)
+    diagonal = np.sum(meas.frame.conj() * (rho_sub @ meas.frame), axis=0).real
+    return _clipped_distribution(meas.blocks @ diagonal)
 
 
 def _clipped_distribution(probs: np.ndarray) -> np.ndarray:
@@ -271,18 +282,16 @@ def projective_collapse(
         raise ShapeError(f"labels {tuple(on)} disagree with the measurement's {meas.space.labels}")
     probs = born_probabilities(state, meas)
     outcome = int(rng.choice(probs.size, p=probs))
-    branch = meas.projectors[outcome] @ _factors_first(state, meas.space)
+    block = meas.frame[:, meas.blocks[outcome]]
+    branch = block @ (block.conj().T @ _factors_first(state, meas.space))
     nrm2 = float(np.vdot(branch, branch).real)
     amplitudes = _factors_back(branch, state.space, meas.space) / math.sqrt(nrm2)
     return outcome, PureState(state.space, amplitudes)
 
 
 _HYPOTHESIS_VARIANTS = (
-    "unitary_only",
-    "friend_projective",
-    "friend_dephasing",
-    "subjective_collapse",
-    "stochastic_collapse",
+    "unitary_only", "friend_projective", "friend_dephasing",
+    "subjective_collapse", "stochastic_collapse",
 )
 
 _STOCHASTIC_RE = re.compile(r"^stochastic_collapse\(\s*(?:p\s*=\s*)?([0-9.eE+-]+)\s*\)$")
@@ -311,16 +320,12 @@ class CollapseHypothesis:
 
     def __post_init__(self) -> None:
         if self.variant not in _HYPOTHESIS_VARIANTS:
-            raise InvalidState(
-                f"unknown hypothesis {self.variant!r}; "
-                f"known: {', '.join(_HYPOTHESIS_VARIANTS)}"
-            )
+            known = ", ".join(_HYPOTHESIS_VARIANTS)
+            raise InvalidState(f"unknown hypothesis {self.variant!r}; known: {known}")
         if self.variant == "stochastic_collapse":
             p = self.probability
             if p is None or not 0.0 <= float(p) <= 1.0:
-                raise InvalidState(
-                    "stochastic_collapse needs a collapse probability in [0, 1]"
-                )
+                raise InvalidState("stochastic_collapse needs a collapse probability in [0, 1]")
             object.__setattr__(self, "probability", float(p))
         elif self.probability is not None:
             raise InvalidState(f"{self.variant} does not take a probability")
@@ -331,17 +336,11 @@ class CollapseHypothesis:
 
     @classmethod
     def parse(cls, text: "CollapseHypothesis | str") -> "CollapseHypothesis":
-        """Parse 'unitary_only', ..., or 'stochastic_collapse(0.3)'.
-
-        A CollapseHypothesis is returned unchanged.
-        """
+        """Parse 'unitary_only', ..., or 'stochastic_collapse(0.3)'; a CollapseHypothesis passes."""
         if isinstance(text, CollapseHypothesis):
             return text
-        text = text.strip()
-        m = _STOCHASTIC_RE.match(text)
-        if m:
-            return cls.stochastic(float(m.group(1)))
-        return cls(text)
+        m = _STOCHASTIC_RE.match(text.strip())
+        return cls.stochastic(float(m.group(1))) if m else cls(text.strip())
 
     @property
     def name(self) -> str:

@@ -133,8 +133,8 @@ class ScenarioConfig:
                     f"hypotheses for scenario {self.scenario!r} must come from "
                     f"[{', '.join(spec.allowed_variants)}], got {hyp.name!r}"
                 )
-        if not _is_int(self.shots) or self.shots < 0:
-            raise ConfigError(f"shots must be a non-negative integer, got {self.shots!r}")
+        if not _is_int(self.shots) or not 0 <= self.shots < 2**63:
+            raise ConfigError(f"shots must be an integer in [0, 2**63), got {self.shots!r}")
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.grid_step is not None:

@@ -188,6 +188,19 @@ class TestProjectiveMeasurement:
         with pytest.raises(InvalidState, match="projector 0 is not hermitian"):
             ProjectiveMeasurement(space, (p, np.eye(2) - p), ("a", "b"))
 
+    def test_rejects_overlap_below_the_entrywise_tolerance(self):
+        """Rank-1 projectors on spread vectors u, w with <u|w> = 2e-9: every entry
+        of P_0 P_1 and of the third projector's idempotence residual stays below
+        1e-10, but the Gram block V_0^dag V_1 has norm 2e-9."""
+        space = CompositeSpace.qubits(*"abcdef")
+        u = np.ones(64) / 8
+        w = np.resize([1.0, -1.0], 64) / 8 + 2e-9 * u
+        w /= np.linalg.norm(w)
+        p0, p1 = np.outer(u, u), np.outer(w, w)
+        assert np.abs(p0 @ p1).max() < 1e-10
+        with pytest.raises(InvalidState, match="projectors 0 and 1 are not orthogonal"):
+            ProjectiveMeasurement(space, (p0, p1, np.eye(64) - p0 - p1), ("u", "w", "rest"))
+
     def test_rejects_wrong_shape(self):
         space = CompositeSpace.qubits("q")
         with pytest.raises(ShapeError, match=r"projector 1 has shape \(3, 3\)"):

@@ -199,6 +199,46 @@ def test_measurement_on_reduced_state_matches_embed_route(seed):
     assert np.max(np.abs(collapsed.amplitudes - branch / np.linalg.norm(branch))) < 1e-12
 
 
+@EXAMPLES
+@given(seed=SEEDS)
+def test_measurement_with_higher_rank_blocks_matches_embed_route(seed):
+    """Rank >= 2 outcomes: Born sums over each block, collapse projects onto it.
+
+    One measurement splits a random unitary's columns into random block
+    sizes; the other measures a random dichotomic observable, whose +1 and
+    -1 eigenspaces are degenerate (or one of them empty) once the measured
+    factors span more than one qubit.  The measured factors are any subset
+    of 2-4 qubits in any order.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    labels = [f"q{k}" for k in range(n)]
+    space = CompositeSpace.qubits(*labels)
+    measured = rng.permutation(n)[: int(rng.integers(1, n + 1))].tolist()
+    sub = space.subspace([labels[a] for a in measured])
+    gather = np.ix_(*[gather_index(list(space.dims), measured)] * 2)
+    cuts = np.sort(rng.permutation(np.arange(1, sub.dim))[: int(rng.integers(0, sub.dim))])
+    blocks = np.split(random_unitary(rng, sub.dim), cuts, axis=1)
+    split = [v @ v.conj().T for v in blocks]
+    obs = DichotomicObservable(sub, random_dichotomic(rng, sub.dim))
+    halves = [(np.eye(sub.dim) + obs.matrix) / 2, (np.eye(sub.dim) - obs.matrix) / 2]
+    cases = (
+        (ProjectiveMeasurement(sub, tuple(split), tuple(map(str, range(len(split))))), split),
+        (ProjectiveMeasurement.of_observable(obs), halves),
+    )
+    pure = PureState(space, random_pure(rng, space.dim))
+    mixed = DensityOperator(space, random_density(rng, space.dim))
+    for meas, projectors in cases:
+        assert np.max(np.abs(meas.projectors - np.array(projectors))) < 1e-12
+        for state, matrix in ((pure, pure.density().matrix), (mixed, mixed.matrix)):
+            reduced = brute_partial_trace(matrix, list(space.dims), measured)
+            want = [brute_expectation(reduced, p[gather]) for p in projectors]
+            assert np.max(np.abs(born_probabilities(state, meas) - want)) < 1e-12
+        outcome, collapsed = projective_collapse(pure, basis=meas, rng=rng)
+        branch = embed(projectors[outcome], sub, space) @ pure.amplitudes
+        assert np.max(np.abs(collapsed.amplitudes - branch / np.linalg.norm(branch))) < 1e-12
+
+
 class _RecordingStream:
     """Stands in for a child Generator: records each multinomial's probabilities."""
 

@@ -57,6 +57,12 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="bell_singlet", hypotheses=("unitary_only",))
 
+    def test_shots_bound_is_stated(self):
+        """numpy's samplers take at most int64 counts; larger shot counts are config errors."""
+        assert ScenarioConfig(shots=2**63 - 1).shots == 2**63 - 1
+        with pytest.raises(ConfigError, match=r"shots must be an integer in \[0, 2\*\*63\), got"):
+            ScenarioConfig(shots=2**63)
+
     def test_numeric_validation(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(shots=-1)
@@ -352,6 +358,13 @@ class TestCliExitCodes:
         assert code == 4
         assert "cannot write" in capsys.readouterr().err
 
+    def test_shots_beyond_int64_exit_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = cli.main(["--scenario", "proietti", "--shots", str(10**20), "--out", str(out)])
+        assert code == 2
+        assert "2**63" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "pointer_basic", "seed": 1, "shots": 50}))
@@ -394,6 +407,22 @@ class TestCliDeterminism:
         first = self._run(tmp_path, "a.csv")
         second = self._run(tmp_path, "b.csv")
         assert first == second
+
+    def test_proietti_rows_do_not_depend_on_blas_threads(self, tmp_path):
+        """The same rows with one OpenBLAS thread and with the default count."""
+
+        def rows(name, env):
+            out = tmp_path / name
+            argv = [sys.executable, "-m", "wfsim", "--scenario", "proietti", "--seed", "17"]
+            argv += ["--hypotheses", "unitary_only,stochastic_collapse(0.5)", "--shots", "2000"]
+            argv += ["--grid-step", str(math.pi / 16), "--format", "json", "--out", str(out)]
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            return json.dumps(json.loads(out.read_text())["rows"])
+
+        default = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        single = rows("one.json", {**default, "OPENBLAS_NUM_THREADS": "1"})
+        assert single == rows("default.json", default)
 
     def test_removed_threads_option_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

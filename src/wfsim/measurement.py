@@ -23,6 +23,7 @@ seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -200,7 +201,7 @@ class ProjectiveMeasurement:
     @classmethod
     def computational(cls, space: CompositeSpace) -> "ProjectiveMeasurement":
         """Rank-1 projectors onto every computational basis state, named by their digits: W = I."""
-        names = ("".join(map(str, ix)) for ix in np.ndindex(space.dims))
+        names = map("".join, itertools.product(*(map(str, range(d)) for d in space.dims)))
         frame = np.eye(space.dim, dtype=complex)
         return object.__new__(cls)._set_frame(space, frame, [1] * space.dim, names)
 
@@ -242,7 +243,11 @@ def born_probabilities(
     a total deviating from 1 beyond tolerance raises InvariantViolation.
     """
     meas = _as_measurement(state.space, basis_or_obs)
-    rho_sub = _reduced_matrix(state, meas.space)
+    return _born(meas, _reduced_matrix(state, meas.space))
+
+
+def _born(meas: ProjectiveMeasurement, rho_sub: np.ndarray) -> np.ndarray:
+    """The Born distribution of ``meas`` on the reduced matrix in ``meas.space``'s order."""
     diagonal = np.sum(meas.frame.conj() * (rho_sub @ meas.frame), axis=0).real
     return _clipped_distribution(meas.blocks @ diagonal)
 
@@ -269,8 +274,12 @@ def projective_collapse(
     ProjectiveMeasurement (then ``on`` is redundant and, if given, must
     match the measurement's labels).  Returns the outcome index and the
     renormalized post-measurement state.  Identical seeds give identical
-    outcomes; a zero-probability outcome is never returned.
+    outcomes; a zero-probability outcome is never returned.  A DensityOperator
+    raises InvalidState: its outcome distribution is ``born_probabilities``.
     """
+    if not isinstance(state, PureState):
+        raise InvalidState(f"projective_collapse needs a PureState, got {type(state).__name__}; "
+                           "use born_probabilities or dephase for a mixed state")
     if rng is None:
         raise InvalidState("projective_collapse needs a seeded numpy Generator")
     if isinstance(on, str):
@@ -280,10 +289,13 @@ def projective_collapse(
     meas = _as_measurement(state.space, on if basis is None else basis)
     if on is not None and tuple(on) != meas.space.labels:
         raise ShapeError(f"labels {tuple(on)} disagree with the measurement's {meas.space.labels}")
-    probs = born_probabilities(state, meas)
+    front = _factors_first(state, meas.space)
+    if not state.normalized:
+        raise InvalidState("a sub-normalized state has no reduced state; normalize() it first")
+    probs = _born(meas, front @ front.conj().T)
     outcome = int(rng.choice(probs.size, p=probs))
     block = meas.frame[:, meas.blocks[outcome]]
-    branch = block @ (block.conj().T @ _factors_first(state, meas.space))
+    branch = block @ (block.conj().T @ front)
     nrm2 = float(np.vdot(branch, branch).real)
     amplitudes = _factors_back(branch, state.space, meas.space) / math.sqrt(nrm2)
     return outcome, PureState(state.space, amplitudes)

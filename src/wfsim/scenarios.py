@@ -38,6 +38,7 @@ from .hilbert import (
     CompositeSpace,
     DensityOperator,
     PureState,
+    _factors_back,
     _factors_first,
     tensor,
 )
@@ -45,10 +46,8 @@ from .measurement import (
     SUBJECTIVE_COLLAPSE,
     UNITARY_ONLY,
     CollapseHypothesis,
-    PointerCoupling,
     ProjectiveMeasurement,
     born_probabilities,
-    couple_pointer,
     dephase,
     projective_collapse,
 )
@@ -136,14 +135,14 @@ def _side_labels(side: str) -> tuple[str, str, str]:
     return _SIDES[key]
 
 
-# The friend interaction on one wing, written directly as the heralded map
+# The friend interaction on one wing is the heralded map
 #
-#     M = 1/2 sum_i |i>_in |not-i>_friend <i|_in <singlet|_(prime, friend)
+#     M = 1/2 sum_i |i>_in |1-i>_friend <i|_in <singlet|_(prime, friend),
 #
-# i.e. the anti-correlating copy (h -> v, v -> h) conditioned on detecting
-# the heralding photon.  M^dag M = (1/4) P_in <= I, so this is an isometry
-# scaled by the heralding amplitude: applying it yields the raw
-# (sub-normalized) branch whose squared norm is the herald probability.
+# the anti-correlating copy (h -> v, v -> h) conditioned on detecting the
+# heralding photon; <singlet| is this matrix's conjugate, flattened over
+# (prime, friend).  M^dag M = (1/4) P_in <= I, so the raw (sub-normalized)
+# branch's squared norm is the herald probability.
 _SINGLET_MATRIX = np.array([[0, 1], [-1, 0]], dtype=complex) / _SQRT2
 
 
@@ -167,14 +166,15 @@ def friend_interaction(joint: PureState, side: str) -> ScenarioState:
     if any(space.dim_of(lbl) != 2 for lbl in (in_label, prime_label, friend_label)):
         raise ShapeError("friend interaction is defined for two-dimensional factors")
 
-    # Contract (prime, friend) against the singlet bra, then scale by M's 1/2.
-    front = _factors_first(joint, space.subspace((prime_label, friend_label)))
-    contracted = _SINGLET_MATRIX.conj().reshape(-1) @ front
-    rest = tuple(f for f in space.factors if f[0] not in (prime_label, friend_label))
-    heralded = PureState(CompositeSpace(rest), 0.5 * contracted, normalized=False)
-    # The anti-copy re-creates the friend as a last factor; put it back in place.
-    coupled = couple_pointer(heralded, PointerCoupling(in_label, friend_label, (1, 0)))
-    raw = coupled.reorder([lbl for lbl in space.labels if lbl != prime_label])
+    # <singlet| and M's 1/2 leave (in, rest); in-photon slice i goes to friend 1 - i,
+    # and the friend keeps its factor position.
+    front = _factors_first(joint, space.subspace((prime_label, friend_label, in_label)))
+    contracted = 0.5 * (_SINGLET_MATRIX.conj().reshape(-1) @ front.reshape(4, -1))
+    copied = np.zeros((2, 2, front.shape[1]), dtype=complex)  # (friend, in, rest)
+    copied[[1, 0], [0, 1]] = contracted.reshape(2, -1)
+    out = CompositeSpace(tuple(f for f in space.factors if f[0] != prime_label))
+    amplitudes = _factors_back(copied, out, out.subspace((friend_label, in_label)))
+    raw = PureState(out, amplitudes, normalized=False)
     herald = raw.squared_norm
     if herald <= ALGEBRA_TOL:
         raise HeraldImpossible(
@@ -203,12 +203,7 @@ def claimed_branch_collapse(
     in_label, _, _ = _side_labels(side)
     outcome, collapsed = projective_collapse(joint, on=(in_label,), rng=rng)
     after = friend_interaction(collapsed, side)
-    return replace(
-        after,
-        stage="collapsed",
-        hypothesis=SUBJECTIVE_COLLAPSE,
-        branch=outcome,
-    )
+    return replace(after, stage="collapsed", hypothesis=SUBJECTIVE_COLLAPSE, branch=outcome)
 
 
 def expected_final_state() -> PureState:

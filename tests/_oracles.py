@@ -164,6 +164,38 @@ def brute_grid_pair(kernel: np.ndarray, step: float) -> tuple[np.ndarray, np.nda
     return vectors[b1], vectors[b0]
 
 
+def brute_friend_interaction(
+    amplitudes: np.ndarray,
+    labels: list[str],
+    dims: list[int],
+    in_label: str,
+    prime_label: str,
+    friend_label: str,
+) -> tuple[list[str], np.ndarray, float]:
+    """The heralded map M = 1/2 sum_i |i>_in |1-i>_friend <i|_in <singlet|_(prime, friend).
+
+    Every output amplitude is gathered from the flat input amplitudes by
+    stride arithmetic: with <singlet| = (<0 1| - <1 0|)/sqrt2 on (prime,
+    friend), out[.., in=i, friend=f, ..] is zero unless f = 1 - i, and
+    otherwise (psi[prime=0, friend=1] - psi[prime=1, friend=0]) / (2 sqrt2)
+    at the same digits of every other factor.  Returns the output labels
+    (the input's without the prime), the raw branch and its squared norm.
+    """
+    strides = dict(zip(labels, strides_for(list(dims))))
+    out_labels = [lbl for lbl in labels if lbl != prime_label]
+    out_dims = [d for lbl, d in zip(labels, dims) if lbl != prime_label]
+    out = np.zeros(int(np.prod(out_dims)), dtype=complex)
+    for flat, digits in enumerate(itertools.product(*[range(d) for d in out_dims])):
+        digit = dict(zip(out_labels, digits))
+        if digit[friend_label] != 1 - digit[in_label]:
+            continue
+        base = sum(v * strides[lbl] for lbl, v in digit.items() if lbl != friend_label)
+        h_v = amplitudes[base + strides[friend_label]]  # prime 0, friend 1
+        v_h = amplitudes[base + strides[prime_label]]  # prime 1, friend 0
+        out[flat] = (h_v - v_h) / (2.0 * np.sqrt(2.0))
+    return out_labels, out, float(np.sum(np.abs(out) ** 2))
+
+
 def random_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return vec / np.linalg.norm(vec)

@@ -243,6 +243,16 @@ class TestProjectiveMeasurement:
         np.testing.assert_allclose(born_probabilities(psi, meas), marginals, atol=1e-13)
         np.testing.assert_allclose(born_probabilities(psi, ("t", "q")), marginals, atol=1e-13)
 
+    def test_computational_names_are_the_index_digits(self):
+        """Each outcome name joins the decimal digits of its C-order index, so a
+        factor of dimension >= 10 contributes two characters: (3, 2, 11) gives "0010"."""
+        for dims in ((3, 2, 11), (2, 12), (11,), (2, 3, 2)):
+            space = CompositeSpace(tuple((f"f{k}", d) for k, d in enumerate(dims)))
+            names = ProjectiveMeasurement.computational(space).outcomes
+            assert names == tuple("".join(map(str, ix)) for ix in np.ndindex(dims))
+            if dims == (3, 2, 11):
+                assert names[10] == "0010"
+
 
 class TestBornProbabilities:
     def test_computational_basis_matches_amplitudes(self):
@@ -337,6 +347,16 @@ class TestProjectiveCollapse:
         for _ in range(200):
             outcome, _ = projective_collapse(psi, on=("a",), rng=rng)
             assert outcome == 0
+
+    def test_rejects_mixed_and_sub_normalized_states(self):
+        """A density operator fails up front by type, and a raw heralded branch by its norm."""
+        space = CompositeSpace.qubits("e1", "e2")
+        rho = PureState.from_mapping(space, {"01": 1 / SQRT2, "10": -1 / SQRT2}).density()
+        with pytest.raises(InvalidState, match="got DensityOperator.*born_probabilities or dephase"):
+            projective_collapse(rho, on=("e1",), rng=np.random.default_rng(0))
+        branch = PureState.from_mapping(space, {"01": 0.5}, normalized=False)
+        with pytest.raises(InvalidState, match="sub-normalized"):
+            projective_collapse(branch, on=("e1",), rng=np.random.default_rng(0))
 
     def test_label_mismatch_with_explicit_basis(self):
         psi = PureState.basis(CompositeSpace.qubits("a", "b"), "00")

@@ -23,6 +23,7 @@ from wfsim import (
     embed,
     exact_optimum,
     expectation,
+    friend_interaction,
     optimize_settings,
     partial_trace,
     projective_collapse,
@@ -40,6 +41,7 @@ from wfsim.chsh import (
 from _oracles import (
     brute_correlation_kernel,
     brute_expectation,
+    brute_friend_interaction,
     brute_grid_pair,
     brute_horodecki_value,
     brute_partial_trace,
@@ -352,3 +354,31 @@ def test_grid_pair_matches_full_table(seed, kind):
         picked = _grid_bob_pair(kernel, step)
         expected = brute_grid_pair(kernel, step)
         assert all(np.array_equal(a, b) for a, b in zip(picked, expected)), (kind, step)
+
+
+@EXAMPLES
+@given(seed=SEEDS, side=st.sampled_from(["A", "B"]))
+def test_friend_interaction_matches_brute_force(seed, side):
+    """The heralded map M against the flat-index oracle, on either side.
+
+    A random normalized state over that side's (in, prime, friend) photons
+    and up to two extra factors of dimension 2 or 3, in random factor order
+    (so the friend may precede its photon and the prime may come last).
+    """
+    rng = np.random.default_rng(seed)
+    wing = {"A": ["a", "alpha_prime", "alpha"], "B": ["b", "beta_prime", "beta"]}[side]
+    extra = int(rng.integers(0, 3))
+    labels = wing + [f"x{k}" for k in range(extra)]
+    dims = [2, 2, 2] + [int(d) for d in rng.integers(2, 4, size=extra)]
+    order = rng.permutation(len(labels))
+    labels, dims = [labels[k] for k in order], [dims[k] for k in order]
+    space = CompositeSpace(tuple(zip(labels, dims)))
+    psi = PureState(space, random_pure(rng, space.dim))
+
+    after = friend_interaction(psi, side)
+    out_labels, raw, herald = brute_friend_interaction(psi.amplitudes, labels, dims, *wing)
+    assert after.raw_state.space.labels == tuple(out_labels)
+    assert after.state.space.labels == tuple(out_labels)
+    assert np.max(np.abs(after.raw_state.amplitudes - raw)) < 1e-12
+    assert abs(after.herald_probability - herald) < 1e-12
+    assert np.max(np.abs(after.state.amplitudes - raw / math.sqrt(herald))) < 1e-12

@@ -6,6 +6,7 @@ amplitudes cos(pi/8)/sqrt2 = 0.6532814824381883 and sin(pi/8)/sqrt2 =
 counterexample photon probabilities 1 and 1/2.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -48,6 +49,18 @@ from wfsim.measurement import CollapseHypothesis
 
 COS_AMP = 0.6532814824381883
 SIN_AMP = 0.2705980500730985
+
+# Seeds 0-15 of the A -> B claimed-branch chain: the (A, B) branches, and the
+# sha256 of both stages' amplitude bytes, which the branches determine.
+CHAIN_BRANCHES = [
+    (1, 0), (1, 1), (0, 1), (0, 1), (1, 0), (1, 0), (1, 0), (1, 1),
+    (0, 1), (1, 0), (1, 0), (0, 1), (0, 1), (1, 1), (1, 0), (1, 0),
+]
+CHAIN_DIGESTS = {
+    (1, 0): "6e8496f7626c5f0fa5315f89d444104a903d580fa8a4e14c6416010b4ffd46e5",
+    (1, 1): "9f87941028f4ad50d626ca4c562385e69f52129894a6ee762589fcc3d992d561",
+    (0, 1): "cdc89c7cf8425fad12ca6fced23b25e1dc623222768985a370f051047265e133",
+}
 
 
 class TestSourceState:
@@ -246,6 +259,18 @@ class TestClaimedBranchCollapse:
         np.testing.assert_allclose(
             ensemble.matrix, dephase(unitary, ("a", "alpha")).matrix, atol=1e-12
         )
+
+    def test_seeded_chains_are_pinned(self):
+        """16 seeded A -> B chains: their branches and the sha256 of both
+        stages' amplitude bytes, frozen from the pointer-coupling route."""
+        joint = prepared_state().state
+        for seed, branches in enumerate(CHAIN_BRANCHES):
+            rng = np.random.default_rng(seed)
+            first = claimed_branch_collapse(joint, "A", rng)
+            second = claimed_branch_collapse(first.state, "B", rng)
+            assert (first.branch, second.branch) == branches, seed
+            data = first.state.amplitudes.tobytes() + second.state.amplitudes.tobytes()
+            assert hashlib.sha256(data).hexdigest() == CHAIN_DIGESTS[branches], seed
 
 
 class TestCounterexample:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -385,6 +386,12 @@ class DichotomicObservable:
             )
         space = CompositeSpace(tuple(zip(labels, self.space.dims)))
         return DichotomicObservable(space, self.matrix)
+
+    @cached_property
+    def measurement(self):
+        """Its (+1, -1) ``ProjectiveMeasurement``, built and Gram-checked on first use."""
+        from .measurement import ProjectiveMeasurement  # measurement imports this module
+        return ProjectiveMeasurement.of_observable(self)
 
 
 @dataclass(frozen=True)

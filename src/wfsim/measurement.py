@@ -13,6 +13,7 @@ apart:
 A :class:`ProjectiveMeasurement` is a read-only unitary frame W = [V_1 ... V_k],
 P_i = V_i V_i^dag, validated once by one Gram check W^dag W = I.  Born (p_i sums
 block i of diag(W^dag rho W)) and collapse (V_i V_i^dag M) resolve it one way.
+A held observable or scenario basis is built and checked once; labels, on each call.
 
 Randomness everywhere in the package comes from ``numpy.random.Generator``
 (PCG64 via ``numpy.random.default_rng``).  A run owns its generator; when
@@ -225,7 +226,7 @@ def _as_measurement(space: CompositeSpace, what: MeasurementLike) -> ProjectiveM
     if isinstance(what, ProjectiveMeasurement):
         return what
     if isinstance(what, DichotomicObservable):
-        return ProjectiveMeasurement.of_observable(what)
+        return what.measurement
     if isinstance(what, str):
         what = (what,)
     return ProjectiveMeasurement.computational(space.subspace(what))

@@ -25,6 +25,7 @@ package silently picks one.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -63,6 +64,7 @@ _SIDES = {
     "A": ("a", "alpha_prime", "alpha"),
     "B": ("b", "beta_prime", "beta"),
 }
+_DRAW_CHUNK = 1 << 16  # uniforms per chunk in counterexample_frequencies (512 KiB)
 
 _COS = math.cos(math.pi / 8)
 _SIN = math.sin(math.pi / 8)
@@ -189,6 +191,13 @@ def friend_interaction(joint: PureState, side: str) -> ScenarioState:
     )
 
 
+@lru_cache(maxsize=1)
+def _in_photon_bases() -> dict[str, ProjectiveMeasurement]:
+    """Each incoming photon's computational basis, built and Gram-checked once, on first use."""
+    photons = (CompositeSpace.qubits(a) for a, _, _ in _SIDES.values())
+    return {q.labels[0]: ProjectiveMeasurement.computational(q) for q in photons}
+
+
 def claimed_branch_collapse(
     joint: PureState, side: str, rng: np.random.Generator
 ) -> ScenarioState:
@@ -201,7 +210,9 @@ def claimed_branch_collapse(
     those factors.
     """
     in_label, _, _ = _side_labels(side)
-    outcome, collapsed = projective_collapse(joint, on=(in_label,), rng=rng)
+    if joint.space.dim_of(in_label) != 2:  # before the held two-dimensional basis meets it
+        raise ShapeError("friend interaction is defined for two-dimensional factors")
+    outcome, collapsed = projective_collapse(joint, basis=_in_photon_bases()[in_label], rng=rng)
     after = friend_interaction(collapsed, side)
     return replace(after, stage="collapsed", hypothesis=SUBJECTIVE_COLLAPSE, branch=outcome)
 
@@ -419,31 +430,32 @@ def counterexample_frequencies(
 ) -> float:
     """Frequency of photon receipt over many seeded runs, vectorized.
 
-    Draw order is documented and fixed: under subjective_collapse one
-    uniform array selects branches, then a second uniform array decides
-    outcomes against the per-branch Born probability.  Under unitary_only
-    a single uniform array is compared against the exact probability.
-    Statistically identical to looping :func:`counterexample_run`.
+    Fixed draw order: under subjective_collapse ``runs`` uniforms select branches,
+    then the next ``runs`` of the PCG64 stream decide outcomes against the per-branch
+    Born probability; under unitary_only ``runs`` uniforms meet the exact probability.
+    Drawn in chunks, statistically identical to looping :func:`counterexample_run`.
     """
     if runs < 1:
         raise ShapeError("runs must be at least 1")
     hypothesis = _counterexample_hypothesis(hypothesis)
     c_up, c_down = _counterexample_amplitudes(amplitudes)
     meas = counterexample_measurement()
-    if hypothesis.variant == "unitary_only":
-        p = counterexample_probability(hypothesis, amplitudes)
-        hits = rng.random(runs) < p
-        return float(hits.mean())
+    unitary = hypothesis.variant == "unitary_only"
+    p_unitary = counterexample_probability(hypothesis, amplitudes) if unitary else None
     space = CompositeSpace.qubits(*COUNTEREXAMPLE_ORDER)
-    p_branch = np.array(
-        [
-            born_probabilities(PureState.basis(space, "uu0"), meas)[0],
-            born_probabilities(PureState.basis(space, "dd0"), meas)[0],
-        ]
-    )
-    branches = (rng.random(runs) >= abs(c_up) ** 2).astype(int)
-    hits = rng.random(runs) < p_branch[branches]
-    return float(hits.mean())
+    branch_states = () if unitary else (PureState.basis(space, b) for b in ("uu0", "dd0"))
+    p_branch = np.array([born_probabilities(psi, meas)[0] for psi in branch_states])
+    buffered = {k: v for k, v in rng.bit_generator.state.items() if k in ("has_uint32", "uinteger")}
+    outcomes = rng if unitary else copy.deepcopy(rng)
+    if not unitary:  # the outcome uniforms follow every branch uniform
+        outcomes.bit_generator.advance(runs)
+    hits = 0
+    for start in range(0, runs, _DRAW_CHUNK):
+        n = min(_DRAW_CHUNK, runs - start)
+        p = p_unitary if unitary else p_branch[(rng.random(n) >= abs(c_up) ** 2).astype(int)]
+        hits += int(np.count_nonzero(outcomes.random(n) < p))
+    rng.bit_generator.state = outcomes.bit_generator.state | buffered  # advance() drops the buffer
+    return hits / runs
 
 
 def bell_singlet() -> PureState:

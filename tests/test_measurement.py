@@ -364,6 +364,43 @@ class TestProjectiveCollapse:
         with pytest.raises(ShapeError):
             projective_collapse(psi, on=("b",), basis=meas, rng=np.random.default_rng(0))
 
+    def test_observable_frame_is_built_once(self, monkeypatch):
+        """100 collapses and a Born call with one observable build its frame once."""
+        built = []
+        of_observable = ProjectiveMeasurement.of_observable
+
+        def counting(cls, obs):
+            built.append(obs)
+            return of_observable(obs)
+
+        monkeypatch.setattr(ProjectiveMeasurement, "of_observable", classmethod(counting))
+        rng = np.random.default_rng(13)
+        psi = PureState(CompositeSpace.qubits("a", "b"), random_pure(rng, 4))
+        obs = DichotomicObservable.bloch(0.7, 0.3, "b")
+        for _ in range(100):
+            projective_collapse(psi, basis=obs, rng=rng)
+        born_probabilities(psi, obs)
+        assert built == [obs]
+        assert obs.measurement is obs.measurement
+
+    def test_held_frame_collapses_like_a_fresh_one(self):
+        """Outcomes and amplitude bytes with the held frame equal those of a new of_observable."""
+        rng = np.random.default_rng(17)
+        space = CompositeSpace.qubits("a", "b", "c")
+        obs = DichotomicObservable(
+            CompositeSpace.qubits("c", "a"),
+            np.kron(DichotomicObservable.bloch(1.1, -0.4, "x").matrix, np.diag([1.0, -1.0])),
+        )
+        obs.measurement  # built once, before the seeded collapses
+        for seed in range(50):
+            psi = PureState(space, random_pure(rng, 8))
+            held = projective_collapse(psi, basis=obs, rng=np.random.default_rng(seed))
+            fresh = projective_collapse(
+                psi, basis=ProjectiveMeasurement.of_observable(obs), rng=np.random.default_rng(seed)
+            )
+            assert held[0] == fresh[0]
+            assert held[1].amplitudes.tobytes() == fresh[1].amplitudes.tobytes()
+
 
 class TestCollapseHypothesis:
     def test_parse_plain_names(self):

@@ -424,6 +424,23 @@ class TestCliDeterminism:
         single = rows("one.json", {**default, "OPENBLAS_NUM_THREADS": "1"})
         assert single == rows("default.json", default)
 
+    def test_counterexample_memory_does_not_grow_with_shots(self, tmp_path):
+        """Peak RSS of a child running the counterexample at 10**6 shots stays
+        within 10% of its peak at 10**4 shots."""
+
+        def peak_rss(shots):
+            out = tmp_path / f"{shots}.csv"
+            argv = ["--scenario", "counterexample", "--seed", "7", "--shots", str(shots)]
+            argv += ["--out", str(out)]
+            code = "import resource; from wfsim.cli import main; "
+            code += f"assert main({argv!r}) == 0; "
+            code += "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stdout.split()[-1])
+
+        assert peak_rss(10**6) <= 1.10 * peak_rss(10**4)
+
     def test_removed_threads_option_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "pointer_basic", "threads": 2}))

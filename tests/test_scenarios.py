@@ -9,6 +9,7 @@ counterexample photon probabilities 1 and 1/2.
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from wfsim import (
     FRIEND_PROJECTIVE,
     HeraldImpossible,
     InvalidState,
+    ProjectiveMeasurement,
     PureState,
     SUBJECTIVE_COLLAPSE,
     ShapeError,
     UNITARY_ONLY,
     UnknownSubsystem,
     bell_singlet,
+    born_probabilities,
     claimed_branch_collapse,
     coherence_norm,
     counterexample_frequencies,
@@ -46,6 +49,7 @@ from wfsim import (
 )
 from wfsim.chsh import _basis_triple, _wing_moments
 from wfsim.measurement import CollapseHypothesis
+from wfsim.scenarios import _DRAW_CHUNK
 
 COS_AMP = 0.6532814824381883
 SIN_AMP = 0.2705980500730985
@@ -272,6 +276,35 @@ class TestClaimedBranchCollapse:
             data = first.state.amplitudes.tobytes() + second.state.amplitudes.tobytes()
             assert hashlib.sha256(data).hexdigest() == CHAIN_DIGESTS[branches], seed
 
+    def test_chain_builds_no_computational_measurement(self, monkeypatch):
+        """After a first collapse on each side, 200 seeded collapses reuse the held bases."""
+        joint = prepared_state().state
+        first = claimed_branch_collapse(joint, "A", np.random.default_rng(0))
+        claimed_branch_collapse(first.state, "B", np.random.default_rng(0))
+        built = []
+        counting = classmethod(lambda cls, space: built.append(space))
+        monkeypatch.setattr(ProjectiveMeasurement, "computational", counting)
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            first = claimed_branch_collapse(joint, "A", rng)
+            claimed_branch_collapse(first.state, "b", rng)
+        assert built == []
+
+    def test_error_paths_keep_type_and_message(self):
+        """A missing incoming photon, a bad side and a 3-dim photon fail before any collapse."""
+        rng = np.random.default_rng(0)
+        pair = friend_pair_state("A")
+        with pytest.raises(UnknownSubsystem) as missing:
+            pair.space.subspace(("a",))
+        with pytest.raises(UnknownSubsystem, match=re.escape(str(missing.value))):
+            claimed_branch_collapse(pair, "A", rng)
+        with pytest.raises(ShapeError, match="side must be 'A' or 'B', got 'C'"):
+            claimed_branch_collapse(prepared_state().state, "C", rng)
+        space = CompositeSpace((("a", 3), ("alpha_prime", 2), ("alpha", 2)))
+        qutrit = PureState(space, np.full(12, 1 / math.sqrt(12)))
+        with pytest.raises(ShapeError, match="^friend interaction is defined for two-dimensional"):
+            claimed_branch_collapse(qutrit, "A", rng)
+
 
 class TestCounterexample:
     """The two-agent protocol with the definite discriminating signal."""
@@ -347,6 +380,28 @@ class TestCounterexample:
         assert p_col == pytest.approx(0.5, abs=1e-12)
         p_uni = counterexample_probability(UNITARY_ONLY, amplitudes=amps)
         assert p_uni == pytest.approx(0.9, abs=1e-12)
+
+    @pytest.mark.parametrize("hypothesis", ["unitary_only", "subjective_collapse"])
+    @pytest.mark.parametrize("amps", [(1 / math.sqrt(2),) * 2, (math.sqrt(0.8), math.sqrt(0.2))])
+    def test_chunked_draws_match_two_whole_arrays(self, hypothesis, amps):
+        """More runs than one chunk: the frequency and the final generator state equal
+        those of the whole-array formula (branch uniforms, then outcome uniforms)."""
+        runs = 2 * _DRAW_CHUNK + 4099
+        reference, chunked = np.random.default_rng(41), np.random.default_rng(41)
+        if hypothesis == "unitary_only":
+            p = counterexample_probability(hypothesis, amplitudes=amps)
+            expected = float((reference.random(runs) < p).mean())
+        else:
+            space = CompositeSpace.qubits("A", "B", "C")
+            p_branch = np.array([
+                born_probabilities(PureState.basis(space, b), counterexample_measurement())[0]
+                for b in ("uu0", "dd0")
+            ])
+            branches = (reference.random(runs) >= abs(amps[0]) ** 2).astype(int)
+            expected = float((reference.random(runs) < p_branch[branches]).mean())
+        got = counterexample_frequencies(hypothesis, runs, chunked, amplitudes=amps)
+        assert got == expected
+        assert chunked.bit_generator.state == reference.bit_generator.state
 
 
 class TestBellSinglet:

@@ -5,9 +5,14 @@ final state.  A correlation-inequality search over joint wing
 measurements then asks two questions.  Can the hypothesis beat the
 local-deterministic bound of 2 at all?  And does it reproduce the value
 the fully unitary model attains at the shared optimal settings?
+
+The collapse-probability sweep is checked against its closed form
+s_max(p) = sqrt2 (p^2 - 2p + 2); the demo exits non-zero if a point is
+off by more than 1e-12.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -25,6 +30,12 @@ from wfsim import (
 )
 
 GRID = math.pi / 16  # grid cross-check of the exact optimum; pi/64 shrinks the gap
+CLOSED_FORM_TOL = 1e-12
+
+
+def closed_form_s_max(p):
+    """The exact optimum of stochastic_collapse(p): sqrt2 (p^2 - 2p + 2)."""
+    return math.sqrt(2.0) * (p * p - 2.0 * p + 2.0)
 
 
 def main():
@@ -56,12 +67,20 @@ def main():
     # grid search never beats the exact optimum
     labels = (scenario.alice_labels, scenario.bob_labels)
     print("\ncollapse probability sweep (own optimum per point):")
+    worst = 0.0
     for p in np.linspace(0.0, 1.0, 5):
         state = scenario.exact_state_under(f"stochastic_collapse(p={p})")
         _, s_max = exact_optimum(state, *labels)
         _, s_grid = optimize_settings(state, GRID, *labels)
         above = "violates" if s_max > 2.0 + 1e-9 else "classical"
         print(f"  p = {p:.2f}  s_max = {s_max:.6f}  grid gap = {s_max - s_grid:.2e}  ({above})")
+        closed = closed_form_s_max(p)
+        worst = max(worst, abs(s_max - closed))
+        print(f"            closed form sqrt2 (p^2 - 2p + 2) = {closed:.6f}  off by {abs(s_max - closed):.1e}")
+    p_star = 1.0 - math.sqrt(math.sqrt(2.0) - 1.0)
+    print(f"  the violation vanishes at p* = 1 - sqrt(sqrt2 - 1) = {p_star:.6f}")
+    if not worst <= CLOSED_FORM_TOL:
+        sys.exit(f"sweep is off its closed form by {worst:.3e} > {CLOSED_FORM_TOL:g}")
 
     # the angles behind the unitary optimum, for the curious
     settings, s_max = exact_optimum(scenario.exact_state_under(UNITARY_ONLY), *labels)

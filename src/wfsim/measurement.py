@@ -314,18 +314,22 @@ _STOCHASTIC_RE = re.compile(r"^stochastic_collapse\(\s*(?:p\s*=\s*)?([0-9.eE+-]+
 class CollapseHypothesis:
     """Which story is told about the friend interactions.
 
-    * ``unitary_only``: nothing but unitary evolution ever happens.
-    * ``friend_projective``: each friend's outcome is physically realized
-      (projective collapse at the interaction).
-    * ``friend_dephasing``: each friend's factor is dephased, the proper
-      mixture with a definite-but-unknown outcome.
-    * ``subjective_collapse``: the friend has an outcome relative to
+    Each is a distribution over sets of dephased factors of the unitary state, and
+    :func:`exact_ensemble` is the one rule that turns it into the exact ensemble:
+
+    * ``unitary_only``, {none: 1}: nothing but unitary evolution ever happens.
+    * ``friend_projective``, {friends: 1}: each friend's outcome is physically
+      realized (projective collapse at the interaction); per run it differs from
+      friend_dephasing, on average it does not.
+    * ``friend_dephasing``, {friends: 1}: each friend's factor is dephased, the
+      proper mixture with a definite-but-unknown outcome.
+    * ``subjective_collapse``, {all sites: 1}: the friend has an outcome relative to
       itself; rendered as branch sampling whose ensemble is a dephasing.
-    * ``stochastic_collapse``: collapse fires independently at each
-      interaction event with probability p; p=0 is unitary_only and p=1
-      is subjective_collapse.  On the four-photon state p=1 also equals
-      friend_projective, but only because each friend anti-copies its
-      photon, so dephasing the friends dephases the photons too.
+    * ``stochastic_collapse``, the product over sites of {none: 1 - p, site: p}:
+      collapse fires independently at each interaction event with probability p;
+      p=0 is unitary_only and p=1 is subjective_collapse.  On the four-photon state
+      p=1 also equals friend_projective, but only because each friend anti-copies
+      its photon, so dephasing the friends dephases the photons too.
     """
 
     variant: str
@@ -371,3 +375,25 @@ UNITARY_ONLY = CollapseHypothesis("unitary_only")
 FRIEND_PROJECTIVE = CollapseHypothesis("friend_projective")
 FRIEND_DEPHASING = CollapseHypothesis("friend_dephasing")
 SUBJECTIVE_COLLAPSE = CollapseHypothesis("subjective_collapse")
+
+
+def exact_ensemble(rho: DensityOperator, hypothesis: CollapseHypothesis | str,
+                   sites: Sequence[Sequence[str]], friends: Sequence[str]) -> DensityOperator:
+    """The hypothesis's distribution (see :class:`CollapseHypothesis`) applied to the unitary
+    density ``rho``: the weighted mixture of its dephasings.
+
+    ``sites`` are the collapse sites, one label tuple each; ``friends`` the friend labels.
+    Stochastic terms vary the first site fastest (none, A, B, AB for two sites) and multiply
+    weights in site order.  A one-term distribution returns its dephasing, or ``rho`` itself.
+    """
+    hypothesis = CollapseHypothesis.parse(hypothesis)
+    variant, p = hypothesis.variant, hypothesis.probability
+    if variant == "stochastic_collapse":
+        fired = [bits[::-1] for bits in itertools.product((False, True), repeat=len(sites))]
+        terms = [(math.prod(p if f else 1 - p for f in fs), [s for f, s in zip(fs, sites) if f])
+                 for fs in fired]
+    else:
+        terms = [(1.0, {"unitary_only": [], "subjective_collapse": sites}.get(variant, [friends]))]
+    ensemble = [(w, dephase(rho, on) if (on := tuple(itertools.chain(*group))) else rho)
+                for w, group in terms]
+    return ensemble[0][1] if len(ensemble) == 1 else DensityOperator.mixture(ensemble)

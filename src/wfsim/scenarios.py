@@ -49,7 +49,7 @@ from .measurement import (
     CollapseHypothesis,
     ProjectiveMeasurement,
     born_probabilities,
-    dephase,
+    exact_ensemble,
     projective_collapse,
 )
 
@@ -269,44 +269,12 @@ class ProiettiScenario:
         a, b = self.herald_probabilities
         return a * b
 
-    def exact_state_under(
-        self, hypothesis: CollapseHypothesis | str
-    ) -> DensityOperator:
-        """Exact pre-measurement density operator for a hypothesis.
-
-        * unitary_only: the pure final state.
-        * friend_dephasing: friend factors (alpha, beta) dephased.
-        * friend_projective: realized outcomes at both friends; its exact
-          ensemble is the same dephasing (the two differ per run, not in
-          the average).
-        * subjective_collapse: ensemble of claimed-branch runs on both
-          wings, a dephasing on (a, alpha, b, beta).
-        * stochastic_collapse(p): each wing collapses independently with
-          probability p; convex mixture of the four combinations.
-        """
-        hypothesis = CollapseHypothesis.parse(hypothesis)
-        rho_u = self.final.state.density()
-        variant = hypothesis.variant
-        if variant == "unitary_only":
-            return rho_u
-        if variant in ("friend_dephasing", "friend_projective"):
-            return dephase(rho_u, ("alpha", "beta"))
-        if variant == "subjective_collapse":
-            return dephase(rho_u, ("a", "alpha", "b", "beta"))
-        if variant == "stochastic_collapse":
-            p = float(hypothesis.probability)
-            rho_a = dephase(rho_u, ("a", "alpha"))
-            rho_b = dephase(rho_u, ("b", "beta"))
-            rho_ab = dephase(rho_u, ("a", "alpha", "b", "beta"))
-            return DensityOperator.mixture(
-                [
-                    ((1 - p) * (1 - p), rho_u),
-                    (p * (1 - p), rho_a),
-                    ((1 - p) * p, rho_b),
-                    (p * p, rho_ab),
-                ]
-            )
-        raise ShapeError(f"no exact state defined for hypothesis {hypothesis.name}")
+    def exact_state_under(self, hypothesis: CollapseHypothesis | str) -> DensityOperator:
+        """Exact pre-measurement density operator for a hypothesis: the one rule
+        :func:`~wfsim.measurement.exact_ensemble` on the unitary final density, with the
+        wings (a, alpha) and (b, beta) as collapse sites and (alpha, beta) as friends."""
+        sites = (self.alice_labels, self.bob_labels)
+        return exact_ensemble(self.final.state.density(), hypothesis, sites, ("alpha", "beta"))
 
 
 @lru_cache(maxsize=1)
@@ -335,17 +303,17 @@ def counterexample_measurement() -> ProjectiveMeasurement:
     )
 
 
-def _counterexample_amplitudes(amplitudes: Sequence[complex]) -> tuple[complex, complex]:
+def _counterexample_unitary(amplitudes: Sequence[complex]) -> PureState:
+    """The unitary state c_up |u u 0> + c_down |d d 0> on (A, B, C)."""
     c_up, c_down = complex(amplitudes[0]), complex(amplitudes[1])
     total = abs(c_up) ** 2 + abs(c_down) ** 2
     if abs(total - 1.0) > 1e-10:
         raise InvalidState(f"branch amplitudes have squared norm {total!r}, not 1")
-    return c_up, c_down
+    space = CompositeSpace.qubits(*COUNTEREXAMPLE_ORDER)
+    return PureState.from_mapping(space, {"uu0": c_up, "dd0": c_down})
 
 
-def _counterexample_hypothesis(
-    hypothesis: CollapseHypothesis | str,
-) -> CollapseHypothesis:
+def _counterexample_hypothesis(hypothesis: CollapseHypothesis | str) -> CollapseHypothesis:
     hypothesis = CollapseHypothesis.parse(hypothesis)
     if hypothesis.variant not in COUNTEREXAMPLE_HYPOTHESES:
         raise ShapeError(
@@ -370,34 +338,23 @@ def counterexample_state_under(
     same machinery without an external reference.
     """
     hypothesis = _counterexample_hypothesis(hypothesis)
-    c_up, c_down = _counterexample_amplitudes(amplitudes)
-    space = CompositeSpace.qubits(*COUNTEREXAMPLE_ORDER)
+    unitary = _counterexample_unitary(amplitudes)
     if hypothesis.variant == "unitary_only":
-        state = PureState.from_mapping(space, {"uu0": c_up, "dd0": c_down})
-        return ScenarioState(stage="final", state=state, hypothesis=hypothesis)
+        return ScenarioState(stage="final", state=unitary, hypothesis=hypothesis)
     if rng is None:
         raise InvalidState("subjective_collapse sampling needs a Generator")
-    p_up = abs(c_up) ** 2
-    branch = 0 if rng.random() < p_up else 1
-    state = PureState.basis(space, "uu0" if branch == 0 else "dd0")
-    return ScenarioState(
-        stage="collapsed", state=state, hypothesis=hypothesis, branch=branch
-    )
+    branch = 0 if rng.random() < abs(unitary.amplitude("uu0")) ** 2 else 1
+    state = PureState.basis(unitary.space, "uu0" if branch == 0 else "dd0")
+    return ScenarioState(stage="collapsed", state=state, hypothesis=hypothesis, branch=branch)
 
 
 def counterexample_density(
     hypothesis: CollapseHypothesis | str,
     amplitudes: Sequence[complex] = (1 / _SQRT2, 1 / _SQRT2),
 ) -> DensityOperator:
-    """Exact ensemble density operator for either hypothesis."""
+    """Exact ensemble density operator for either hypothesis: A is the collapse site."""
     hypothesis = _counterexample_hypothesis(hypothesis)
-    c_up, c_down = _counterexample_amplitudes(amplitudes)
-    space = CompositeSpace.qubits(*COUNTEREXAMPLE_ORDER)
-    if hypothesis.variant == "unitary_only":
-        return PureState.from_mapping(space, {"uu0": c_up, "dd0": c_down}).density()
-    up = PureState.basis(space, "uu0").density()
-    down = PureState.basis(space, "dd0").density()
-    return DensityOperator.mixture([(abs(c_up) ** 2, up), (abs(c_down) ** 2, down)])
+    return exact_ensemble(_counterexample_unitary(amplitudes).density(), hypothesis, (("A",),), ())
 
 
 def counterexample_probability(
@@ -431,20 +388,25 @@ def counterexample_frequencies(
     """Frequency of photon receipt over many seeded runs, vectorized.
 
     Fixed draw order: under subjective_collapse ``runs`` uniforms select branches,
-    then the next ``runs`` of the PCG64 stream decide outcomes against the per-branch
-    Born probability; under unitary_only ``runs`` uniforms meet the exact probability.
+    then the next ``runs`` of the stream decide outcomes against the per-branch Born
+    probability; under unitary_only ``runs`` uniforms meet the exact probability.
     Drawn in chunks, statistically identical to looping :func:`counterexample_run`.
+    The outcome uniforms are reached by ``advance``, so subjective_collapse raises
+    InvalidState unless the bit generator is PCG64 or PCG64DXSM.
     """
     if runs < 1:
         raise ShapeError("runs must be at least 1")
     hypothesis = _counterexample_hypothesis(hypothesis)
-    c_up, c_down = _counterexample_amplitudes(amplitudes)
+    psi = _counterexample_unitary(amplitudes)
+    p_up = abs(psi.amplitude("uu0")) ** 2
     meas = counterexample_measurement()
     unitary = hypothesis.variant == "unitary_only"
+    if not unitary and not isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise InvalidState("subjective_collapse frequencies need PCG64 or PCG64DXSM, whose "
+                           f"advance skips whole draws, not {type(rng.bit_generator).__name__}")
     p_unitary = counterexample_probability(hypothesis, amplitudes) if unitary else None
-    space = CompositeSpace.qubits(*COUNTEREXAMPLE_ORDER)
-    branch_states = () if unitary else (PureState.basis(space, b) for b in ("uu0", "dd0"))
-    p_branch = np.array([born_probabilities(psi, meas)[0] for psi in branch_states])
+    branch_states = () if unitary else (PureState.basis(psi.space, b) for b in ("uu0", "dd0"))
+    p_branch = np.array([born_probabilities(branch, meas)[0] for branch in branch_states])
     buffered = {k: v for k, v in rng.bit_generator.state.items() if k in ("has_uint32", "uinteger")}
     outcomes = rng if unitary else copy.deepcopy(rng)
     if not unitary:  # the outcome uniforms follow every branch uniform
@@ -452,7 +414,7 @@ def counterexample_frequencies(
     hits = 0
     for start in range(0, runs, _DRAW_CHUNK):
         n = min(_DRAW_CHUNK, runs - start)
-        p = p_unitary if unitary else p_branch[(rng.random(n) >= abs(c_up) ** 2).astype(int)]
+        p = p_unitary if unitary else p_branch[(rng.random(n) >= p_up).astype(int)]
         hits += int(np.count_nonzero(outcomes.random(n) < p))
     rng.bit_generator.state = outcomes.bit_generator.state | buffered  # advance() drops the buffer
     return hits / runs

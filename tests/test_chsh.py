@@ -359,6 +359,15 @@ class TestExactOptimum:
         with pytest.raises(ShapeError):
             exact_optimum(rho)
 
+    def test_stochastic_optimum_has_its_closed_form(self):
+        """s_max(p) = sqrt2 (p^2 - 2p + 2) over the eleven-point sweep: 2 sqrt2 at p = 0,
+        sqrt2 at p = 1, and 2 at p* = 1 - sqrt(sqrt2 - 1)."""
+        scenario, _, labels = self._unitary_and_labels()
+        for p in (k / 10 for k in range(11)):
+            rho = scenario.exact_state_under(CollapseHypothesis.stochastic(p))
+            _, s_max = exact_optimum(rho, *labels)
+            assert abs(s_max - math.sqrt(2.0) * (p * p - 2 * p + 2)) <= 1e-12, p
+
 
 class TestSampleInequality:
     def test_same_seed_same_estimate(self):

@@ -29,7 +29,7 @@ from wfsim import (
     purity,
 )
 
-from wfsim.measurement import _clipped_distribution
+from wfsim.measurement import _clipped_distribution, exact_ensemble
 
 from _oracles import random_pure
 
@@ -400,6 +400,40 @@ class TestProjectiveCollapse:
             )
             assert held[0] == fresh[0]
             assert held[1].amplitudes.tobytes() == fresh[1].amplitudes.tobytes()
+
+
+class TestExactEnsemble:
+    """Every hypothesis: a distribution over dephased factor sets of the unitary density."""
+
+    SITES = (("x",), ("y", "w"), ("z",))
+
+    def _rho(self):
+        rng = np.random.default_rng(16)
+        space = CompositeSpace.qubits("x", "y", "w", "z")
+        return PureState(space, random_pure(rng, 16)).density()
+
+    def test_one_term_distributions_build_no_mixture(self):
+        rho = self._rho()
+        assert exact_ensemble(rho, UNITARY_ONLY, self.SITES, ("w",)) is rho
+        for variant, on in (("friend_dephasing", ("w",)), ("friend_projective", ("w",)),
+                            ("subjective_collapse", ("x", "y", "w", "z"))):
+            got = exact_ensemble(rho, variant, self.SITES, ("w",))
+            assert np.array_equal(got.matrix, dephase(rho, on).matrix)
+
+    def test_stochastic_terms_vary_the_first_site_fastest(self):
+        """Three sites: eight terms none, x, yw, x+yw, z, x+z, yw+z, all; each weight is
+        the product over sites, in site order, of p where the site fired and 1 - p not."""
+        rho, p = self._rho(), 0.3
+        terms = []
+        for fired in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0),
+                      (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)):
+            on = tuple(lbl for f, site in zip(fired, self.SITES) if f for lbl in site)
+            weight = 1.0
+            for f in fired:
+                weight *= p if f else 1 - p
+            terms.append((weight, dephase(rho, on) if on else rho))
+        got = exact_ensemble(rho, CollapseHypothesis.stochastic(p), self.SITES, ("w",))
+        assert np.array_equal(got.matrix, DensityOperator.mixture(terms).matrix)
 
 
 class TestCollapseHypothesis:

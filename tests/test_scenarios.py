@@ -49,7 +49,7 @@ from wfsim import (
 )
 from wfsim.chsh import _basis_triple, _wing_moments
 from wfsim.measurement import CollapseHypothesis
-from wfsim.scenarios import _DRAW_CHUNK
+from wfsim.scenarios import _DRAW_CHUNK, counterexample_density
 
 COS_AMP = 0.6532814824381883
 SIN_AMP = 0.2705980500730985
@@ -196,6 +196,21 @@ class TestProiettiScenario:
         p1 = scenario.exact_state_under(CollapseHypothesis.stochastic(1.0)).matrix
         for other in (SUBJECTIVE_COLLAPSE, FRIEND_PROJECTIVE):
             assert np.max(np.abs(p1 - scenario.exact_state_under(other).matrix)) == 0.0
+
+    @pytest.mark.parametrize("p", [k / 10 for k in range(11)] + [0.35])
+    def test_stochastic_is_the_four_term_mixture_of_dephasings(self, p):
+        """Bitwise the mixture of the unitary density's dephasings on none, (a, alpha),
+        (b, beta) and all four, weighted (1-p)(1-p), p(1-p), (1-p)p, pp."""
+        scenario = proietti_scenario()
+        rho = scenario.exact_state_under(UNITARY_ONLY)
+        expected = DensityOperator.mixture([
+            ((1 - p) * (1 - p), rho),
+            (p * (1 - p), dephase(rho, ("a", "alpha"))),
+            ((1 - p) * p, dephase(rho, ("b", "beta"))),
+            (p * p, dephase(rho, ("a", "alpha", "b", "beta"))),
+        ])
+        got = scenario.exact_state_under(CollapseHypothesis.stochastic(p))
+        assert np.array_equal(got.matrix, expected.matrix)
 
     def test_stochastic_intermediate_is_valid(self):
         rho = proietti_scenario().exact_state_under("stochastic_collapse(0.35)")
@@ -371,6 +386,20 @@ class TestCounterexample:
         )
         assert f1 == f2
 
+    @pytest.mark.parametrize("amps", [(1 / math.sqrt(2),) * 2, (math.sqrt(0.8), math.sqrt(0.2))])
+    def test_collapse_density_is_the_dephased_unitary_state(self, amps):
+        unitary = counterexample_state_under(UNITARY_ONLY, amplitudes=amps).state.density()
+        rho = counterexample_density(SUBJECTIVE_COLLAPSE, amplitudes=amps)
+        assert np.array_equal(rho.matrix, dephase(unitary, ("A",)).matrix)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox])
+    def test_collapse_frequencies_reject_generators_that_advance_otherwise(self, bit_generator):
+        """MT19937 and SFC64 have no advance, and Philox's skips four draws per step."""
+        rng = np.random.Generator(bit_generator(41))
+        with pytest.raises(InvalidState, match=bit_generator.__name__):
+            counterexample_frequencies(SUBJECTIVE_COLLAPSE, 1000, rng)
+        assert counterexample_frequencies(UNITARY_ONLY, 1000, rng) == 1.0
+
     def test_unequal_amplitudes(self):
         """Hand-derived: under collapse P = w |<phi+|uu>|^2 + (1-w) |<phi+|dd>|^2
         = 1/2 for any branch weight w, while the unitary interference term
@@ -383,11 +412,12 @@ class TestCounterexample:
 
     @pytest.mark.parametrize("hypothesis", ["unitary_only", "subjective_collapse"])
     @pytest.mark.parametrize("amps", [(1 / math.sqrt(2),) * 2, (math.sqrt(0.8), math.sqrt(0.2))])
-    def test_chunked_draws_match_two_whole_arrays(self, hypothesis, amps):
+    def test_chunked_draws_match_two_whole_arrays(self, hypothesis, amps, bit_generator=np.random.PCG64):
         """More runs than one chunk: the frequency and the final generator state equal
-        those of the whole-array formula (branch uniforms, then outcome uniforms)."""
+        those of the whole-array formula (branch uniforms, then outcome uniforms).
+        The default bit generator is default_rng's."""
         runs = 2 * _DRAW_CHUNK + 4099
-        reference, chunked = np.random.default_rng(41), np.random.default_rng(41)
+        reference, chunked = (np.random.Generator(bit_generator(41)) for _ in range(2))
         if hypothesis == "unitary_only":
             p = counterexample_probability(hypothesis, amplitudes=amps)
             expected = float((reference.random(runs) < p).mean())
@@ -402,6 +432,12 @@ class TestCounterexample:
         got = counterexample_frequencies(hypothesis, runs, chunked, amplitudes=amps)
         assert got == expected
         assert chunked.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("hypothesis", ["unitary_only", "subjective_collapse"])
+    @pytest.mark.parametrize("amps", [(1 / math.sqrt(2),) * 2, (math.sqrt(0.8), math.sqrt(0.2))])
+    def test_chunked_draws_match_two_whole_arrays_pcg64dxsm(self, hypothesis, amps):
+        """PCG64DXSM's advance also counts whole draws."""
+        self.test_chunked_draws_match_two_whole_arrays(hypothesis, amps, np.random.PCG64DXSM)
 
 
 class TestBellSinglet:

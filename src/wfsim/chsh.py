@@ -65,7 +65,12 @@ scan evaluates only the upper triangle i <= j of the distinct directions,
 keeping the first z.  It walks the triangle in row blocks of a fixed
 number of rows, each from its own first row on, so its memory does not
 depend on the step; a later block wins only when strictly larger, which
-keeps the tie rule.
+keeps the tie rule.  A block's pair sums |K b_i|^2 + |K b_j|^2 are one
+matrix product of the rows [|K b_i|^2, 1] by the columns [1, |K b_j|^2]:
+a product by 1 is exact and a sum of two terms rounds once, in any order
+and with or without FMA, so they equal the elementwise sums bitwise.  The
+block's two square-root terms share one array, so clamping them at 0 and
+taking their roots are one call each.
 """
 
 from __future__ import annotations
@@ -95,8 +100,12 @@ TSIRELSON_TOL = 1e-9
 CONSISTENCY_TOL = 1e-6  # |S - S_data| at the shared settings that still reproduces the data
 
 # Accepted grid steps, inclusive.  The scan cost grows as step**-4: one pi/128
-# scan takes 3.2-3.5 s and 36 MB peak RSS on a 2-core Xeon, each halving 16x more.
+# scan takes 3.8-5.2 s and 37 MB peak RSS on a shared 2-core Xeon, each halving 16x more.
 GRID_STEP_RANGE = (math.pi / 128, math.pi / 8)
+
+# Most grid pairs a run may scan, counted as (hypotheses + 1) scans of _scan_pairs:
+# sixteen pi/128 scans, one to one and a half minutes on that Xeon.  More exits 2 up front.
+_GRID_PAIR_BUDGET = 1 << 33
 
 
 def grid_step_in_range(step: float) -> bool:
@@ -293,14 +302,27 @@ def _correlation_kernel(
     return _wing_moments(state, alice_space, bob_space, a3, b3)
 
 
+def _grid_shape(step: float) -> tuple[int, int]:
+    """(n_theta, n_phi): multiples of step in [0, pi] and in [0, 2 pi)."""
+    n_theta = int(math.floor(math.pi / step + 1e-9)) + 1
+    n_phi = int(math.floor(2.0 * math.pi / step - 1e-9)) + 1
+    return n_theta, n_phi
+
+
+def _scan_pairs(step: float) -> int:
+    """The triangle n(n + 1)/2 over the scan's n distinct directions (one z at theta = 0)."""
+    n_theta, n_phi = _grid_shape(step)
+    n = (n_theta - 1) * n_phi + 1
+    return n * (n + 1) // 2
+
+
 def _sphere_grid(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(theta values, phi values, unit vectors) for the product grid.
 
     theta runs over multiples of step in [0, pi]; phi over multiples in
     [0, 2 pi).  Vectors are in row-major (theta, phi) order.
     """
-    n_theta = int(math.floor(math.pi / step + 1e-9)) + 1
-    n_phi = int(math.floor(2.0 * math.pi / step - 1e-9)) + 1
+    n_theta, n_phi = _grid_shape(step)
     thetas = np.arange(n_theta) * step
     phis = np.arange(n_phi) * step
     theta_grid, phi_grid = np.meshgrid(thetas, phis, indexing="ij")
@@ -318,7 +340,7 @@ def _angles_of(vector: np.ndarray) -> tuple[float, float]:
     return theta, phi
 
 
-# Pairs per scan block, sized so that the three block buffers stay cache-resident.
+# Pairs per scan block, sized so that the block's three arrays stay cache-resident.
 _BLOCK_PAIRS = 1 << 15
 
 
@@ -330,22 +352,29 @@ def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np
     twice = 2.0 * w  # exact, so plus and minus round as pair_sum +/- 2 gram
     norms2 = np.einsum("ij,ij->i", w, w)
     n = vectors.shape[0]
+    # [n_i, 1] @ [1, n_j] = n_i + n_j bitwise: both products are exact, and a two-term
+    # sum rounds once in any order and with or without FMA.  The product beats a broadcast
+    # add on blocks of many short rows (63 at pi/16) and trails it on one-row blocks.
+    left = np.stack([norms2, np.ones(n)], axis=1)
+    right = np.stack([np.ones(n), norms2])
 
     rows = max(1, _BLOCK_PAIRS // n)
-    buffers = [np.empty(rows * n) for _ in range(3)]
+    buffer = np.empty(3 * rows * n)
     best_value = -math.inf
     best_pair = (0, 0)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         shape = (stop - start, n - start)  # columns from the block's first row on
-        gram, plus, minus = (buffer[: shape[0] * shape[1]].reshape(shape) for buffer in buffers)
+        size = shape[0] * shape[1]
+        gram = buffer[:size].reshape(shape)
+        halves = buffer[size : 3 * size].reshape(2, *shape)  # (plus, minus)
+        plus, minus = halves
         np.matmul(twice[start:stop], w[start:].T, out=gram)
-        np.add(norms2[start:stop, None], norms2[None, start:], out=plus)
+        np.matmul(left[start:stop], right[:, start:], out=plus)
         np.subtract(plus, gram, out=minus)
         plus += gram
-        for half in (plus, minus):
-            np.maximum(half, 0.0, out=half)
-            np.sqrt(half, out=half)
+        np.maximum(halves, 0.0, out=halves)
+        np.sqrt(halves, out=halves)
         plus += minus
         local = int(np.argmax(plus))
         value = float(plus.flat[local])

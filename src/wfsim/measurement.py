@@ -386,6 +386,14 @@ def exact_ensemble(rho: DensityOperator, hypothesis: CollapseHypothesis | str,
     Stochastic terms vary the first site fastest (none, A, B, AB for two sites) and multiply
     weights in site order.  A one-term distribution returns its dephasing, or ``rho`` itself.
     """
+    terms = _ensemble_terms(hypothesis, sites, friends)
+    return _mix([(w, dephase(rho, on) if on else rho) for w, on in terms])
+
+
+def _ensemble_terms(hypothesis: CollapseHypothesis | str, sites: Sequence[Sequence[str]],
+                    friends: Sequence[str]) -> list[tuple[float, tuple[str, ...]]]:
+    """The hypothesis's distribution as (weight, dephased labels) terms, in the order of
+    :func:`exact_ensemble`; the labels of no dephasing are ()."""
     hypothesis = CollapseHypothesis.parse(hypothesis)
     variant, p = hypothesis.variant, hypothesis.probability
     if variant == "stochastic_collapse":
@@ -394,6 +402,9 @@ def exact_ensemble(rho: DensityOperator, hypothesis: CollapseHypothesis | str,
                  for fs in fired]
     else:
         terms = [(1.0, {"unitary_only": [], "subjective_collapse": sites}.get(variant, [friends]))]
-    ensemble = [(w, dephase(rho, on) if (on := tuple(itertools.chain(*group))) else rho)
-                for w, group in terms]
+    return [(w, tuple(itertools.chain(*group))) for w, group in terms]
+
+
+def _mix(ensemble: list[tuple[float, DensityOperator]]) -> DensityOperator:
+    """One term's density itself, otherwise the validated mixture of the terms."""
     return ensemble[0][1] if len(ensemble) == 1 else DensityOperator.mixture(ensemble)

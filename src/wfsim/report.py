@@ -25,9 +25,11 @@ import numpy as np
 
 from . import __version__
 from .chsh import (
+    _GRID_PAIR_BUDGET,
     InequalityResult,
     _best_settings,
     _grid_gap,
+    _scan_pairs,
     correlator,
     grid_step_in_range,
     hypothesis_comparison,
@@ -92,7 +94,8 @@ class ScenarioConfig:
     lives there and raises ConfigError.  ``hypotheses`` may also be one
     comma-separated string; ``None`` takes the scenario's defaults.
     ``grid_step`` is ``None`` (no grid) or the step of a grid search run
-    as a cross-check of each exact ``s_max``, reported as ``grid_gap``.
+    as a cross-check of each exact ``s_max``, reported as ``grid_gap``; the
+    (hypotheses + 1) scans it may cost must fit the grid pair budget.
     """
 
     scenario: str = "proietti"
@@ -148,6 +151,12 @@ class ScenarioConfig:
                     f"got {self.grid_step!r}"
                 )
             object.__setattr__(self, "grid_step", float(self.grid_step))
+            pairs = (len(self.hypotheses) + 1) * _scan_pairs(self.grid_step)
+            if pairs > _GRID_PAIR_BUDGET:
+                raise ConfigError(
+                    f"grid_step {self.grid_step!r} with {len(self.hypotheses)} hypotheses "
+                    f"scans {pairs:,} grid pairs, over the budget of {_GRID_PAIR_BUDGET:,}"
+                )
         if self.output_format not in _FORMATS:
             raise ConfigError(
                 f"output_format must be 'csv' or 'json', got {self.output_format!r}"

@@ -28,7 +28,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -48,7 +48,10 @@ from .measurement import (
     UNITARY_ONLY,
     CollapseHypothesis,
     ProjectiveMeasurement,
+    _ensemble_terms,
+    _mix,
     born_probabilities,
+    dephase,
     exact_ensemble,
     projective_collapse,
 )
@@ -248,6 +251,7 @@ class ProiettiScenario:
 
     alice_labels = ("a", "alpha")
     bob_labels = ("b", "beta")
+    _friend_labels = ("alpha", "beta")
 
     def __init__(self) -> None:
         self.prepared = prepared_state()
@@ -269,12 +273,22 @@ class ProiettiScenario:
         a, b = self.herald_probabilities
         return a * b
 
+    @cached_property
+    def _held_densities(self) -> dict[tuple[str, ...], DensityOperator]:
+        """The unitary final density, keyed (), and each dephasing a hypothesis mixes, keyed
+        by its dephased labels: (a, alpha), (b, beta), all four and (alpha, beta)."""
+        rho = self.final.state.density()
+        a, b = self.alice_labels, self.bob_labels
+        sets = ((), a, b, a + b, self._friend_labels)
+        return {on: dephase(rho, on) if on else rho for on in sets}
+
     def exact_state_under(self, hypothesis: CollapseHypothesis | str) -> DensityOperator:
-        """Exact pre-measurement density operator for a hypothesis: the one rule
-        :func:`~wfsim.measurement.exact_ensemble` on the unitary final density, with the
-        wings (a, alpha) and (b, beta) as collapse sites and (alpha, beta) as friends."""
+        """Exact pre-measurement density operator for a hypothesis: the rule of
+        :func:`~wfsim.measurement.exact_ensemble` with the wings (a, alpha) and (b, beta) as
+        collapse sites and (alpha, beta) as friends, mixing the held densities, each built once."""
         sites = (self.alice_labels, self.bob_labels)
-        return exact_ensemble(self.final.state.density(), hypothesis, sites, ("alpha", "beta"))
+        terms = _ensemble_terms(hypothesis, sites, self._friend_labels)
+        return _mix([(w, self._held_densities[on]) for w, on in terms])
 
 
 @lru_cache(maxsize=1)

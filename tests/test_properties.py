@@ -357,6 +357,27 @@ def test_grid_pair_matches_full_table(seed, kind):
 
 
 @EXAMPLES
+@given(seed=SEEDS, kind=st.sampled_from(["random", "quarters", "diagonal"]))
+def test_grid_pair_matches_full_table_on_uneven_steps(seed, kind):
+    """Bitwise the full table's first maximum at steps that do not divide pi.
+
+    Such steps leave phi and theta rows short of 2 pi and pi, and at
+    step 0.2 (481 distinct directions, 68 rows per block) the last row
+    block is ragged.
+    """
+    rng = np.random.default_rng(seed)
+    kernel = rng.uniform(-1.0, 1.0, size=(3, 3))
+    if kind != "random":
+        kernel = np.round(4.0 * kernel) / 4.0
+    if kind == "diagonal":
+        kernel = np.diag(np.diag(kernel))
+    for step in (0.2, 0.3, 0.37):
+        picked = _grid_bob_pair(kernel, step)
+        expected = brute_grid_pair(kernel, step)
+        assert all(np.array_equal(a, b) for a, b in zip(picked, expected)), (kind, step)
+
+
+@EXAMPLES
 @given(seed=SEEDS, side=st.sampled_from(["A", "B"]))
 def test_friend_interaction_matches_brute_force(seed, side):
     """The heralded map M against the flat-index oracle, on either side.

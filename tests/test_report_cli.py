@@ -11,6 +11,7 @@ import pytest
 
 import wfsim.cli as cli
 from wfsim import ConfigError, InvariantViolation, ScenarioConfig, emit, run
+from wfsim.chsh import _GRID_PAIR_BUDGET, _scan_pairs
 from wfsim.report import CSV_COLUMNS, ENV_OUT_DIR, render_csv, render_json
 
 
@@ -101,6 +102,20 @@ class TestScenarioConfig:
             assert ScenarioConfig(grid_step=step).grid_step == step
         with pytest.raises(ConfigError, match=r"\[pi/128, pi/8\]"):
             ScenarioConfig(grid_step=math.pi / 129)
+
+    def test_grid_budget_admits_the_defaults_at_the_finest_step(self):
+        config = ScenarioConfig(grid_step=math.pi / 128)
+        assert config.hypotheses == ("unitary_only", "friend_dephasing")
+        assert 3 * _scan_pairs(math.pi / 128) <= _GRID_PAIR_BUDGET
+
+    def test_grid_budget_rejects_a_hundred_hypotheses_at_the_finest_step(self):
+        """101 scans of n(n + 1)/2 pairs, n = 128 * 256 + 1 distinct directions."""
+        hypotheses = tuple(f"stochastic_collapse({k / 100})" for k in range(100))
+        pairs = 101 * (32769 * 32770 // 2)
+        assert _scan_pairs(math.pi / 128) == 32769 * 32770 // 2
+        with pytest.raises(ConfigError, match=f"{pairs:,} grid pairs.*{_GRID_PAIR_BUDGET:,}"):
+            ScenarioConfig(hypotheses=hypotheses, grid_step=math.pi / 128)
+        assert ScenarioConfig(hypotheses=hypotheses, grid_step=math.pi / 8).grid_step
 
     def test_from_mapping_rejects_unknown_key_with_line(self):
         with pytest.raises(ConfigError, match=r"cfg\.json:4"):
@@ -364,6 +379,19 @@ class TestCliExitCodes:
         assert code == 2
         assert "2**63" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_grid_over_budget_exits_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def never(config):
+            raise AssertionError("an over-budget configuration reached run")
+
+        monkeypatch.setattr(cli, "run", never)
+        out = tmp_path / "r.csv"
+        hypotheses = ",".join(f"stochastic_collapse({k / 100})" for k in range(100))
+        code = cli.main(["--scenario", "proietti", "--hypotheses", hypotheses,
+                         "--grid-step", str(math.pi / 128), "--out", str(out)])
+        assert code == 2
+        assert f"over the budget of {_GRID_PAIR_BUDGET:,}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -14,6 +14,8 @@ import re
 import numpy as np
 import pytest
 
+import wfsim.measurement
+import wfsim.scenarios
 from wfsim import (
     CompositeSpace,
     DensityOperator,
@@ -40,6 +42,7 @@ from wfsim import (
     expected_final_state,
     friend_interaction,
     friend_pair_state,
+    hypothesis_comparison,
     partial_trace,
     prepared_state,
     proietti_scenario,
@@ -211,6 +214,45 @@ class TestProiettiScenario:
         ])
         got = scenario.exact_state_under(CollapseHypothesis.stochastic(p))
         assert np.array_equal(got.matrix, expected.matrix)
+
+    def test_one_term_hypotheses_return_the_held_density(self):
+        """unitary_only, friend_dephasing and subjective_collapse mix nothing: each call
+        returns the one density the scenario holds, read-only."""
+        scenario = proietti_scenario()
+        for hypothesis in (UNITARY_ONLY, FRIEND_DEPHASING, SUBJECTIVE_COLLAPSE):
+            rho = scenario.exact_state_under(hypothesis)
+            assert scenario.exact_state_under(hypothesis) is rho
+            assert scenario.exact_state_under(hypothesis.name) is rho
+            assert not rho.matrix.flags.writeable
+        assert scenario.exact_state_under(FRIEND_PROJECTIVE) is scenario.exact_state_under(
+            FRIEND_DEPHASING
+        )
+
+    def test_sweep_dephases_nothing_on_an_existing_scenario(self, monkeypatch):
+        """The 11-point comparison only mixes held dephasings: no dephase call, and one
+        DensityOperator (the mixture) per stochastic point."""
+        scenario = proietti_scenario()
+        scenario.exact_state_under(UNITARY_ONLY)  # builds the held densities on first use
+        calls = {"dephase": 0, "density": 0}
+
+        def counted_dephase(*args, **kwargs):
+            calls["dephase"] += 1
+            return dephase(*args, **kwargs)
+
+        validate_density = DensityOperator.__post_init__
+
+        def counted_density(self):
+            calls["density"] += 1
+            validate_density(self)
+
+        for module in (wfsim.measurement, wfsim.scenarios):
+            monkeypatch.setattr(module, "dephase", counted_dephase)
+        monkeypatch.setattr(DensityOperator, "__post_init__", counted_density)
+        sweep = [CollapseHypothesis.stochastic(k / 10) for k in range(11)]
+        results = hypothesis_comparison(scenario, sweep, grid_step=math.pi / 16)
+        assert len(results) == 11
+        assert calls["dephase"] == 0
+        assert calls["density"] <= 11
 
     def test_stochastic_intermediate_is_valid(self):
         rho = proietti_scenario().exact_state_under("stochastic_collapse(0.35)")

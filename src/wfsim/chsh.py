@@ -65,12 +65,8 @@ scan evaluates only the upper triangle i <= j of the distinct directions,
 keeping the first z.  It walks the triangle in row blocks of a fixed
 number of rows, each from its own first row on, so its memory does not
 depend on the step; a later block wins only when strictly larger, which
-keeps the tie rule.  A block's pair sums |K b_i|^2 + |K b_j|^2 are one
-matrix product of the rows [|K b_i|^2, 1] by the columns [1, |K b_j|^2]:
-a product by 1 is exact and a sum of two terms rounds once, in any order
-and with or without FMA, so they equal the elementwise sums bitwise.  The
-block's two square-root terms share one array, so clamping them at 0 and
-taking their roots are one call each.
+keeps the tie rule.  The block's two square-root terms share one array,
+so clamping them at 0 and taking their roots are one call each.
 """
 
 from __future__ import annotations
@@ -100,7 +96,7 @@ TSIRELSON_TOL = 1e-9
 CONSISTENCY_TOL = 1e-6  # |S - S_data| at the shared settings that still reproduces the data
 
 # Accepted grid steps, inclusive.  The scan cost grows as step**-4: one pi/128
-# scan takes 3.8-5.2 s and 37 MB peak RSS on a shared 2-core Xeon, each halving 16x more.
+# scan takes 4.2-5.0 s and 36 MB peak RSS on a shared 2-core Xeon, each halving 16x more.
 GRID_STEP_RANGE = (math.pi / 128, math.pi / 8)
 
 # Most grid pairs a run may scan, counted as (hypotheses + 1) scans of _scan_pairs:
@@ -352,11 +348,6 @@ def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np
     twice = 2.0 * w  # exact, so plus and minus round as pair_sum +/- 2 gram
     norms2 = np.einsum("ij,ij->i", w, w)
     n = vectors.shape[0]
-    # [n_i, 1] @ [1, n_j] = n_i + n_j bitwise: both products are exact, and a two-term
-    # sum rounds once in any order and with or without FMA.  The product beats a broadcast
-    # add on blocks of many short rows (63 at pi/16) and trails it on one-row blocks.
-    left = np.stack([norms2, np.ones(n)], axis=1)
-    right = np.stack([np.ones(n), norms2])
 
     rows = max(1, _BLOCK_PAIRS // n)
     buffer = np.empty(3 * rows * n)
@@ -370,7 +361,9 @@ def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np
         halves = buffer[size : 3 * size].reshape(2, *shape)  # (plus, minus)
         plus, minus = halves
         np.matmul(twice[start:stop], w[start:].T, out=gram)
-        np.matmul(left[start:stop], right[:, start:], out=plus)
+        # A product [n_i, 1] @ [1, n_j] gives these sums bitwise too, and faster on blocks of
+        # many short rows, but slower on the one-row blocks of steps finer than about pi/90.
+        np.add(norms2[start:stop, None], norms2[None, start:], out=plus)
         np.subtract(plus, gram, out=minus)
         plus += gram
         np.maximum(halves, 0.0, out=halves)

@@ -275,12 +275,9 @@ class ProiettiScenario:
 
     @cached_property
     def _held_densities(self) -> dict[tuple[str, ...], DensityOperator]:
-        """The unitary final density, keyed (), and each dephasing a hypothesis mixes, keyed
-        by its dephased labels: (a, alpha), (b, beta), all four and (alpha, beta)."""
-        rho = self.final.state.density()
-        a, b = self.alice_labels, self.bob_labels
-        sets = ((), a, b, a + b, self._friend_labels)
-        return {on: dephase(rho, on) if on else rho for on in sets}
+        """The unitary final density, keyed (), and each dephasing of it built so far, keyed
+        by its dephased labels; :meth:`exact_state_under` adds each on first use."""
+        return {(): self.final.state.density()}
 
     def exact_state_under(self, hypothesis: CollapseHypothesis | str) -> DensityOperator:
         """Exact pre-measurement density operator for a hypothesis: the rule of
@@ -288,7 +285,11 @@ class ProiettiScenario:
         collapse sites and (alpha, beta) as friends, mixing the held densities, each built once."""
         sites = (self.alice_labels, self.bob_labels)
         terms = _ensemble_terms(hypothesis, sites, self._friend_labels)
-        return _mix([(w, self._held_densities[on]) for w, on in terms])
+        held = self._held_densities
+        for _, on in terms:
+            if on not in held:
+                held[on] = dephase(held[()], on)
+        return _mix([(w, held[on]) for w, on in terms])
 
 
 @lru_cache(maxsize=1)

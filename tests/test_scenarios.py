@@ -229,10 +229,12 @@ class TestProiettiScenario:
         )
 
     def test_sweep_dephases_nothing_on_an_existing_scenario(self, monkeypatch):
-        """The 11-point comparison only mixes held dephasings: no dephase call, and one
-        DensityOperator (the mixture) per stochastic point."""
+        """Once the scenario has built the dephasings a sweep mixes, the 11-point comparison
+        only mixes them: no dephase call, and one DensityOperator (the mixture) per point."""
         scenario = proietti_scenario()
-        scenario.exact_state_under(UNITARY_ONLY)  # builds the held densities on first use
+        sweep = [CollapseHypothesis.stochastic(k / 10) for k in range(11)]
+        for hypothesis in sweep:
+            scenario.exact_state_under(hypothesis)  # each dephasing is built on first use
         calls = {"dephase": 0, "density": 0}
 
         def counted_dephase(*args, **kwargs):
@@ -248,7 +250,6 @@ class TestProiettiScenario:
         for module in (wfsim.measurement, wfsim.scenarios):
             monkeypatch.setattr(module, "dephase", counted_dephase)
         monkeypatch.setattr(DensityOperator, "__post_init__", counted_density)
-        sweep = [CollapseHypothesis.stochastic(k / 10) for k in range(11)]
         results = hypothesis_comparison(scenario, sweep, grid_step=math.pi / 16)
         assert len(results) == 11
         assert calls["dephase"] == 0

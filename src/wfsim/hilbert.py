@@ -491,7 +491,12 @@ def _factors_back(front: np.ndarray, space: CompositeSpace, sub: CompositeSpace)
     """Flat amplitudes over ``space`` from a front-ordered array; inverts ``_factors_first``."""
     perm = _front_order(space, sub)
     tens = front.reshape(tuple(space.dims[a] for a in perm))
-    return tens.transpose(np.argsort(perm)).reshape(-1)
+    return tens.transpose(_inverse(perm)).reshape(-1)
+
+
+def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The axis permutation that undoes ``perm`` (argsort, without numpy for a few axes)."""
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
 
 def _reduced_matrix(
@@ -571,7 +576,7 @@ def embed(
     """
     perm = _front_order(space, sub)
     full = np.kron(matrix, np.eye(space.dim // sub.dim))
-    back = tuple(np.argsort(perm))
+    back = _inverse(perm)
     front_dims = tuple(space.dims[a] for a in perm)
     tens = full.reshape(front_dims * 2).transpose(back + tuple(space.nfactors + a for a in back))
     return tens.reshape(space.dim, space.dim)

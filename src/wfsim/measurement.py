@@ -13,7 +13,9 @@ apart:
 A :class:`ProjectiveMeasurement` is a read-only unitary frame W = [V_1 ... V_k],
 P_i = V_i V_i^dag, validated once by one Gram check W^dag W = I.  Born (p_i sums
 block i of diag(W^dag rho W)) and collapse (V_i V_i^dag M) resolve it one way.
-A held observable or scenario basis is built and checked once; labels, on each call.
+A held observable or scenario basis is built and checked once.  Measured labels
+build nothing: their basis is the computational one, W = I, so Born reads the
+diagonal of the reduced state and collapse keeps one row of M.
 
 Randomness everywhere in the package comes from ``numpy.random.Generator``
 (PCG64 via ``numpy.random.default_rng``).  A run owns its generator; when
@@ -222,14 +224,11 @@ class ProjectiveMeasurement:
 MeasurementLike = Union[ProjectiveMeasurement, DichotomicObservable, Sequence[str]]
 
 
-def _as_measurement(space: CompositeSpace, what: MeasurementLike) -> ProjectiveMeasurement:
-    if isinstance(what, ProjectiveMeasurement):
-        return what
+def _as_measurement(what: MeasurementLike) -> ProjectiveMeasurement | None:
+    """The held frame of a measurement or observable; None for labels, whose basis is W = I."""
     if isinstance(what, DichotomicObservable):
         return what.measurement
-    if isinstance(what, str):
-        what = (what,)
-    return ProjectiveMeasurement.computational(space.subspace(what))
+    return what if isinstance(what, ProjectiveMeasurement) else None
 
 
 def born_probabilities(
@@ -243,23 +242,36 @@ def born_probabilities(
     ProjectiveMeasurement.  Entries are clipped at zero and renormalized;
     a total deviating from 1 beyond tolerance raises InvariantViolation.
     """
-    meas = _as_measurement(state.space, basis_or_obs)
-    return _born(meas, _reduced_matrix(state, meas.space))
+    if isinstance(basis_or_obs, str):
+        basis_or_obs = (basis_or_obs,)
+    meas = _as_measurement(basis_or_obs)
+    sub = state.space.subspace(basis_or_obs) if meas is None else meas.space
+    return _born(meas, _reduced_matrix(state, sub))
 
 
-def _born(meas: ProjectiveMeasurement, rho_sub: np.ndarray) -> np.ndarray:
-    """The Born distribution of ``meas`` on the reduced matrix in ``meas.space``'s order."""
+def _born(meas: ProjectiveMeasurement | None, rho_sub: np.ndarray) -> np.ndarray:
+    """The Born distribution of ``meas`` on the reduced matrix in ``meas.space``'s order;
+    for labels (``meas`` None, W = I) it is the real diagonal of the reduced matrix."""
+    if meas is None:
+        return _clipped_distribution(np.diagonal(rho_sub).real)
     diagonal = np.sum(meas.frame.conj() * (rho_sub @ meas.frame), axis=0).real
     return _clipped_distribution(meas.blocks @ diagonal)
 
 
 def _clipped_distribution(probs: np.ndarray) -> np.ndarray:
     """Clip at zero and renormalize; a total off 1 beyond VALIDITY_TOL (or NaN) raises."""
-    probs = np.clip(probs, 0.0, None)
+    probs = np.maximum(probs, 0.0)
     total = float(probs.sum())
     if not abs(total - 1.0) <= VALIDITY_TOL:
         raise InvariantViolation(f"Born probabilities sum to {total!r}, not 1")
     return _freeze(probs / total)
+
+
+def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """The first outcome whose cumulative probability exceeds one uniform from ``rng``."""
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def projective_collapse(
@@ -274,31 +286,39 @@ def projective_collapse(
     alternatively ``basis`` supplies a DichotomicObservable or an explicit
     ProjectiveMeasurement (then ``on`` is redundant and, if given, must
     match the measurement's labels).  Returns the outcome index and the
-    renormalized post-measurement state.  Identical seeds give identical
-    outcomes; a zero-probability outcome is never returned.  A DensityOperator
-    raises InvalidState: its outcome distribution is ``born_probabilities``.
+    renormalized post-measurement state.  ``rng`` must be a numpy Generator;
+    one ``rng.random()`` against the cumulative Born distribution, divided by
+    its last entry, picks the outcome.  That is ``Generator.choice``'s own
+    algorithm, so a seed gives ``rng.choice(k, p=probs)``'s outcome and leaves
+    the same state; a zero-probability outcome is never returned.  A
+    DensityOperator raises InvalidState: its distribution is ``born_probabilities``.
     """
     if not isinstance(state, PureState):
         raise InvalidState(f"projective_collapse needs a PureState, got {type(state).__name__}; "
                            "use born_probabilities or dephase for a mixed state")
-    if rng is None:
-        raise InvalidState("projective_collapse needs a seeded numpy Generator")
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidState("projective_collapse needs a seeded numpy Generator, "
+                           f"got {type(rng).__name__}")
     if isinstance(on, str):
         on = (on,)
     if basis is None and on is None:
         raise ShapeError("give either measured labels or an explicit basis")
-    meas = _as_measurement(state.space, on if basis is None else basis)
-    if on is not None and tuple(on) != meas.space.labels:
-        raise ShapeError(f"labels {tuple(on)} disagree with the measurement's {meas.space.labels}")
-    front = _factors_first(state, meas.space)
+    meas = _as_measurement(basis)
+    sub = state.space.subspace(on) if meas is None else meas.space
+    if on is not None and tuple(on) != sub.labels:
+        raise ShapeError(f"labels {tuple(on)} disagree with the measurement's {sub.labels}")
+    front = _factors_first(state, sub)
     if not state.normalized:
         raise InvalidState("a sub-normalized state has no reduced state; normalize() it first")
-    probs = _born(meas, front @ front.conj().T)
-    outcome = int(rng.choice(probs.size, p=probs))
-    block = meas.frame[:, meas.blocks[outcome]]
-    branch = block @ (block.conj().T @ front)
+    outcome = _draw(_born(meas, front @ front.conj().T), rng)
+    if meas is None:  # V_k V_k^dag M keeps row k of M
+        branch = np.zeros(front.shape, dtype=complex)
+        branch[outcome] = front[outcome]
+    else:
+        block = meas.frame[:, meas.blocks[outcome]]
+        branch = block @ (block.conj().T @ front)
     nrm2 = float(np.vdot(branch, branch).real)
-    amplitudes = _factors_back(branch, state.space, meas.space) / math.sqrt(nrm2)
+    amplitudes = _factors_back(branch, state.space, sub) / math.sqrt(nrm2)
     return outcome, PureState(state.space, amplitudes)
 
 

@@ -1,6 +1,7 @@
 """Tests for pointer coupling, mixtures, dephasing, and Born sampling."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -29,11 +30,21 @@ from wfsim import (
     purity,
 )
 
-from wfsim.measurement import _clipped_distribution, exact_ensemble
+from wfsim.measurement import _clipped_distribution, _draw, exact_ensemble
 
-from _oracles import random_pure
+from _oracles import random_density, random_pure
 
 SQRT2 = math.sqrt(2.0)
+
+
+def labelled_cases(seed: int, count: int):
+    """``count`` (space, measured labels in random order, rng) triples on 1-4 factors of dim 2-3."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dims = rng.integers(2, 4, size=int(rng.integers(1, 5)))
+        space = CompositeSpace(tuple((f"f{k}", int(d)) for k, d in enumerate(dims)))
+        measured = rng.permutation(space.labels)[: int(rng.integers(1, dims.size + 1))]
+        yield space, tuple(map(str, measured)), rng
 
 
 class TestPointerCoupling:
@@ -285,6 +296,15 @@ class TestBornProbabilities:
         probs = born_probabilities(psi, DichotomicObservable.pauli("x", "q"))
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-13)
 
+    def test_labels_born_equals_computational_frame(self):
+        """Labels give bitwise the distribution of the explicit computational measurement."""
+        for space, measured, rng in labelled_cases(61, 200):
+            frame = ProjectiveMeasurement.computational(space.subspace(measured))
+            for state in (PureState(space, random_pure(rng, space.dim)),
+                          DensityOperator(space, random_density(rng, space.dim))):
+                assert np.array_equal(born_probabilities(state, measured),
+                                      born_probabilities(state, frame))
+
 
 class TestProjectiveCollapse:
     """Seeded sampling and post-measurement states."""
@@ -293,6 +313,52 @@ class TestProjectiveCollapse:
         psi = PureState.basis(CompositeSpace.qubits("q"), "0")
         with pytest.raises(InvalidState):
             projective_collapse(psi, on=("q",))
+
+    def test_rejects_other_random_sources(self):
+        """A legacy RandomState or a stdlib Random raises InvalidState, not a silent draw."""
+        psi = PureState(CompositeSpace.qubits("q"), np.array([1.0, 1.0]) / SQRT2)
+        for rng in (np.random.RandomState(0), random.Random(0)):
+            with pytest.raises(InvalidState, match=f"Generator, got {type(rng).__name__}$"):
+                projective_collapse(psi, on=("q",), rng=rng)
+
+    def test_draw_equals_choice(self):
+        """One uniform against the cumulative distribution gives rng.choice's outcome and
+        leaves the generator where choice leaves it, zero entries at either end included."""
+        rng = np.random.default_rng(62)
+        for case in range(2000):
+            weights = rng.random(int(rng.integers(1, 9)))
+            weights[rng.random(weights.size) < 0.3] = 0.0
+            weights[: int(rng.integers(0, 3))] = 0.0  # leading zeros
+            weights[weights.size - int(rng.integers(0, 3)):] = 0.0  # trailing zeros
+            if not weights.any():
+                weights[int(rng.integers(weights.size))] = 1.0
+            probs = _clipped_distribution(weights / weights.sum())
+            ours, twin = np.random.default_rng(case), np.random.default_rng(case)
+            for _ in range(3):
+                assert _draw(probs, ours) == twin.choice(probs.size, p=probs)
+            assert ours.bit_generator.state == twin.bit_generator.state
+
+    def test_labels_collapse_equals_computational_frame(self):
+        """On twin generators, labels and the explicit computational measurement give the
+        same outcome and equal amplitudes."""
+        for case, (space, measured, rng) in enumerate(labelled_cases(63, 200)):
+            psi = PureState(space, random_pure(rng, space.dim))
+            frame = ProjectiveMeasurement.computational(space.subspace(measured))
+            by_labels = projective_collapse(psi, on=measured, rng=np.random.default_rng(case))
+            by_frame = projective_collapse(psi, basis=frame, rng=np.random.default_rng(case))
+            assert by_labels[0] == by_frame[0]
+            assert np.array_equal(by_labels[1].amplitudes, by_frame[1].amplitudes)
+
+    def test_labels_build_no_measurement(self, monkeypatch):
+        """200 labelled collapses and Born calls never build or Gram-check a frame."""
+        checked = []
+        monkeypatch.setattr(ProjectiveMeasurement, "_set_frame",
+                            lambda self, *args: checked.append(args))
+        for space, measured, rng in labelled_cases(64, 100):
+            psi = PureState(space, random_pure(rng, space.dim))
+            projective_collapse(psi, on=measured, rng=rng)
+            born_probabilities(psi, measured)
+        assert checked == []
 
     def test_certain_outcome(self):
         psi = PureState.basis(CompositeSpace.qubits("q"), "1")

@@ -12,12 +12,9 @@ Each wing measures either one factor or a two-factor pair:
 
 * single factor: the Bloch family n(theta, phi) . sigma;
 * pair of factors: the same Bloch pattern applied blockwise on the
-  anti-correlated span {|01>, |10>} and the correlated span {|00>, |11>}.
-  theta=0 reduces to "which value does the first factor have" (sigma_z on
-  the incoming photon) and theta=pi/2, phi=0 has its +1/-1 eigenspaces
-  spanned by the four maximally entangled pair states, so the two named
-  default observables are members of one continuously parameterized
-  family.
+  anti-correlated span {|01>, |10>} and the correlated span {|00>, |11>},
+  so the two defaults of ``MeasurementSettings.defaults`` are members of
+  one continuously parameterized family.
 
 Both families satisfy the Pauli algebra observable-by-observable, so the
 correlator is exactly bilinear in the two Bloch vectors through a real
@@ -25,11 +22,15 @@ correlator is exactly bilinear in the two Bloch vectors through a real
 
 Moment table
 ------------
-Every inequality number comes from one table M[m, n] = Tr(rho A_m (x) B_n)
+Every inequality number comes from a table M[m, n] = Tr(rho A_m (x) B_n)
 over stacks of Alice's and Bob's operators (``_wing_moments``).  Over each
 wing's (I, obs0, obs1) row 0 and column 0 are the marginals and the rest
-the correlators; over the basis triples M is K.  An entry beyond
-1 + 1e-10 in magnitude raises InvariantViolation.
+the correlators; over the basis triples M is K.  Tables are linear in rho,
+so ``hypothesis_comparison`` takes K and the settings' M once per held
+dephasing and mixes those with a hypothesis's weights, in term order
+(``_mixed``); it never mixes densities for them.  Its ``s_max`` is the
+closed form of the mixed K below.  An entry beyond 1 + 1e-10 in
+magnitude, held or mixed, raises InvariantViolation.
 
 Settings search
 ---------------
@@ -41,7 +42,7 @@ K(b1 + b0) and K(b1 - b0), giving
 ``exact_optimum`` maximizes this in closed form (R., P. & M. Horodecki,
 Phys. Lett. A 200, 340 (1995)): with mu1 >= mu2 the two largest
 eigenvalues of K^T K and v1, v2 their eigenvectors, the supremum
-2 sqrt(mu1 + mu2) is attained at
+2 sqrt(mu1 + mu2) (``_s_max``, from K's singular values) is attained at
 
     b1, b0 = cos(t) v1 +/- sin(t) v2,   tan(t) = sqrt(mu2) / sqrt(mu1).
 
@@ -65,8 +66,7 @@ scan evaluates only the upper triangle i <= j of the distinct directions,
 keeping the first z.  It walks the triangle in row blocks of a fixed
 number of rows, each from its own first row on, so its memory does not
 depend on the step; a later block wins only when strictly larger, which
-keeps the tie rule.  The block's two square-root terms share one array,
-so clamping them at 0 and taking their roots are one call each.
+keeps the tie rule.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -174,13 +174,7 @@ class MeasurementSettings:
         values taken from any experiment.
         """
         angles = ((0.0, 0.0), (math.pi / 2, 0.0))
-        return cls(
-            alice=tuple(observable_from_bloch(t, p, alice_space) for t, p in angles),
-            bob=tuple(observable_from_bloch(t, p, bob_space) for t, p in angles),
-            alice_angles=angles,
-            bob_angles=angles,
-            origin="defaults",
-        )
+        return _built_settings((alice_space, bob_space), (angles, angles), "defaults")
 
 
 @dataclass(frozen=True)
@@ -196,7 +190,8 @@ class InequalityResult:
     is ``s_max`` minus the grid-search maximum when a grid cross-check
     ran.  ``consistent_with_data`` is set by hypothesis comparisons:
     whether this hypothesis reproduces the unitary-model statistics that
-    stand in for the observed data.
+    stand in for the observed data.  An exact |S| or an ``s_max`` beyond
+    the quantum ceiling (plus TSIRELSON_TOL) raises InvariantViolation.
     """
 
     s_value: float
@@ -213,11 +208,11 @@ class InequalityResult:
     consistent_with_data: bool | None = None
 
     def __post_init__(self) -> None:
-        if self.exact and not abs(self.s_value) <= TSIRELSON_BOUND + TSIRELSON_TOL:
-            raise InvariantViolation(
-                f"exact |S| = {abs(self.s_value)!r} exceeds the quantum ceiling "
-                f"{TSIRELSON_BOUND} + {TSIRELSON_TOL}"
-            )
+        bounded = {"exact |S|": abs(self.s_value) if self.exact else None, "s_max": self.s_max}
+        for name, value in bounded.items():
+            if value is not None and not value <= TSIRELSON_BOUND + TSIRELSON_TOL:
+                raise InvariantViolation(f"{name} = {value!r} exceeds the quantum ceiling "
+                                         f"{TSIRELSON_BOUND} + {TSIRELSON_TOL}")
 
 
 State = Union[PureState, DensityOperator]
@@ -248,10 +243,19 @@ def _wing_moments(
     wings = CompositeSpace(alice_space.factors + bob_space.factors)
     r = _reduced_matrix(state, wings).reshape(d_a, d_b, d_a, d_b)
     # Contiguous: K @ v on a strided view of the same numbers can round differently.
-    moments = np.ascontiguousarray(np.einsum("ijkl,mki,nlj->mn", r, alice_ops, bob_ops).real)
+    moments = np.einsum("ijkl,mki,nlj->mn", r, alice_ops, bob_ops).real
+    return _checked(np.ascontiguousarray(moments))
+
+
+def _checked(moments: np.ndarray) -> np.ndarray:
     if not np.max(np.abs(moments)) <= 1.0 + 1e-10:
         raise InvariantViolation(f"wing moment outside [-1, 1]: {moments!r}")
     return moments
+
+
+def _mixed(terms: Sequence[tuple[float, np.ndarray]]) -> np.ndarray:
+    """The sum of w T over (weight, table) terms, added in their order and guarded like a table."""
+    return _checked(sum((w * table for w, table in terms[1:]), terms[0][0] * terms[0][1]))
 
 
 def _settings_moments(state: State, settings: MeasurementSettings) -> np.ndarray:
@@ -272,7 +276,11 @@ def chsh_value(
     hypothesis: CollapseHypothesis | None = None,
 ) -> InequalityResult:
     """Exact S for the given settings, with the quantum ceiling enforced."""
-    m = _settings_moments(state, settings)
+    return _table_result(_settings_moments(state, settings), hypothesis)
+
+
+def _table_result(m: np.ndarray, hypothesis: CollapseHypothesis | None = None) -> InequalityResult:
+    """S and the correlators read off a settings' table (see ``_settings_moments``)."""
     correlators = tuple(float(m[i + 1, j + 1]) for i, j in _SETTING_ORDER)
     e11, e10, e01, e00 = correlators
     return InequalityResult(e11 + e10 + e01 - e00, correlators, hypothesis=hypothesis)
@@ -284,10 +292,8 @@ def local_deterministic_bound() -> float:
     Every wing answers +1 or -1 regardless of the other; brute-force
     enumeration reproduces the classical bound.
     """
-    best = -math.inf
-    for a1, a0, b1, b0 in product((1, -1), repeat=4):
-        best = max(best, a1 * b1 + a1 * b0 + a0 * b1 - a0 * b0)
-    return float(best)
+    signs = product((1, -1), repeat=4)
+    return float(max(a1 * b1 + a1 * b0 + a0 * b1 - a0 * b0 for a1, a0, b1, b0 in signs))
 
 
 def _correlation_kernel(
@@ -421,55 +427,60 @@ def _exact_bob_pair(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return along + across, along - across
 
 
-def _best_settings(
+def _settings_angles(kernel: np.ndarray, grid_step: float | None = None) -> tuple[tuple, tuple]:
+    """(Alice's, Bob's) ((theta0, phi0), (theta1, phi1)): Bob's (b1, b0) exact, or by the
+    grid scan at ``grid_step``, answered by Alice's exact optimum along K(b1 +/- b0)."""
+    b1_vec, b0_vec = (
+        _exact_bob_pair(kernel) if grid_step is None else _grid_bob_pair(kernel, grid_step)
+    )
+    alice = []
+    for direction in (kernel @ (b1_vec + b0_vec), kernel @ (b1_vec - b0_vec)):
+        norm = float(np.linalg.norm(direction))
+        alice.append(direction / norm if norm >= 1e-15 else np.array([0.0, 0.0, 1.0]))
+    a1_vec, a0_vec = alice
+    return (_angles_of(a0_vec), _angles_of(a1_vec)), (_angles_of(b0_vec), _angles_of(b1_vec))
+
+
+def _search(
     state: State,
     alice_labels: Sequence[str] | None = None,
     bob_labels: Sequence[str] | None = None,
-    bob_pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = _exact_bob_pair,
-    origin: str = "exact",
-) -> tuple[MeasurementSettings, InequalityResult]:
-    """Shared body of both searches; by default the exact one.
-
-    Resolves each wing's factors, takes Bob's (b1, b0) = bob_pair(K),
-    answers them with Alice's exact optimum along K(b1 + b0) and
-    K(b1 - b0), and evaluates S there with ``chsh_value``, so every
-    returned result has passed the quantum-ceiling guard.
-    """
-    if alice_labels is None and bob_labels is None:
-        if state.space.nfactors != 2:
-            raise ShapeError(
-                f"state has factors {state.space.labels}; pass alice_labels "
-                "and bob_labels to say which wing measures what"
-            )
-        alice_labels = (state.space.labels[0],)
-        bob_labels = (state.space.labels[1],)
+    grid_step: float | None = None,
+) -> tuple[tuple, tuple, InequalityResult]:
+    """Shared body of both searches, exact or on a grid, building no observable: the wing
+    spaces, the ``_settings_angles`` of the state's K, and the result there from
+    ``_bloch_operator`` stacks, bitwise ``chsh_value`` at the built settings."""
+    if grid_step is not None and not grid_step_in_range(grid_step):
+        raise ShapeError(f"grid_step {grid_step!r} outside [pi/128, pi/8]")
+    if alice_labels is None and bob_labels is None and state.space.nfactors == 2:
+        alice_labels, bob_labels = state.space.labels[:1], state.space.labels[1:]
     if alice_labels is None or bob_labels is None:
-        raise ShapeError("give both wings' labels or neither")
+        raise ShapeError(
+            f"state has factors {state.space.labels}; pass both alice_labels and "
+            "bob_labels to say which wing measures what"
+        )
+    spaces = (state.space.subspace(alice_labels), state.space.subspace(bob_labels))
+    angles = _settings_angles(_correlation_kernel(state, *spaces), grid_step)
+    triples = [_basis_triple(space.nfactors) for space in spaces]
+    stacks = [
+        np.stack([np.eye(len(triple[0])), *(_bloch_operator(t, p, triple) for t, p in wing)])
+        for triple, wing in zip(triples, angles)
+    ]
+    return spaces, angles, _table_result(_wing_moments(state, *spaces, *stacks))
 
-    alice_space = state.space.subspace(alice_labels)
-    bob_space = state.space.subspace(bob_labels)
-    kernel = _correlation_kernel(state, alice_space, bob_space)
-    b1_vec, b0_vec = bob_pair(kernel)
 
-    def _alice_vector(direction: np.ndarray) -> np.ndarray:
-        norm = float(np.linalg.norm(direction))
-        if norm < 1e-15:
-            return np.array([0.0, 0.0, 1.0])
-        return direction / norm
+def _built_settings(spaces: tuple, angles: tuple, origin: str) -> MeasurementSettings:
+    """The validated observables at (Alice's, Bob's) angles on the two wing spaces; the
+    search's result at those angles is bitwise ``chsh_value`` at these settings."""
+    alice, bob = (tuple(observable_from_bloch(t, p, space) for t, p in wing)
+                  for space, wing in zip(spaces, angles))
+    return MeasurementSettings(alice, bob, *angles, origin=origin)
 
-    a1_vec = _alice_vector(kernel @ (b1_vec + b0_vec))
-    a0_vec = _alice_vector(kernel @ (b1_vec - b0_vec))
 
-    a_angles = (_angles_of(a0_vec), _angles_of(a1_vec))
-    b_angles = (_angles_of(b0_vec), _angles_of(b1_vec))
-    settings = MeasurementSettings(
-        alice=tuple(observable_from_bloch(t, p, alice_space) for t, p in a_angles),
-        bob=tuple(observable_from_bloch(t, p, bob_space) for t, p in b_angles),
-        alice_angles=a_angles,
-        bob_angles=b_angles,
-        origin=origin,
-    )
-    return settings, chsh_value(state, settings)
+def _s_max(kernel: np.ndarray) -> float:
+    """The maximum of S, 2 sqrt(sigma1^2 + sigma2^2) of K; see module docstring."""
+    sigma = np.linalg.svd(kernel, compute_uv=False)
+    return 2.0 * math.sqrt(sigma[0] ** 2 + sigma[1] ** 2)
 
 
 def exact_optimum(
@@ -482,8 +493,8 @@ def exact_optimum(
     The wings default as in ``optimize_settings``.  Returns the
     canonical maximizing settings (origin "exact") and S there.
     """
-    settings, result = _best_settings(state, alice_labels, bob_labels)
-    return settings, result.s_value
+    spaces, angles, result = _search(state, alice_labels, bob_labels)
+    return _built_settings(spaces, angles, "exact"), result.s_value
 
 
 def optimize_settings(
@@ -502,16 +513,8 @@ def optimize_settings(
     noise, since Bob's coarse grid is a subset of the fine one and
     Alice's response is exact; ``exact_optimum`` is the limit.
     """
-    if not grid_step_in_range(grid_step):
-        raise ShapeError(f"grid_step {grid_step!r} outside [pi/128, pi/8]")
-    settings, result = _best_settings(
-        state,
-        alice_labels,
-        bob_labels,
-        lambda kernel: _grid_bob_pair(kernel, grid_step),
-        f"optimized(grid_step={grid_step:.9g})",
-    )
-    return settings, result.s_value
+    spaces, angles, result = _search(state, alice_labels, bob_labels, grid_step)
+    return _built_settings(spaces, angles, f"optimized(grid_step={grid_step:.9g})"), result.s_value
 
 
 def _grid_gap(
@@ -521,12 +524,12 @@ def _grid_gap(
     alice_labels: Sequence[str] | None = None,
     bob_labels: Sequence[str] | None = None,
 ) -> float:
-    """``s_max`` minus the grid-search maximum at ``grid_step``.
+    """``s_max`` minus the grid-search maximum at ``grid_step``, found by ``_search``.
 
     No grid point can beat the supremum, so a gap below -1e-9 raises
     InvariantViolation.
     """
-    _, grid_value = optimize_settings(state, grid_step, alice_labels, bob_labels)
+    grid_value = _search(state, alice_labels, bob_labels, grid_step)[2].s_value
     gap = s_max - grid_value
     if gap < -1e-9:
         raise InvariantViolation(
@@ -562,7 +565,13 @@ def sample_inequality(
     """
     if shots < 1:
         raise ShapeError("sample_inequality needs shots >= 1")
-    m = _settings_moments(state, settings)
+    return _sample_table(_settings_moments(state, settings), shots, rng, hypothesis)
+
+
+def _sample_table(
+    m: np.ndarray, shots: int, rng: np.random.Generator, hypothesis: CollapseHypothesis | None
+) -> InequalityResult:
+    """``sample_inequality`` from a settings' table ``m``, in the same spawn and draw order."""
     counts = []
     for stream, (i, j) in zip(rng.spawn(len(_SETTING_ORDER)), _SETTING_ORDER):
         a, b, e = m[i + 1, 0], m[0, j + 1], m[i + 1, j + 1]
@@ -571,12 +580,8 @@ def sample_inequality(
             raise InvariantViolation(f"joint distribution {probs!r} has a negative entry")
         counts.append(stream.multinomial(shots, _clipped_distribution(probs)))
 
-    estimates = []
-    variances = []
-    for n in counts:
-        e_hat = float(n[0] - n[1] - n[2] + n[3]) / shots
-        estimates.append(e_hat)
-        variances.append(max(0.0, 1.0 - e_hat * e_hat) / shots)
+    estimates = [float(n[0] - n[1] - n[2] + n[3]) / shots for n in counts]
+    variances = [max(0.0, 1.0 - e_hat * e_hat) / shots for e_hat in estimates]
     e11, e10, e01, e00 = estimates
     s_hat = e11 + e10 + e01 - e00
     return InequalityResult(
@@ -605,61 +610,55 @@ def hypothesis_comparison(
     inconsistent when its exact S at the shared settings differs from the
     unitary value by more than ``CONSISTENCY_TOL``.  Each result also
     carries the exact maximum ``s_max`` of the hypothesis's own state.
-    With ``grid_step`` set, each distinct hypothesis state is also
-    searched once on that grid, and ``grid_gap`` is ``s_max`` minus the
-    grid maximum.  States are reused by content: a hypothesis whose
-    density matrix equals one already built shares its optimum and its
-    grid search.  With ``shots > 0`` the returned results are sampling
-    estimates (one child stream per hypothesis, spawned from ``rng`` in
-    list order) with the exact companions attached.
+    Both come from mixed tables (see module docstring), not from mixed
+    densities; hypotheses with bitwise equal tables share one entry.  With
+    ``grid_step`` set, each entry's mixed density (``exact_state_under``)
+    is also searched once on that grid, and ``grid_gap`` is ``s_max``
+    minus the grid maximum.  With ``shots > 0`` the returned results are
+    sampling estimates (one child stream per hypothesis, spawned from
+    ``rng`` in list order) with the exact companions attached.
     """
     if shots > 0 and rng is None:
         raise ShapeError("sampling a comparison needs a Generator")
     parsed = [CollapseHypothesis.parse(h) for h in hypotheses]
     labels = (tuple(scenario.alice_labels), tuple(scenario.bob_labels))
-    states: list[DensityOperator] = []
-    which: dict[CollapseHypothesis, int] = {}  # hypothesis -> index into states
-    for hyp in (UNITARY_ONLY, *parsed):
-        if hyp in which:
-            continue
-        rho = scenario.exact_state_under(hyp)
-        for index, seen in enumerate(states):
-            if np.array_equal(seen.matrix, rho.matrix):
-                which[hyp] = index
-                break
-        else:
-            which[hyp] = len(states)
-            states.append(rho)
-
-    rho_unitary = states[0]
-    s_max: dict[int, float] = {}
+    ((_, rho_unitary),) = scenario.held_terms(UNITARY_ONLY)
+    spaces = tuple(rho_unitary.space.subspace(wing) for wing in labels)
+    kernel = _correlation_kernel(rho_unitary, *spaces)
     if settings is None:
-        settings, data = _best_settings(rho_unitary, *labels)
-        s_max[0] = data.s_value
-    else:
-        data = chsh_value(rho_unitary, settings)
-    s_data = data.s_value
+        settings = _built_settings(spaces, _settings_angles(kernel), "exact")
+    # id of a held density -> its (K, M), both 3 x 3
+    tables = {id(rho_unitary): np.stack([kernel, _settings_moments(rho_unitary, settings)])}
+    entries: list[tuple[np.ndarray, float, CollapseHypothesis]] = []  # ((K, M), s_max, first)
+    which: dict[CollapseHypothesis, int] = {}  # hypothesis -> index into entries
+    for hyp in (UNITARY_ONLY, *parsed):
+        terms = scenario.held_terms(hyp)
+        for _, rho in terms:
+            if id(rho) not in tables:
+                kernel = _correlation_kernel(rho, *spaces)
+                tables[id(rho)] = np.stack([kernel, _settings_moments(rho, settings)])
+        mixed = _mixed([(w, tables[id(rho)]) for w, rho in terms])
+        matches = (index for index, entry in enumerate(entries) if np.array_equal(entry[0], mixed))
+        which[hyp] = next(matches, len(entries))
+        if which[hyp] == len(entries):
+            entries.append((mixed, _s_max(mixed[0]), hyp))
 
+    s_data = _table_result(entries[0][0][1]).s_value
     grid_gap: dict[int, float] = {}
     streams = rng.spawn(len(parsed)) if shots > 0 else None
     results: list[InequalityResult] = []
     for k, hyp in enumerate(parsed):
         index = which[hyp]
-        rho = states[index]
-        exact = replace(data, hypothesis=hyp) if index == 0 else chsh_value(rho, settings, hyp)
-        if index not in s_max:
-            s_max[index] = exact_optimum(rho, *labels)[1]
+        (_, moments), s_max, first = entries[index]
+        exact = _table_result(moments, hyp)
         if grid_step is not None and index not in grid_gap:
-            grid_gap[index] = _grid_gap(rho, s_max[index], grid_step, *labels)
-        evaluated = (
-            sample_inequality(rho, settings, shots, streams[k], hyp)
-            if shots > 0
-            else exact
-        )
+            rho = scenario.exact_state_under(first)
+            grid_gap[index] = _grid_gap(rho, s_max, grid_step, *labels)
+        evaluated = _sample_table(moments, shots, streams[k], hyp) if shots > 0 else exact
         results.append(
             replace(
                 evaluated,
-                s_max=s_max[index],
+                s_max=s_max,
                 grid_gap=grid_gap.get(index),
                 exact_s=exact.s_value,
                 exact_correlators=exact.correlators,

@@ -27,9 +27,10 @@ from . import __version__
 from .chsh import (
     _GRID_PAIR_BUDGET,
     InequalityResult,
-    _best_settings,
+    _built_settings,
     _grid_gap,
     _scan_pairs,
+    _search,
     correlator,
     grid_step_in_range,
     hypothesis_comparison,
@@ -93,9 +94,10 @@ class ScenarioConfig:
     ``__post_init__`` is the one validator: every type and range check
     lives there and raises ConfigError.  ``hypotheses`` may also be one
     comma-separated string; ``None`` takes the scenario's defaults.
-    ``grid_step`` is ``None`` (no grid) or the step of a grid search run
-    as a cross-check of each exact ``s_max``, reported as ``grid_gap``; the
-    (hypotheses + 1) scans it may cost must fit the grid pair budget.
+    ``grid_step`` is ``None`` (no grid) or, for a scenario whose runner
+    reads it, the step of a grid search run as a cross-check of each exact
+    ``s_max``, reported as ``grid_gap``; the (hypotheses + 1) scans it may
+    cost must fit the grid pair budget.
     """
 
     scenario: str = "proietti"
@@ -141,6 +143,8 @@ class ScenarioConfig:
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.grid_step is not None:
+            if not spec.reads_grid_step:
+                raise ConfigError(f"grid_step must be null: {self.scenario!r} runs no grid")
             if (
                 isinstance(self.grid_step, bool)
                 or not isinstance(self.grid_step, numbers.Real)
@@ -313,7 +317,7 @@ def _run_bell_singlet(config: ScenarioConfig, rng: np.random.Generator) -> list[
         DichotomicObservable.pauli("z", "e1"),
         DichotomicObservable.pauli("z", "e2"),
     )
-    settings, exact = _best_settings(psi)
+    spaces, angles, exact = _search(psi)
     gap_rows = []
     if config.grid_step is not None:
         gap = _grid_gap(psi, exact.s_value, config.grid_step)
@@ -321,6 +325,7 @@ def _run_bell_singlet(config: ScenarioConfig, rng: np.random.Generator) -> list[
 
     sampled = None
     if config.shots > 0:
+        settings = _built_settings(spaces, angles, "exact")
         sampled = sample_inequality(psi, settings, config.shots, rng.spawn(1)[0])
     return [
         ReportRow(config.scenario, "", quantity, value)
@@ -365,7 +370,6 @@ def _run_proietti(config: ScenarioConfig, rng: np.random.Generator) -> list[Repo
     results = hypothesis_comparison(
         scenario,
         config.hypotheses,
-        settings=None,
         shots=config.shots,
         rng=rng if config.shots > 0 else None,
         grid_step=config.grid_step,
@@ -383,14 +387,8 @@ def _run_proietti(config: ScenarioConfig, rng: np.random.Generator) -> list[Repo
             res.exact_correlators,
             None if res.exact else res,
         )
-        rows.append(
-            ReportRow(
-                config.scenario,
-                name,
-                "consistent_with_unitary",
-                1.0 if res.consistent_with_data else 0.0,
-            )
-        )
+        flag = 1.0 if res.consistent_with_data else 0.0
+        rows.append(ReportRow(config.scenario, name, "consistent_with_unitary", flag))
     return rows
 
 
@@ -418,6 +416,7 @@ class Scenario:
     ``allowed_variants`` lists the CollapseHypothesis variants a config
     may name (none for scenarios that take no hypotheses), and
     ``default_hypotheses`` is what a config without hypotheses runs.
+    ``reads_grid_step`` says whether the runner reads ``grid_step``.
     """
 
     name: str
@@ -425,6 +424,7 @@ class Scenario:
     factor_order: tuple[str, ...]
     default_hypotheses: tuple[str, ...] = ()
     allowed_variants: tuple[str, ...] = ()
+    reads_grid_step: bool = False
 
 
 _SCENARIO_TABLE = {
@@ -436,6 +436,7 @@ _SCENARIO_TABLE = {
             PROIETTI_ORDER,
             default_hypotheses=("unitary_only", "friend_dephasing"),
             allowed_variants=_HYPOTHESIS_VARIANTS,
+            reads_grid_step=True,
         ),
         Scenario(
             "counterexample",
@@ -445,7 +446,7 @@ _SCENARIO_TABLE = {
             allowed_variants=COUNTEREXAMPLE_HYPOTHESES,
         ),
         Scenario("pointer_basic", _run_pointer_basic, ("s", "p")),
-        Scenario("bell_singlet", _run_bell_singlet, SINGLET_ORDER),
+        Scenario("bell_singlet", _run_bell_singlet, SINGLET_ORDER, reads_grid_step=True),
     )
 }
 

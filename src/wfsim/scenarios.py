@@ -251,6 +251,7 @@ class ProiettiScenario:
 
     alice_labels = ("a", "alpha")
     bob_labels = ("b", "beta")
+    _sites = (alice_labels, bob_labels)
     _friend_labels = ("alpha", "beta")
 
     def __init__(self) -> None:
@@ -276,30 +277,29 @@ class ProiettiScenario:
     @cached_property
     def _held_densities(self) -> dict[tuple[str, ...], DensityOperator]:
         """The unitary final density, keyed (), and each dephasing of it built so far, keyed
-        by its dephased labels; :meth:`exact_state_under` adds each on first use."""
+        by its dephased labels; :meth:`held_terms` adds each on first use."""
         return {(): self.final.state.density()}
 
-    def exact_state_under(self, hypothesis: CollapseHypothesis | str) -> DensityOperator:
-        """Exact pre-measurement density operator for a hypothesis: the rule of
+    def held_terms(self, hypothesis: CollapseHypothesis | str) -> list:
+        """A hypothesis's (weight, held density) terms: the rule of
         :func:`~wfsim.measurement.exact_ensemble` with the wings (a, alpha) and (b, beta) as
-        collapse sites and (alpha, beta) as friends, mixing the held densities, each built once."""
-        sites = (self.alice_labels, self.bob_labels)
-        terms = _ensemble_terms(hypothesis, sites, self._friend_labels)
+        collapse sites and (alpha, beta) as friends, each dephasing built once."""
+        terms = _ensemble_terms(hypothesis, self._sites, self._friend_labels)
         held = self._held_densities
         for _, on in terms:
             if on not in held:
                 held[on] = dephase(held[()], on)
-        return _mix([(w, held[on]) for w, on in terms])
+        return [(w, held[on]) for w, on in terms]
+
+    def exact_state_under(self, hypothesis: CollapseHypothesis | str) -> DensityOperator:
+        """Exact pre-measurement density operator for a hypothesis: its held terms mixed."""
+        return _mix(self.held_terms(hypothesis))
 
 
 @lru_cache(maxsize=1)
-def _cached_scenario() -> ProiettiScenario:
-    return ProiettiScenario()
-
-
 def proietti_scenario() -> ProiettiScenario:
-    """Shared immutable instance of the four-photon scenario."""
-    return _cached_scenario()
+    """Shared instance of the four-photon scenario, built on first use."""
+    return ProiettiScenario()
 
 
 def counterexample_measurement() -> ProjectiveMeasurement:

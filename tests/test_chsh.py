@@ -1,6 +1,7 @@
 """Tests for the inequality engine: observables, search, sampling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from wfsim import (
     ScenarioConfig,
     source_state,
 )
+
+from wfsim.measurement import _HYPOTHESIS_VARIANTS
 
 from _oracles import random_pure
 
@@ -472,13 +475,13 @@ class TestHypothesisComparison:
 
     def test_each_state_is_searched_once(self, monkeypatch):
         calls = []
-        search = chsh.optimize_settings
+        search = chsh._search
 
         def counted(*args, **kwargs):
             calls.append(args[0])
             return search(*args, **kwargs)
 
-        monkeypatch.setattr(chsh, "optimize_settings", counted)
+        monkeypatch.setattr(chsh, "_search", counted)
         scenario = proietti_scenario()
         for hypotheses, grid_step, searches in (
             (["unitary_only", "friend_dephasing"], None, 0),
@@ -495,14 +498,20 @@ class TestHypothesisComparison:
         assert calls == []
 
     def test_unitary_s_max_is_its_own_search(self):
+        """s_max is the closed form of the unitary kernel, bitwise, and the exact
+        optimum's value to rounding; grid_gap is s_max minus the grid value, bitwise."""
         scenario = proietti_scenario()
         rho = scenario.exact_state_under("unitary_only")
         labels = (scenario.alice_labels, scenario.bob_labels)
         optimum, s_own = exact_optimum(rho, *labels)
         _, s_grid = optimize_settings(rho, PI / 16, *labels)
+        kernel = chsh._correlation_kernel(rho, *(rho.space.subspace(wing) for wing in labels))
+        sigma = np.linalg.svd(kernel, compute_uv=False)
+        closed = 2.0 * math.sqrt(sigma[0] ** 2 + sigma[1] ** 2)
         (result,) = hypothesis_comparison(scenario, ["unitary_only"], grid_step=PI / 16)
-        assert result.s_max == s_own
-        assert result.grid_gap == s_own - s_grid
+        assert result.s_max == closed
+        assert abs(result.s_max - s_own) <= 1e-15
+        assert result.grid_gap == result.s_max - s_grid
         assert result.s_value == chsh_value(rho, optimum).s_value
         defaults = MeasurementSettings.defaults(
             rho.space.subspace(labels[0]), rho.space.subspace(labels[1])
@@ -510,22 +519,73 @@ class TestHypothesisComparison:
         (at_defaults,) = hypothesis_comparison(
             scenario, ["unitary_only"], settings=defaults, grid_step=PI / 16
         )
-        assert at_defaults.s_max == s_own
-        assert at_defaults.grid_gap == s_own - s_grid
+        assert at_defaults.s_max == closed
+        assert at_defaults.grid_gap == closed - s_grid
         assert at_defaults.s_value == chsh_value(rho, defaults).s_value
 
     def test_grid_above_the_exact_maximum_is_an_invariant_violation(self, monkeypatch):
-        search = chsh.optimize_settings
+        search = chsh._search
 
         def inflated(*args, **kwargs):
-            settings, value = search(*args, **kwargs)
-            return settings, value + 1e-6
+            spaces, angles, result = search(*args, **kwargs)
+            return spaces, angles, replace(result, s_value=result.s_value + 1e-6)
 
-        monkeypatch.setattr(chsh, "optimize_settings", inflated)
+        monkeypatch.setattr(chsh, "_search", inflated)
         with pytest.raises(InvariantViolation, match="above the exact maximum"):
             hypothesis_comparison(
                 proietti_scenario(), ["friend_dephasing"], grid_step=PI / 16
             )
+
+    @pytest.mark.parametrize("at_defaults", [False, True])
+    def test_table_route_equals_density_route(self, at_defaults):
+        """Mixed tables give the numbers of the mixed density: within 1e-12 for every
+        hypothesis, and bit for bit (witness S, correlators and sampled counts) for the
+        one-term ones, at the comparison's own settings and at the defaults."""
+        scenario = proietti_scenario()
+        labels = (scenario.alice_labels, scenario.bob_labels)
+        rho_unitary = scenario.exact_state_under("unitary_only")
+        defaults = MeasurementSettings.defaults(
+            *(rho_unitary.space.subspace(wing) for wing in labels)
+        )
+        settings = defaults if at_defaults else exact_optimum(rho_unitary, *labels)[0]
+        given = defaults if at_defaults else None
+        probabilities = [0.0, 0.1234567, 0.35, 1.0, *np.random.default_rng(17).uniform(size=4)]
+        named = [v for v in _HYPOTHESIS_VARIANTS if v != "stochastic_collapse"]
+        hypotheses = [CollapseHypothesis.parse(v) for v in named]
+        hypotheses += [CollapseHypothesis.stochastic(float(p)) for p in probabilities]
+        exact = hypothesis_comparison(scenario, hypotheses, settings=given)
+        sampled = hypothesis_comparison(
+            scenario, hypotheses, settings=given, shots=700, rng=np.random.default_rng(31)
+        )
+        streams = np.random.default_rng(31).spawn(len(hypotheses))
+        one_term = 0
+        for hyp, result, estimate, stream in zip(hypotheses, exact, sampled, streams):
+            rho = scenario.exact_state_under(hyp)
+            density = chsh_value(rho, settings)
+            assert abs(result.exact_s - density.s_value) <= 1e-12, hyp
+            gaps = [a - b for a, b in zip(result.exact_correlators, density.correlators)]
+            assert max(map(abs, gaps)) <= 1e-12, hyp
+            assert abs(result.s_max - exact_optimum(rho, *labels)[1]) <= 1e-12, hyp
+            if len(scenario.held_terms(hyp)) == 1:
+                one_term += 1
+                assert (result.exact_s, result.exact_correlators) == (
+                    density.s_value,
+                    density.correlators,
+                )
+                counted = sample_inequality(rho, settings, 700, stream, hyp)
+                assert estimate.correlators == counted.correlators, hyp
+                assert estimate.s_value == counted.s_value
+        assert one_term == 4
+
+    def test_s_max_above_the_ceiling_is_an_invariant_violation(self, monkeypatch):
+        correlators = (0.5, 0.5, 0.5, -0.5)
+        assert InequalityResult(2.0, correlators, s_max=TSIRELSON_BOUND).s_max == TSIRELSON_BOUND
+        for exact in (True, False):
+            with pytest.raises(InvariantViolation, match="s_max"):
+                InequalityResult(2.0, correlators, exact=exact, s_max=TSIRELSON_BOUND + 2e-9)
+        monkeypatch.setattr(chsh, "_s_max", lambda kernel: TSIRELSON_BOUND + 2e-9)
+        with pytest.raises(InvariantViolation, match="s_max"):
+            hypothesis_comparison(proietti_scenario(), ["friend_dephasing"])
 
     def test_stochastic_sweep_interpolates(self):
         """s_max decreases from the ceiling to the dephased value as the

@@ -1,10 +1,11 @@
 """Byte-for-byte gate on the CSV and JSON report of every scenario.
 
-The files under ``tests/golden/`` hold the reports at ``seed=7`` and
-``grid_step=pi/16``, sampled (``shots=1000``) and exact (``shots=0``),
-with the ``wall_time_s`` line cut from the JSON.  At pi/16 the reports
-carry the grid cross-check's ``grid_gap`` rows; the report without a
-grid must equal them with those rows removed.  A change that alters
+The files under ``tests/golden/`` hold the reports at ``seed=7``, sampled
+(``shots=1000``) and exact (``shots=0``), with the ``wall_time_s`` line
+cut from the JSON.  Scenarios that read ``grid_step`` run at pi/16, so
+their reports carry the grid cross-check's ``grid_gap`` rows, and the
+report without a grid must equal them with those rows removed; the
+others reject ``grid_step`` and run without one.  A change that alters
 report bytes on purpose rewrites them with
 ``PYTHONPATH=src python tests/test_golden.py``, which rewrites only the
 files that changed and prints each changed line, old (``-``) then new
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from wfsim.report import ScenarioConfig, render_csv, render_json, run
+from wfsim.report import _SCENARIO_TABLE, ScenarioConfig, render_csv, render_json, run
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIO_NAMES = ("proietti", "counterexample", "pointer_basic", "bell_singlet")
@@ -40,7 +41,7 @@ def render_golden(scenario: str, shots: int, fmt: str) -> bytes:
         scenario=scenario,
         seed=7,
         shots=shots,
-        grid_step=math.pi / 16,
+        grid_step=math.pi / 16 if _SCENARIO_TABLE[scenario].reads_grid_step else None,
         output_format=fmt,
     )
     report = run(config)

@@ -103,6 +103,19 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=r"\[pi/128, pi/8\]"):
             ScenarioConfig(grid_step=math.pi / 129)
 
+    def test_grid_step_only_where_the_runner_reads_it(self):
+        for scenario in ("counterexample", "pointer_basic"):
+            with pytest.raises(ConfigError, match="grid_step must be null"):
+                ScenarioConfig(scenario=scenario, grid_step=math.pi / 16)
+            assert ScenarioConfig(scenario=scenario).echo()["grid_step"] is None
+        for scenario in ("proietti", "bell_singlet"):
+            assert ScenarioConfig(scenario=scenario, grid_step=math.pi / 16).grid_step
+        with pytest.raises(ConfigError, match="^<config>:3: grid_step"):
+            ScenarioConfig.from_mapping(
+                {"scenario": "pointer_basic", "grid_step": 0.1},
+                lines={"scenario": 2, "grid_step": 3},
+            )
+
     def test_grid_budget_admits_the_defaults_at_the_finest_step(self):
         config = ScenarioConfig(grid_step=math.pi / 128)
         assert config.hypotheses == ("unitary_only", "friend_dephasing")
@@ -357,6 +370,14 @@ class TestCliExitCodes:
     def test_invalid_flag_value(self, capsys):
         code = cli.main(["--scenario", "pointer_basic", "--grid-step", "7.0"])
         assert code == 2
+
+    @pytest.mark.parametrize("scenario", ["counterexample", "pointer_basic"])
+    def test_grid_step_for_a_scenario_without_a_grid_exits_2(self, scenario, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        code = cli.main(["--scenario", scenario, "--grid-step", "0.1", "--out", str(out)])
+        assert code == 2
+        assert "grid_step must be null" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invariant_violation_exit(self, tmp_path, monkeypatch, capsys):
         def explode(config):

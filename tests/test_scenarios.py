@@ -19,6 +19,7 @@ import wfsim.scenarios
 from wfsim import (
     CompositeSpace,
     DensityOperator,
+    DichotomicObservable,
     FRIEND_DEPHASING,
     FRIEND_PROJECTIVE,
     HeraldImpossible,
@@ -254,6 +255,25 @@ class TestProiettiScenario:
         assert len(results) == 11
         assert calls["dephase"] == 0
         assert calls["density"] <= 11
+
+    def test_sweep_without_a_grid_builds_no_mixture(self, monkeypatch):
+        """Without a grid the 11-point comparison on a warm scenario mixes tables only: no
+        DensityOperator is built, and no DichotomicObservable beyond the shared settings' four."""
+        scenario = proietti_scenario()
+        sweep = [CollapseHypothesis.stochastic(k / 10) for k in range(11)]
+        hypothesis_comparison(scenario, sweep)  # holds every dephasing the sweep needs
+        calls = {DensityOperator: 0, DichotomicObservable: 0}
+        for cls in calls:
+            validate = cls.__post_init__
+
+            def counted(self, validate=validate):
+                calls[type(self)] += 1
+                validate(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        results = hypothesis_comparison(scenario, sweep)
+        assert len(results) == 11
+        assert calls == {DensityOperator: 0, DichotomicObservable: 4}
 
     def test_stochastic_intermediate_is_valid(self):
         rho = proietti_scenario().exact_state_under("stochastic_collapse(0.35)")

@@ -64,15 +64,26 @@ bitwise equal, and every phi of the theta = 0 row is the same z, so that
 first maximum has b1 at or before b0 and b1 not a later copy of z: the
 scan evaluates only the upper triangle i <= j of the distinct directions,
 keeping the first z.  It walks the triangle in row blocks of a fixed
-number of rows, each from its own first row on, so its memory does not
-depend on the step; a later block wins only when strictly larger, which
-keeps the tie rule.
+number of pairs, each from its own first row on, so its memory grows with
+the number of directions, not of pairs; a later block wins only when
+strictly larger, which keeps the tie rule.
+
+The walk is screened.  Before it starts, the scan takes S at the grid pair
+nearest the exact optimum (the seed).  A threshold t, a relative 1e-6 below
+the best S known so far (the seed's, then the running best's), screens a
+few rows at a time with one matmul that tests a proven necessary condition
+for S >= t (derived at ``_grid_bob_pair``).  Only the pairs that pass get
+S, from their block's Gram entries, in the same arithmetic as an
+unscreened scan, and every pair dropped lies below the grid maximum.  So
+the maximum, its ties and the pick are the unscreened scan's; the seed
+changes only how much is pruned.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import product
 from typing import Sequence, Union
 
@@ -95,12 +106,13 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 TSIRELSON_TOL = 1e-9
 CONSISTENCY_TOL = 1e-6  # |S - S_data| at the shared settings that still reproduces the data
 
-# Accepted grid steps, inclusive.  The scan cost grows as step**-4: one pi/128
-# scan takes 4.2-5.0 s and 36 MB peak RSS on a shared 2-core Xeon, each halving 16x more.
+# Accepted grid steps, inclusive.  The scan's pairs grow as step**-4: one pi/128 scan
+# takes 0.5-2.3 s (the singlet 1.6 s) and 38-40 MB peak RSS on a shared 2-core Xeon,
+# each halving about 11-16x more.
 GRID_STEP_RANGE = (math.pi / 128, math.pi / 8)
 
 # Most grid pairs a run may scan, counted as (hypotheses + 1) scans of _scan_pairs:
-# sixteen pi/128 scans, one to one and a half minutes on that Xeon.  More exits 2 up front.
+# sixteen pi/128 scans, 10-40 s on that Xeon.  More exits 2 up front.
 _GRID_PAIR_BUDGET = 1 << 33
 
 
@@ -342,45 +354,122 @@ def _angles_of(vector: np.ndarray) -> tuple[float, float]:
     return theta, phi
 
 
-# Pairs per scan block, sized so that the block's three arrays stay cache-resident.
+@lru_cache(maxsize=4)
+def _scan_directions(step: float) -> np.ndarray:
+    """The scan's distinct directions, read-only: ``_sphere_grid``'s with one z at theta = 0."""
+    _, phis, vectors = _sphere_grid(step)
+    vectors = np.delete(vectors, np.s_[1 : len(phis)], axis=0)
+    vectors.setflags(write=False)
+    return vectors
+
+
+def _pair_values(pair_sum, gram):
+    """S = sqrt(P + G) + sqrt(P - G), each clamped at 0, for pair sums P and G = 2 w_i . w_j."""
+    return np.sqrt(np.maximum(pair_sum + gram, 0.0)) + np.sqrt(np.maximum(pair_sum - gram, 0.0))
+
+
+# Pairs per Gram block: whole rows of the triangle, each from the block's first row on.
+# A survivor's G is read from its block's matmul, whose shape does not depend on what
+# the screen keeps, so G is bitwise the same whatever the threshold.
 _BLOCK_PAIRS = 1 << 15
+
+# Fewest rows the screen evaluates in one matmul: a one-row product runs about
+# three times slower per pair than a four-row one.
+_SCREEN_ROWS = 4
+
+# The screen.  With w_i = K b_i, n_i = |w_i|^2, P = n_i + n_j, G = 2 w_i . w_j
+# (|G| <= P) and R = sqrt(P^2 - G^2), a pair's S^2 = 2P + 2R.  So S >= t
+# holds iff 2P >= t^2, or t^2 > 2P and 2R >= t^2 - 2P, which squares to
+#     G^2 <= t^2 (P - t^2 / 4).
+# Every pair with S >= t passes one of the two tests.  The first keeps the
+# pairs with R near 0, where the second has no slack, such as the pairs of a
+# rank-one K whose two directions both reach its largest |K b|.  For the
+# second, G^2 = 4 sum over a, b of (w_ia w_ib)(w_ja w_jb), so with
+# c_j = (w_j0^2, w_j1^2, w_j2^2, w_j0 w_j1, w_j0 w_j2, w_j1 w_j2, 1, n_j)
+#     Q = G^2 - t^2 n_i - t^2 n_j + t^4 / 4 = c_i . W c_j <= 0
+# for the symmetric W = diag(4, 4, 4, 8, 8, 8, 0, 0) plus t^4 / 4 at (6, 6)
+# and -t^2 at (6, 7) and (7, 6): one matmul screens a few rows at a time.
+# t is the best S known so far, first the S of the grid pair nearest the
+# exact optimum, shrunk by _SCREEN_MARGIN = m, so every dropped pair lies
+# below the grid maximum.  Near t^2 = 2P, once the first test fails, the
+# second's slack is at least about (m t^2)^2, and must outlast Q's rounding,
+# a few eps t^4: m = 1e-6 leaves a factor of several hundred, while m = 1e-9
+# changed picks on rank-one kernels.  The margin also covers the seed's S,
+# which another product order can read up to about 2e-8 higher where
+# P - G is near 0.
+_SCREEN_MARGIN = 1e-6
+_PRODUCTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))  # (a, b) of c's w_a w_b
 
 
 def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bob's best (b1, b0) over the product grid, first in row-major order on ties."""
-    _, phis, vectors = _sphere_grid(grid_step)
-    vectors = np.delete(vectors, np.s_[1 : len(phis)], axis=0)  # theta = 0: one z
+    """Bob's best (b1, b0) over the product grid, first in row-major order on ties.
+
+    The screen above runs on a few Gram blocks at a time.  Only its
+    survivors get S, from their block's G, bitwise the value an unscreened
+    scan computes; every pair it drops lies below the grid maximum, so the
+    pick is the unscreened scan's.
+    """
+    vectors = _scan_directions(grid_step)
     w = vectors @ kernel.T  # row i = K b_i
-    twice = 2.0 * w  # exact, so plus and minus round as pair_sum +/- 2 gram
     norms2 = np.einsum("ij,ij->i", w, w)
     n = vectors.shape[0]
+    lifted = np.empty((8, n))  # column j is c_j
+    for row, (a, b) in zip(lifted, _PRODUCTS):
+        np.multiply(w[:, a], w[:, b], out=row)
+    lifted[6], lifted[7] = 1.0, norms2
+    weights = np.diag([4.0, 4.0, 4.0, 8.0, 8.0, 8.0, 0.0, 0.0])
+    suffix_max = np.maximum.accumulate(norms2[::-1])[::-1]  # suffix_max[k] = max(norms2[k:])
 
-    rows = max(1, _BLOCK_PAIRS // n)
-    buffer = np.empty(3 * rows * n)
+    def screen_below(s: float) -> float:
+        """Set W for t = s shrunk by the margin; return t^2."""
+        t2 = (s * (1.0 - _SCREEN_MARGIN)) ** 2
+        weights[6, 6], weights[6, 7], weights[7, 6] = t2 * t2 / 4.0, -t2, -t2
+        return t2
+
+    i, j = (int(np.argmax(vectors @ b)) for b in _exact_bob_pair(kernel))
+    seed = float(_pair_values(norms2[i] + norms2[j], 2.0 * (w[i] @ w[j])))
+    t2 = screen_below(seed)
+    rows = max(1, _BLOCK_PAIRS // n)  # per Gram block
+    height = rows * math.ceil(_SCREEN_ROWS / rows)  # per screen, whole Gram blocks
+    tops = range(0, n, height)
+    row_max = np.maximum.reduceat(norms2, tops)  # largest n_i of each screen's rows
+    buffer = np.empty(height * n)  # a screen's Q, then its Gram blocks' w_i . w_j
+    flags = np.empty(height * n, dtype=bool)
     best_value = -math.inf
     best_pair = (0, 0)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        shape = (stop - start, n - start)  # columns from the block's first row on
+    for screen_index, top in enumerate(tops):
+        bottom = min(top + height, n)
+        shape = (bottom - top, n - top)  # columns from the screen's first row on
         size = shape[0] * shape[1]
-        gram = buffer[:size].reshape(shape)
-        halves = buffer[size : 3 * size].reshape(2, *shape)  # (plus, minus)
-        plus, minus = halves
-        np.matmul(twice[start:stop], w[start:].T, out=gram)
-        # A product [n_i, 1] @ [1, n_j] gives these sums bitwise too, and faster on blocks of
-        # many short rows, but slower on the one-row blocks of steps finer than about pi/90.
-        np.add(norms2[start:stop, None], norms2[None, start:], out=plus)
-        np.subtract(plus, gram, out=minus)
-        plus += gram
-        np.maximum(halves, 0.0, out=halves)
-        np.sqrt(halves, out=halves)
-        plus += minus
-        local = int(np.argmax(plus))
-        value = float(plus.flat[local])
-        if value > best_value:  # strict >: the earliest block keeps a tie
-            best_value = value
-            row, col = divmod(local, shape[1])
-            best_pair = (start + row, start + col)
+        screen, keep = buffer[:size].reshape(shape), flags[:size].reshape(shape)
+        np.matmul(lifted[:, top:bottom].T @ weights, lifted[:, top:], out=screen)
+        np.less_equal(screen, 0.0, out=keep)
+        if t2 / 2.0 - row_max[screen_index] <= suffix_max[top]:  # a row may meet 2P >= t^2
+            reach = t2 / 2.0 - norms2[top:bottom]
+            near = np.flatnonzero(reach <= suffix_max[top])
+            keep[near] |= norms2[None, top:] >= reach[near, None]
+        if not keep.any():  # one pass, not a flatnonzero per Gram block
+            continue
+        for start in range(top, bottom, rows):  # the Gram blocks, Q spent
+            stop = min(start + rows, n)
+            block = (stop - start, n - start)  # columns from the block's first row on
+            survivors = np.flatnonzero(keep[start - top : stop - top, start - top :])
+            if survivors.size == 0:
+                continue
+            gram = buffer[: block[0] * block[1]].reshape(block)
+            np.matmul(w[start:stop], w[start:].T, out=gram)  # w_i . w_j, G / 2
+            firsts = survivors // block[1]  # np.divmod takes about twice as long
+            seconds = survivors - firsts * block[1]
+            pair_sum = norms2[start:stop][firsts] + norms2[start:][seconds]
+            # Scaling by 2 commutes with rounding, so this G is bitwise (2 w_i) . w_j.
+            values = _pair_values(pair_sum, 2.0 * gram.reshape(-1)[survivors])
+            local = int(np.argmax(values))  # survivors are in row-major order
+            value = float(values[local])
+            if value > best_value:  # strict >: the earliest block keeps a tie
+                best_value = value
+                best_pair = (start + int(firsts[local]), start + int(seconds[local]))
+                if value > seed:
+                    t2 = screen_below(value)
 
     return vectors[best_pair[0]], vectors[best_pair[1]]
 
@@ -611,12 +700,13 @@ def hypothesis_comparison(
     unitary value by more than ``CONSISTENCY_TOL``.  Each result also
     carries the exact maximum ``s_max`` of the hypothesis's own state.
     Both come from mixed tables (see module docstring), not from mixed
-    densities; hypotheses with bitwise equal tables share one entry.  With
-    ``grid_step`` set, each entry's mixed density (``exact_state_under``)
-    is also searched once on that grid, and ``grid_gap`` is ``s_max``
-    minus the grid maximum.  With ``shots > 0`` the returned results are
-    sampling estimates (one child stream per hypothesis, spawned from
-    ``rng`` in list order) with the exact companions attached.
+    densities; hypotheses whose tables are equal entry by entry share one
+    entry.  With ``grid_step`` set, each entry's mixed density
+    (``exact_state_under``) is also searched once on that grid, and
+    ``grid_gap`` is ``s_max`` minus the grid maximum.  With ``shots > 0``
+    the returned results are sampling estimates (one child stream per
+    hypothesis, spawned from ``rng`` in list order) with the exact
+    companions attached.
     """
     if shots > 0 and rng is None:
         raise ShapeError("sampling a comparison needs a Generator")
@@ -631,6 +721,9 @@ def hypothesis_comparison(
     tables = {id(rho_unitary): np.stack([kernel, _settings_moments(rho_unitary, settings)])}
     entries: list[tuple[np.ndarray, float, CollapseHypothesis]] = []  # ((K, M), s_max, first)
     which: dict[CollapseHypothesis, int] = {}  # hypothesis -> index into entries
+    # (K, M) bytes -> index into entries; adding 0.0 turns -0.0 into 0.0, so tables
+    # that compare equal entry by entry share a key
+    index_of: dict[bytes, int] = {}
     for hyp in (UNITARY_ONLY, *parsed):
         terms = scenario.held_terms(hyp)
         for _, rho in terms:
@@ -638,8 +731,7 @@ def hypothesis_comparison(
                 kernel = _correlation_kernel(rho, *spaces)
                 tables[id(rho)] = np.stack([kernel, _settings_moments(rho, settings)])
         mixed = _mixed([(w, tables[id(rho)]) for w, rho in terms])
-        matches = (index for index, entry in enumerate(entries) if np.array_equal(entry[0], mixed))
-        which[hyp] = next(matches, len(entries))
+        which[hyp] = index_of.setdefault((mixed + 0.0).tobytes(), len(entries))
         if which[hyp] == len(entries):
             entries.append((mixed, _s_max(mixed[0]), hyp))
 

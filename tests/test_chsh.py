@@ -278,6 +278,30 @@ class TestOptimizeSettings:
                 assert np.array_equal(b1, vectors[i1]), (name, div)
                 assert np.array_equal(b0, vectors[i0]), (name, div)
 
+    def test_grid_picks_do_not_depend_on_the_seed(self, monkeypatch):
+        """The seed pair only sets how much the scan's screen prunes: seeded from the
+        least singular direction twice (S = 2 sigma3, 0 for a rank-one K), the scan
+        still makes the pinned picks."""
+        scenario = proietti_scenario()
+        kernels = {"singlet": -np.eye(3)}
+        for name in list(self.PINNED_PICKS)[1:]:
+            rho = scenario.exact_state_under(name)
+            wings = (rho.space.subspace(scenario.alice_labels),
+                     rho.space.subspace(scenario.bob_labels))
+            kernels[name] = chsh._correlation_kernel(rho, *wings)
+
+        def poor_pair(kernel):
+            least = np.linalg.svd(kernel)[2][2]
+            return least, least
+
+        monkeypatch.setattr(chsh, "_exact_bob_pair", poor_pair)
+        for name, picks in self.PINNED_PICKS.items():
+            for div, (i1, i0) in picks.items():
+                _, _, vectors = chsh._sphere_grid(PI / div)
+                b1, b0 = chsh._grid_bob_pair(kernels[name], PI / div)
+                assert np.array_equal(b1, vectors[i1]), (name, div)
+                assert np.array_equal(b0, vectors[i0]), (name, div)
+
     def test_grid_step_validation(self):
         with pytest.raises(ShapeError):
             optimize_settings(bell_singlet(), grid_step=0.0)

@@ -336,20 +336,46 @@ def test_wing_moments_match_brute_force(seed):
         assert np.max(np.abs(moments - expected)) < 1e-12
 
 
-@EXAMPLES
-@given(seed=SEEDS, kind=st.sampled_from(["random", "quarters", "diagonal"]))
-def test_grid_pair_matches_full_table(seed, kind):
-    """The half-triangle scan picks the full table's first maximum, bitwise.
+GRID_KERNELS = ["random", "quarters", "diagonal", "rank_one", "rank_two", "rotation", "zero"]
+
+
+def _grid_kernel(rng: np.random.Generator, kind: str) -> np.ndarray:
+    """A 3 x 3 kernel of the given kind for the grid-scan properties.
 
     Quarter-rounded and diagonal kernels have exact ties between
-    different grid pairs, so they exercise the tie rule.
+    different grid pairs, so they exercise the tie rule.  A rank-one
+    kernel maps every direction onto one line: its best pairs tie
+    exactly, and those with both directions at the maximum are the
+    parallel pairs the scan's screen keeps by its 2P >= t^2 test.  A
+    rotation gives every direction the same |K b|; the zero kernel ties
+    every pair at S = 0.
     """
-    rng = np.random.default_rng(seed)
+    def unit():
+        v = rng.normal(size=3)
+        return v / np.linalg.norm(v)
+
+    if kind == "rank_one":
+        return 0.9 * np.outer(unit(), unit())
+    if kind == "rank_two":
+        return 0.9 * np.outer(unit(), unit()) + 0.5 * np.outer(unit(), unit())
+    if kind == "rotation":
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        return q * np.sign(np.diag(r))
+    if kind == "zero":
+        return np.zeros((3, 3))
     kernel = rng.uniform(-1.0, 1.0, size=(3, 3))
     if kind != "random":
         kernel = np.round(4.0 * kernel) / 4.0
     if kind == "diagonal":
         kernel = np.diag(np.diag(kernel))
+    return kernel
+
+
+@EXAMPLES
+@given(seed=SEEDS, kind=st.sampled_from(GRID_KERNELS))
+def test_grid_pair_matches_full_table(seed, kind):
+    """The screened half-triangle scan picks the full table's first maximum, bitwise."""
+    kernel = _grid_kernel(np.random.default_rng(seed), kind)
     for step in (math.pi / 8, math.pi / 16):
         picked = _grid_bob_pair(kernel, step)
         expected = brute_grid_pair(kernel, step)
@@ -357,7 +383,7 @@ def test_grid_pair_matches_full_table(seed, kind):
 
 
 @EXAMPLES
-@given(seed=SEEDS, kind=st.sampled_from(["random", "quarters", "diagonal"]))
+@given(seed=SEEDS, kind=st.sampled_from(GRID_KERNELS))
 def test_grid_pair_matches_full_table_on_uneven_steps(seed, kind):
     """Bitwise the full table's first maximum at steps that do not divide pi.
 
@@ -365,12 +391,7 @@ def test_grid_pair_matches_full_table_on_uneven_steps(seed, kind):
     step 0.2 (481 distinct directions, 68 rows per block) the last row
     block is ragged.
     """
-    rng = np.random.default_rng(seed)
-    kernel = rng.uniform(-1.0, 1.0, size=(3, 3))
-    if kind != "random":
-        kernel = np.round(4.0 * kernel) / 4.0
-    if kind == "diagonal":
-        kernel = np.diag(np.diag(kernel))
+    kernel = _grid_kernel(np.random.default_rng(seed), kind)
     for step in (0.2, 0.3, 0.37):
         picked = _grid_bob_pair(kernel, step)
         expected = brute_grid_pair(kernel, step)

@@ -70,13 +70,13 @@ strictly larger, which keeps the tie rule.
 
 The walk is screened.  Before it starts, the scan takes S at the grid pair
 nearest the exact optimum (the seed).  A threshold t, a relative 1e-6 below
-the best S known so far (the seed's, then the running best's), screens a
-few rows at a time with one matmul that tests a proven necessary condition
-for S >= t (derived at ``_grid_bob_pair``).  Only the pairs that pass get
-S, from their block's Gram entries, in the same arithmetic as an
-unscreened scan, and every pair dropped lies below the grid maximum.  So
-the maximum, its ties and the pick are the unscreened scan's; the seed
-changes only how much is pruned.
+the best S known so far (the seed's, then the running best's), screens each
+block with one matmul that tests a proven necessary condition for S >= t
+(derived at ``_grid_bob_pair``).  Only the pairs that pass get S, from
+their block's Gram entries, in the same arithmetic as an unscreened scan,
+and every pair dropped lies below the grid maximum.  So the maximum, its
+ties and the pick are the unscreened scan's; the seed changes only how
+much is pruned.
 """
 
 from __future__ import annotations
@@ -107,12 +107,12 @@ TSIRELSON_TOL = 1e-9
 CONSISTENCY_TOL = 1e-6  # |S - S_data| at the shared settings that still reproduces the data
 
 # Accepted grid steps, inclusive.  The scan's pairs grow as step**-4: one pi/128 scan
-# takes 0.5-2.3 s (the singlet 1.6 s) and 38-40 MB peak RSS on a shared 2-core Xeon,
-# each halving about 11-16x more.
+# takes 1.4-3.7 s (the singlet 3.0 s) and 38-41 MB peak RSS on a shared 2-core Xeon,
+# each halving from pi/32 on about 17-25x more.
 GRID_STEP_RANGE = (math.pi / 128, math.pi / 8)
 
 # Most grid pairs a run may scan, counted as (hypotheses + 1) scans of _scan_pairs:
-# sixteen pi/128 scans, 10-40 s on that Xeon.  More exits 2 up front.
+# sixteen pi/128 scans, 25-60 s on that Xeon.  More exits 2 up front.
 _GRID_PAIR_BUDGET = 1 << 33
 
 
@@ -373,10 +373,6 @@ def _pair_values(pair_sum, gram):
 # the screen keeps, so G is bitwise the same whatever the threshold.
 _BLOCK_PAIRS = 1 << 15
 
-# Fewest rows the screen evaluates in one matmul: a one-row product runs about
-# three times slower per pair than a four-row one.
-_SCREEN_ROWS = 4
-
 # The screen.  With w_i = K b_i, n_i = |w_i|^2, P = n_i + n_j, G = 2 w_i . w_j
 # (|G| <= P) and R = sqrt(P^2 - G^2), a pair's S^2 = 2P + 2R.  So S >= t
 # holds iff 2P >= t^2, or t^2 > 2P and 2R >= t^2 - 2P, which squares to
@@ -388,15 +384,16 @@ _SCREEN_ROWS = 4
 # c_j = (w_j0^2, w_j1^2, w_j2^2, w_j0 w_j1, w_j0 w_j2, w_j1 w_j2, 1, n_j)
 #     Q = G^2 - t^2 n_i - t^2 n_j + t^4 / 4 = c_i . W c_j <= 0
 # for the symmetric W = diag(4, 4, 4, 8, 8, 8, 0, 0) plus t^4 / 4 at (6, 6)
-# and -t^2 at (6, 7) and (7, 6): one matmul screens a few rows at a time.
-# t is the best S known so far, first the S of the grid pair nearest the
-# exact optimum, shrunk by _SCREEN_MARGIN = m, so every dropped pair lies
-# below the grid maximum.  Near t^2 = 2P, once the first test fails, the
-# second's slack is at least about (m t^2)^2, and must outlast Q's rounding,
-# a few eps t^4: m = 1e-6 leaves a factor of several hundred, while m = 1e-9
-# changed picks on rank-one kernels.  The margin also covers the seed's S,
-# which another product order can read up to about 2e-8 higher where
-# P - G is near 0.
+# and -t^2 at (6, 7) and (7, 6): one matmul screens a Gram block, and costs
+# less than squaring its G (the Gram matmul then runs only where a pair
+# passes).  t is the best S known so far, first the S of the grid pair
+# nearest the exact optimum, shrunk by _SCREEN_MARGIN = m, so every dropped
+# pair lies below the grid maximum.  Near t^2 = 2P, once the first test
+# fails, the second's slack is at least about (m t^2)^2, and must outlast
+# Q's rounding, a few eps t^4: m = 1e-6 leaves a factor of several hundred,
+# while m = 1e-9 changed picks on rank-one kernels.  The margin also covers
+# the seed's S, which another product order can read up to about 2e-8
+# higher where P - G is near 0.
 _SCREEN_MARGIN = 1e-6
 _PRODUCTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))  # (a, b) of c's w_a w_b
 
@@ -404,10 +401,10 @@ _PRODUCTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))  # (a, b) of c's w_
 def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
     """Bob's best (b1, b0) over the product grid, first in row-major order on ties.
 
-    The screen above runs on a few Gram blocks at a time.  Only its
-    survivors get S, from their block's G, bitwise the value an unscreened
-    scan computes; every pair it drops lies below the grid maximum, so the
-    pick is the unscreened scan's.
+    Each Gram block is screened as above.  Only its survivors get S, from
+    the block's own G, bitwise the value an unscreened scan computes; every
+    pair the screen drops lies below the grid maximum, so the pick is the
+    unscreened scan's.
     """
     vectors = _scan_directions(grid_step)
     w = vectors @ kernel.T  # row i = K b_i
@@ -429,47 +426,40 @@ def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np
     i, j = (int(np.argmax(vectors @ b)) for b in _exact_bob_pair(kernel))
     seed = float(_pair_values(norms2[i] + norms2[j], 2.0 * (w[i] @ w[j])))
     t2 = screen_below(seed)
-    rows = max(1, _BLOCK_PAIRS // n)  # per Gram block
-    height = rows * math.ceil(_SCREEN_ROWS / rows)  # per screen, whole Gram blocks
-    tops = range(0, n, height)
-    row_max = np.maximum.reduceat(norms2, tops)  # largest n_i of each screen's rows
-    buffer = np.empty(height * n)  # a screen's Q, then its Gram blocks' w_i . w_j
-    flags = np.empty(height * n, dtype=bool)
+    rows = max(1, _BLOCK_PAIRS // n)
+    starts = range(0, n, rows)
+    row_max = np.maximum.reduceat(norms2, starts)  # largest n_i of each block's rows
+    buffer = np.empty(rows * n)  # the block's Q, then its w_i . w_j, G / 2
+    flags = np.empty(rows * n, dtype=bool)
     best_value = -math.inf
     best_pair = (0, 0)
-    for screen_index, top in enumerate(tops):
-        bottom = min(top + height, n)
-        shape = (bottom - top, n - top)  # columns from the screen's first row on
+    for block_index, start in enumerate(starts):
+        stop = min(start + rows, n)
+        shape = (stop - start, n - start)  # columns from the block's first row on
         size = shape[0] * shape[1]
-        screen, keep = buffer[:size].reshape(shape), flags[:size].reshape(shape)
-        np.matmul(lifted[:, top:bottom].T @ weights, lifted[:, top:], out=screen)
-        np.less_equal(screen, 0.0, out=keep)
-        if t2 / 2.0 - row_max[screen_index] <= suffix_max[top]:  # a row may meet 2P >= t^2
-            reach = t2 / 2.0 - norms2[top:bottom]
-            near = np.flatnonzero(reach <= suffix_max[top])
-            keep[near] |= norms2[None, top:] >= reach[near, None]
-        if not keep.any():  # one pass, not a flatnonzero per Gram block
+        block, keep = buffer[:size].reshape(shape), flags[:size].reshape(shape)
+        np.matmul(lifted[:, start:stop].T @ weights, lifted[:, start:], out=block)
+        np.less_equal(block, 0.0, out=keep)
+        if t2 / 2.0 - row_max[block_index] <= suffix_max[start]:  # a row may meet 2P >= t^2
+            reach = t2 / 2.0 - norms2[start:stop]
+            near = np.flatnonzero(reach <= suffix_max[start])
+            keep[near] |= norms2[None, start:] >= reach[near, None]
+        survivors = np.flatnonzero(keep)
+        if survivors.size == 0:
             continue
-        for start in range(top, bottom, rows):  # the Gram blocks, Q spent
-            stop = min(start + rows, n)
-            block = (stop - start, n - start)  # columns from the block's first row on
-            survivors = np.flatnonzero(keep[start - top : stop - top, start - top :])
-            if survivors.size == 0:
-                continue
-            gram = buffer[: block[0] * block[1]].reshape(block)
-            np.matmul(w[start:stop], w[start:].T, out=gram)  # w_i . w_j, G / 2
-            firsts = survivors // block[1]  # np.divmod takes about twice as long
-            seconds = survivors - firsts * block[1]
-            pair_sum = norms2[start:stop][firsts] + norms2[start:][seconds]
-            # Scaling by 2 commutes with rounding, so this G is bitwise (2 w_i) . w_j.
-            values = _pair_values(pair_sum, 2.0 * gram.reshape(-1)[survivors])
-            local = int(np.argmax(values))  # survivors are in row-major order
-            value = float(values[local])
-            if value > best_value:  # strict >: the earliest block keeps a tie
-                best_value = value
-                best_pair = (start + int(firsts[local]), start + int(seconds[local]))
-                if value > seed:
-                    t2 = screen_below(value)
+        np.matmul(w[start:stop], w[start:].T, out=block)  # w_i . w_j, G / 2
+        firsts = survivors // shape[1]  # np.divmod takes about twice as long
+        seconds = survivors - firsts * shape[1]
+        pair_sum = norms2[start:stop][firsts] + norms2[start:][seconds]
+        # Scaling by 2 commutes with rounding, so this G is bitwise (2 w_i) . w_j.
+        values = _pair_values(pair_sum, 2.0 * block.reshape(-1)[survivors])
+        local = int(np.argmax(values))  # survivors are in row-major order
+        value = float(values[local])
+        if value > best_value:  # strict >: the earliest block keeps a tie
+            best_value = value
+            best_pair = (start + int(firsts[local]), start + int(seconds[local]))
+            if value > seed:
+                t2 = screen_below(value)
 
     return vectors[best_pair[0]], vectors[best_pair[1]]
 

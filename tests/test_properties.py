@@ -337,6 +337,9 @@ def test_wing_moments_match_brute_force(seed):
 
 
 GRID_KERNELS = ["random", "quarters", "diagonal", "rank_one", "rank_two", "rotation", "zero"]
+# About 13-14 examples per kind, the share each of the first three kinds had in
+# 40 examples over three.
+GRID_EXAMPLES = settings(max_examples=95, deadline=None)
 
 
 def _grid_kernel(rng: np.random.Generator, kind: str) -> np.ndarray:
@@ -371,7 +374,7 @@ def _grid_kernel(rng: np.random.Generator, kind: str) -> np.ndarray:
     return kernel
 
 
-@EXAMPLES
+@GRID_EXAMPLES
 @given(seed=SEEDS, kind=st.sampled_from(GRID_KERNELS))
 def test_grid_pair_matches_full_table(seed, kind):
     """The screened half-triangle scan picks the full table's first maximum, bitwise."""
@@ -382,7 +385,7 @@ def test_grid_pair_matches_full_table(seed, kind):
         assert all(np.array_equal(a, b) for a, b in zip(picked, expected)), (kind, step)
 
 
-@EXAMPLES
+@GRID_EXAMPLES
 @given(seed=SEEDS, kind=st.sampled_from(GRID_KERNELS))
 def test_grid_pair_matches_full_table_on_uneven_steps(seed, kind):
     """Bitwise the full table's first maximum at steps that do not divide pi.

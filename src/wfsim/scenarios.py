@@ -25,7 +25,6 @@ package silently picks one.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -67,7 +66,6 @@ _SIDES = {
     "A": ("a", "alpha_prime", "alpha"),
     "B": ("b", "beta_prime", "beta"),
 }
-_DRAW_CHUNK = 1 << 16  # uniforms per chunk in counterexample_frequencies (512 KiB)
 
 _COS = math.cos(math.pi / 8)
 _SIN = math.sin(math.pi / 8)
@@ -400,39 +398,18 @@ def counterexample_frequencies(
     rng: np.random.Generator,
     amplitudes: Sequence[complex] = (1 / _SQRT2, 1 / _SQRT2),
 ) -> float:
-    """Frequency of photon receipt over many seeded runs, vectorized.
+    """Frequency of photon receipt over ``runs`` seeded runs.
 
-    Fixed draw order: under subjective_collapse ``runs`` uniforms select branches,
-    then the next ``runs`` of the stream decide outcomes against the per-branch Born
-    probability; under unitary_only ``runs`` uniforms meet the exact probability.
-    Drawn in chunks, statistically identical to looping :func:`counterexample_run`.
-    The outcome uniforms are reached by ``advance``, so subjective_collapse raises
-    InvalidState unless the bit generator is PCG64 or PCG64DXSM.
+    Each run emits independently with the exact probability
+    :func:`counterexample_probability`, so the hit count is one
+    ``rng.binomial(runs, p)`` draw, distributed exactly as looping
+    :func:`counterexample_run`.  Time and memory do not depend on ``runs``,
+    which must be an integer in [1, 2**63).
     """
-    if runs < 1:
-        raise ShapeError("runs must be at least 1")
-    hypothesis = _counterexample_hypothesis(hypothesis)
-    psi = _counterexample_unitary(amplitudes)
-    p_up = abs(psi.amplitude("uu0")) ** 2
-    meas = counterexample_measurement()
-    unitary = hypothesis.variant == "unitary_only"
-    if not unitary and not isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
-        raise InvalidState("subjective_collapse frequencies need PCG64 or PCG64DXSM, whose "
-                           f"advance skips whole draws, not {type(rng.bit_generator).__name__}")
-    p_unitary = counterexample_probability(hypothesis, amplitudes) if unitary else None
-    branch_states = () if unitary else (PureState.basis(psi.space, b) for b in ("uu0", "dd0"))
-    p_branch = np.array([born_probabilities(branch, meas)[0] for branch in branch_states])
-    buffered = {k: v for k, v in rng.bit_generator.state.items() if k in ("has_uint32", "uinteger")}
-    outcomes = rng if unitary else copy.deepcopy(rng)
-    if not unitary:  # the outcome uniforms follow every branch uniform
-        outcomes.bit_generator.advance(runs)
-    hits = 0
-    for start in range(0, runs, _DRAW_CHUNK):
-        n = min(_DRAW_CHUNK, runs - start)
-        p = p_unitary if unitary else p_branch[(rng.random(n) >= p_up).astype(int)]
-        hits += int(np.count_nonzero(outcomes.random(n) < p))
-    rng.bit_generator.state = outcomes.bit_generator.state | buffered  # advance() drops the buffer
-    return hits / runs
+    if isinstance(runs, bool) or not isinstance(runs, int) or not 1 <= runs < 2**63:
+        raise ShapeError(f"runs must be an integer in [1, 2**63), got {runs!r}")
+    p = counterexample_probability(hypothesis, amplitudes)
+    return int(rng.binomial(runs, p)) / runs
 
 
 def bell_singlet() -> PureState:

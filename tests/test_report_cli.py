@@ -267,6 +267,14 @@ class TestRunCounterexample:
         assert unitary.estimate == 1.0
         assert abs(collapse.estimate - 0.5) < 5 * math.sqrt(0.25 / 50_000)
 
+    def test_largest_accepted_shot_count_returns(self):
+        """The top of the accepted range costs one binomial draw per hypothesis."""
+        config = ScenarioConfig(scenario="counterexample", shots=2**63 - 1, seed=7)
+        rows = _rows_by_quantity(run(config))
+        assert rows[("unitary_only", "photon_probability")].estimate == 1.0
+        collapse = rows[("subjective_collapse", "photon_probability")].estimate
+        assert abs(collapse - 0.5) < 1e-6
+
 
 class TestEmission:
     def test_csv_header_and_digits(self):

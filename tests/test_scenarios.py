@@ -31,7 +31,6 @@ from wfsim import (
     UNITARY_ONLY,
     UnknownSubsystem,
     bell_singlet,
-    born_probabilities,
     claimed_branch_collapse,
     coherence_norm,
     counterexample_frequencies,
@@ -53,7 +52,7 @@ from wfsim import (
 )
 from wfsim.chsh import _basis_triple, _wing_moments
 from wfsim.measurement import CollapseHypothesis
-from wfsim.scenarios import _DRAW_CHUNK, counterexample_density
+from wfsim.scenarios import counterexample_density
 
 COS_AMP = 0.6532814824381883
 SIN_AMP = 0.2705980500730985
@@ -455,13 +454,11 @@ class TestCounterexample:
         rho = counterexample_density(SUBJECTIVE_COLLAPSE, amplitudes=amps)
         assert np.array_equal(rho.matrix, dephase(unitary, ("A",)).matrix)
 
-    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox])
-    def test_collapse_frequencies_reject_generators_that_advance_otherwise(self, bit_generator):
-        """MT19937 and SFC64 have no advance, and Philox's skips four draws per step."""
-        rng = np.random.Generator(bit_generator(41))
-        with pytest.raises(InvalidState, match=bit_generator.__name__):
-            counterexample_frequencies(SUBJECTIVE_COLLAPSE, 1000, rng)
-        assert counterexample_frequencies(UNITARY_ONLY, 1000, rng) == 1.0
+    @pytest.mark.parametrize("runs", [0, -1, 2**63, 1.5, True])
+    def test_frequencies_reject_runs_outside_the_int64_range(self, runs):
+        """A bare binomial would raise OverflowError at 2**63 and truncate 1.5."""
+        with pytest.raises(ShapeError, match="runs must be an integer"):
+            counterexample_frequencies(SUBJECTIVE_COLLAPSE, runs, np.random.default_rng(0))
 
     def test_unequal_amplitudes(self):
         """Hand-derived: under collapse P = w |<phi+|uu>|^2 + (1-w) |<phi+|dd>|^2
@@ -475,32 +472,19 @@ class TestCounterexample:
 
     @pytest.mark.parametrize("hypothesis", ["unitary_only", "subjective_collapse"])
     @pytest.mark.parametrize("amps", [(1 / math.sqrt(2),) * 2, (math.sqrt(0.8), math.sqrt(0.2))])
-    def test_chunked_draws_match_two_whole_arrays(self, hypothesis, amps, bit_generator=np.random.PCG64):
-        """More runs than one chunk: the frequency and the final generator state equal
-        those of the whole-array formula (branch uniforms, then outcome uniforms).
-        The default bit generator is default_rng's."""
-        runs = 2 * _DRAW_CHUNK + 4099
-        reference, chunked = (np.random.Generator(bit_generator(41)) for _ in range(2))
-        if hypothesis == "unitary_only":
-            p = counterexample_probability(hypothesis, amplitudes=amps)
-            expected = float((reference.random(runs) < p).mean())
-        else:
-            space = CompositeSpace.qubits("A", "B", "C")
-            p_branch = np.array([
-                born_probabilities(PureState.basis(space, b), counterexample_measurement())[0]
-                for b in ("uu0", "dd0")
-            ])
-            branches = (reference.random(runs) >= abs(amps[0]) ** 2).astype(int)
-            expected = float((reference.random(runs) < p_branch[branches]).mean())
-        got = counterexample_frequencies(hypothesis, runs, chunked, amplitudes=amps)
-        assert got == expected
-        assert chunked.bit_generator.state == reference.bit_generator.state
-
-    @pytest.mark.parametrize("hypothesis", ["unitary_only", "subjective_collapse"])
-    @pytest.mark.parametrize("amps", [(1 / math.sqrt(2),) * 2, (math.sqrt(0.8), math.sqrt(0.2))])
-    def test_chunked_draws_match_two_whole_arrays_pcg64dxsm(self, hypothesis, amps):
-        """PCG64DXSM's advance also counts whole draws."""
-        self.test_chunked_draws_match_two_whole_arrays(hypothesis, amps, np.random.PCG64DXSM)
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.SFC64, np.random.Philox],
+    )
+    def test_frequencies_are_one_binomial_draw(self, hypothesis, amps, bit_generator):
+        """The frequency and the final generator state equal those of one
+        binomial draw at the exact probability, for every bit generator."""
+        runs = 123_457
+        reference, drawn = (np.random.Generator(bit_generator(41)) for _ in range(2))
+        p = counterexample_probability(hypothesis, amplitudes=amps)
+        expected = reference.binomial(runs, p) / runs
+        assert counterexample_frequencies(hypothesis, runs, drawn, amplitudes=amps) == expected
+        np.testing.assert_equal(drawn.bit_generator.state, reference.bit_generator.state)
 
 
 class TestBellSinglet:

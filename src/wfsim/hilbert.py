@@ -21,7 +21,11 @@ Conventions
   the Born rule and collapse in ``measurement``) moves the named factors
   to the front with one private primitive, ``_factors_first``, and acts
   on the small matrix or reduced state it yields; no operator is lifted
-  to the full space.  :func:`embed` is kept as a public utility.
+  to the full space.  ``_front_order`` alone builds axis permutations and
+  checks factor dimensions; a collapse takes its branch back through
+  ``_factors_back`` with the one permutation ``_factors_first`` returned,
+  and the friend interaction (``scenarios``) applies its heralded map as a
+  constant 4 x 8 matrix.  :func:`embed` is kept as a public utility.
 
 All values are immutable after construction (arrays are marked
 read-only), so they are safe to share between threads.
@@ -188,7 +192,7 @@ class PureState:
     States are normalized by default; a sub-normalized vector (for example
     the surviving branch of a heralding projection, before renormalizing)
     must be constructed with ``normalized=False`` and then carries its
-    squared norm explicitly via :attr:`squared_norm`.
+    squared norm, taken once by the validation, as :attr:`squared_norm`.
     """
 
     space: CompositeSpace
@@ -202,15 +206,16 @@ class PureState:
                 f"amplitude vector has length {amps.size}, space {self.space} "
                 f"has dimension {self.space.dim}"
             )
-        _require_finite(amps, "amplitude vector")
+        nrm2 = float(np.vdot(amps, amps).real)
+        if not math.isfinite(nrm2):  # a NaN or inf entry makes it so; finite entries may overflow
+            _require_finite(amps, "amplitude vector")
         object.__setattr__(self, "amplitudes", _freeze(amps))
-        if self.normalized:
-            nrm2 = float(np.vdot(amps, amps).real)
-            if abs(nrm2 - 1.0) > VALIDITY_TOL:
-                raise InvalidState(
-                    f"squared norm {nrm2!r} differs from 1 beyond {VALIDITY_TOL}; "
-                    "pass normalized=False for a sub-normalized state"
-                )
+        object.__setattr__(self, "squared_norm", nrm2)  # not a field, as in CompositeSpace
+        if self.normalized and abs(nrm2 - 1.0) > VALIDITY_TOL:
+            raise InvalidState(
+                f"squared norm {nrm2!r} differs from 1 beyond {VALIDITY_TOL}; "
+                "pass normalized=False for a sub-normalized state"
+            )
 
     @classmethod
     def basis(cls, space: CompositeSpace, which: Union[str, Sequence[int]]) -> "PureState":
@@ -232,19 +237,14 @@ class PureState:
             amps[space.basis_index(which)] = value
         return cls(space, amps, normalized=normalized)
 
-    @property
-    def squared_norm(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
     def amplitude(self, which: Union[str, Sequence[int]]) -> complex:
         return complex(self.amplitudes[self.space.basis_index(which)])
 
     def normalize(self) -> "PureState":
         """Unit-norm copy. Raises InvalidState on a numerically null vector."""
-        nrm2 = self.squared_norm
-        if nrm2 <= ALGEBRA_TOL:
+        if self.squared_norm <= ALGEBRA_TOL:
             raise InvalidState("cannot normalize a numerically null vector")
-        return PureState(self.space, self.amplitudes / math.sqrt(nrm2))
+        return PureState(self.space, self.amplitudes / math.sqrt(self.squared_norm))
 
     def density(self) -> "DensityOperator":
         """The projector |psi><psi| as a DensityOperator.
@@ -267,7 +267,7 @@ class PureState:
                 f"reorder needs a permutation of {self.space.labels}, got {tuple(labels)}"
             )
         sub = self.space.subspace(labels)
-        return PureState(sub, _factors_first(self, sub).reshape(-1), self.normalized)
+        return PureState(sub, _factors_first(self, sub.factors)[0].reshape(-1), self.normalized)
 
 
 def _density_residuals(matrix: np.ndarray) -> tuple[float, float, float]:
@@ -453,43 +453,39 @@ def tensor(*states: PureState) -> PureState:
     )
 
 
-def _front_order(space: CompositeSpace, sub: CompositeSpace) -> tuple[int, ...]:
-    """Axis permutation putting ``sub``'s factors first, in ``sub``'s order.
+def _front_order(space: CompositeSpace, factors: Sequence[tuple[str, int]]) -> tuple[int, ...]:
+    """Axis permutation putting the (label, dim) ``factors`` first, in their order.
 
     The remaining factors follow in their original order.  A factor whose
-    dimension in ``sub`` differs from the one in ``space`` raises ShapeError.
+    dimension in ``factors`` differs from the one in ``space`` raises ShapeError.
     """
-    for lbl, dim in sub.factors:
-        if space.dim_of(lbl) != dim:
-            raise ShapeError(
-                f"factor {lbl!r} has dim {dim} in the operator but "
-                f"{space.dim_of(lbl)} in the target space"
-            )
-    front = space.axes(sub.labels)
+    front = space.axes([lbl for lbl, _ in factors])
+    for (lbl, dim), a in zip(factors, front):
+        if space.dims[a] != dim:
+            raise ShapeError(f"factor {lbl!r} has dim {dim} in the operator but "
+                             f"{space.dims[a]} in the target space")
     return front + tuple(a for a in range(space.nfactors) if a not in front)
 
 
 def _factors_first(
-    state: Union[PureState, DensityOperator], sub: CompositeSpace
-) -> np.ndarray:
-    """The state with ``sub``'s factors moved to the front (see ``_front_order``).
-
-    A PureState gives the (d_sub, d_rest) matrix M[i, r] = <i r|psi>; a
-    DensityOperator gives the (d_sub, d_rest, d_sub, d_rest) tensor
-    <i r|rho|j s>.
-    """
+    state: Union[PureState, DensityOperator], factors: Sequence[tuple[str, int]]
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The state with the (label, dim) ``factors`` moved to the front, and the permutation
+    that did it (from ``_front_order``; ``_factors_back`` undoes it).  A PureState gives the
+    (d_sub, d_rest) matrix M[i, r] = <i r|psi>; a DensityOperator gives the
+    (d_sub, d_rest, d_sub, d_rest) tensor <i r|rho|j s>."""
     space = state.space
-    perm = _front_order(space, sub)
-    shape = (sub.dim, space.dim // sub.dim)
+    perm = _front_order(space, factors)
+    d_sub = math.prod(dim for _, dim in factors)
+    shape = (d_sub, space.dim // d_sub)
     if isinstance(state, PureState):
-        return state.amplitudes.reshape(space.dims).transpose(perm).reshape(shape)
+        return state.amplitudes.reshape(space.dims).transpose(perm).reshape(shape), perm
     both = perm + tuple(space.nfactors + a for a in perm)
-    return state.matrix.reshape(space.dims * 2).transpose(both).reshape(shape * 2)
+    return state.matrix.reshape(space.dims * 2).transpose(both).reshape(shape * 2), perm
 
 
-def _factors_back(front: np.ndarray, space: CompositeSpace, sub: CompositeSpace) -> np.ndarray:
-    """Flat amplitudes over ``space`` from a front-ordered array; inverts ``_factors_first``."""
-    perm = _front_order(space, sub)
+def _factors_back(front: np.ndarray, space: CompositeSpace, perm: tuple[int, ...]) -> np.ndarray:
+    """Flat ``space`` amplitudes from ``front`` in ``perm`` order; undoes ``_factors_first``."""
     tens = front.reshape(tuple(space.dims[a] for a in perm))
     return tens.transpose(_inverse(perm)).reshape(-1)
 
@@ -507,7 +503,7 @@ def _reduced_matrix(
     M M^dag for a pure state, the trace over the rest index for a density.
     A sub-normalized PureState raises InvalidState.
     """
-    front = _factors_first(state, sub)
+    front, _ = _factors_first(state, sub.factors)
     if isinstance(state, DensityOperator):
         return np.trace(front, axis1=1, axis2=3)
     if not state.normalized:
@@ -574,7 +570,7 @@ def embed(
     ``sub``'s labels must all exist in ``space`` with matching dimensions;
     the embedding respects ``space``'s factor order.
     """
-    perm = _front_order(space, sub)
+    perm = _front_order(space, sub.factors)
     full = np.kron(matrix, np.eye(space.dim // sub.dim))
     back = _inverse(perm)
     front_dims = tuple(space.dims[a] for a in perm)

@@ -108,7 +108,8 @@ def couple_pointer(psi: PureState, coupling: PointerCoupling) -> PureState:
         space = psi.space
 
     pair = space.subspace((coupling.system_label, coupling.pointer_label))
-    front = _factors_first(psi, pair).reshape(sdim, pdim, -1)  # (system, pointer, rest)
+    front, perm = _factors_first(psi, pair.factors)
+    front = front.reshape(sdim, pdim, -1)  # (system, pointer, rest)
     stray = np.delete(front, ready, axis=1)
     if stray.size and float(np.max(np.abs(stray))) > ALGEBRA_TOL:
         raise PointerNotReady(
@@ -116,7 +117,7 @@ def couple_pointer(psi: PureState, coupling: PointerCoupling) -> PureState:
         )
     out = np.zeros_like(front)
     out[np.arange(sdim), coupling.copy_basis] = front[:, ready]
-    return PureState(space, _factors_back(out, space, pair), normalized=psi.normalized)
+    return PureState(space, _factors_back(out, space, perm), normalized=psi.normalized)
 
 
 def improper_mixture(psi: PureState, keep: Sequence[str]) -> DensityOperator:
@@ -307,7 +308,7 @@ def projective_collapse(
     sub = state.space.subspace(on) if meas is None else meas.space
     if on is not None and tuple(on) != sub.labels:
         raise ShapeError(f"labels {tuple(on)} disagree with the measurement's {sub.labels}")
-    front = _factors_first(state, sub)
+    front, perm = _factors_first(state, sub.factors)
     if not state.normalized:
         raise InvalidState("a sub-normalized state has no reduced state; normalize() it first")
     outcome = _draw(_born(meas, front @ front.conj().T), rng)
@@ -318,7 +319,7 @@ def projective_collapse(
         block = meas.frame[:, meas.blocks[outcome]]
         branch = block @ (block.conj().T @ front)
     nrm2 = float(np.vdot(branch, branch).real)
-    amplitudes = _factors_back(branch, state.space, sub) / math.sqrt(nrm2)
+    amplitudes = _factors_back(branch, state.space, perm) / math.sqrt(nrm2)
     return outcome, PureState(state.space, amplitudes)
 
 

@@ -60,8 +60,8 @@ from .scenarios import (
     COUNTEREXAMPLE_ORDER,
     PROIETTI_ORDER,
     SINGLET_ORDER,
+    _binomial_frequency,
     bell_singlet,
-    counterexample_frequencies,
     counterexample_probability,
     expected_final_state,
     proietti_scenario,
@@ -400,7 +400,7 @@ def _run_counterexample(config: ScenarioConfig, rng: np.random.Generator) -> lis
         exact_p = counterexample_probability(hyp)
         freq = None
         if config.shots > 0:
-            freq = counterexample_frequencies(hyp, config.shots, streams[k])
+            freq = _binomial_frequency(exact_p, config.shots, streams[k])
         rows.append(
             _probability_row(
                 config.scenario, hyp.name, "photon_probability", exact_p, freq, config.shots

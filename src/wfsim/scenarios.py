@@ -40,6 +40,8 @@ from .hilbert import (
     PureState,
     _factors_back,
     _factors_first,
+    _freeze,
+    _front_order,
     tensor,
 )
 from .measurement import (
@@ -143,10 +145,13 @@ def _side_labels(side: str) -> tuple[str, str, str]:
 #     M = 1/2 sum_i |i>_in |1-i>_friend <i|_in <singlet|_(prime, friend),
 #
 # the anti-correlating copy (h -> v, v -> h) conditioned on detecting the
-# heralding photon; <singlet| is this matrix's conjugate, flattened over
-# (prime, friend).  M^dag M = (1/4) P_in <= I, so the raw (sub-normalized)
-# branch's squared norm is the herald probability.
-_SINGLET_MATRIX = np.array([[0, 1], [-1, 0]], dtype=complex) / _SQRT2
+# heralding photon.  M^dag M = (1/4) P_in <= I, so the raw (sub-normalized)
+# branch's squared norm is the herald probability.  _HERALDED_MAP is M as one
+# read-only 4 x 8 matrix from (prime, friend, in) to (friend, in), with entries
+# [f, i, p, q, j] = X[f, i] <singlet|p q> delta_ij / 2 (X the bit flip).
+_HERALDED_MAP = _freeze(np.einsum(
+    "fi,pq,ij->fipqj", np.eye(2)[::-1], np.array([[0, 1], [-1, 0]]) / (2 * _SQRT2), np.eye(2)
+).reshape(4, 8).astype(complex))
 
 
 def friend_interaction(joint: PureState, side: str) -> ScenarioState:
@@ -169,15 +174,12 @@ def friend_interaction(joint: PureState, side: str) -> ScenarioState:
     if any(space.dim_of(lbl) != 2 for lbl in (in_label, prime_label, friend_label)):
         raise ShapeError("friend interaction is defined for two-dimensional factors")
 
-    # <singlet| and M's 1/2 leave (in, rest); in-photon slice i goes to friend 1 - i,
-    # and the friend keeps its factor position.
-    front = _factors_first(joint, space.subspace((prime_label, friend_label, in_label)))
-    contracted = 0.5 * (_SINGLET_MATRIX.conj().reshape(-1) @ front.reshape(4, -1))
-    copied = np.zeros((2, 2, front.shape[1]), dtype=complex)  # (friend, in, rest)
-    copied[[1, 0], [0, 1]] = contracted.reshape(2, -1)
+    # The constant M takes (prime, friend, in, rest) to (friend, in, rest); the output space
+    # is the only space built, and one permutation of it puts the friend back in place.
+    front, _ = _factors_first(joint, ((prime_label, 2), (friend_label, 2), (in_label, 2)))
     out = CompositeSpace(tuple(f for f in space.factors if f[0] != prime_label))
-    amplitudes = _factors_back(copied, out, out.subspace((friend_label, in_label)))
-    raw = PureState(out, amplitudes, normalized=False)
+    back = _front_order(out, ((friend_label, 2), (in_label, 2)))
+    raw = PureState(out, _factors_back(_HERALDED_MAP @ front, out, back), normalized=False)
     herald = raw.squared_norm
     if herald <= ALGEBRA_TOL:
         raise HeraldImpossible(
@@ -398,17 +400,18 @@ def counterexample_frequencies(
     rng: np.random.Generator,
     amplitudes: Sequence[complex] = (1 / _SQRT2, 1 / _SQRT2),
 ) -> float:
-    """Frequency of photon receipt over ``runs`` seeded runs.
+    """Frequency of photon receipt over ``runs`` seeded runs: :func:`_binomial_frequency`
+    at the exact :func:`counterexample_probability`, as each run emits independently with
+    it, so the count is distributed exactly as looping :func:`counterexample_run`."""
+    return _binomial_frequency(counterexample_probability(hypothesis, amplitudes), runs, rng)
 
-    Each run emits independently with the exact probability
-    :func:`counterexample_probability`, so the hit count is one
-    ``rng.binomial(runs, p)`` draw, distributed exactly as looping
-    :func:`counterexample_run`.  Time and memory do not depend on ``runs``,
-    which must be an integer in [1, 2**63).
-    """
+
+def _binomial_frequency(p: float, runs: int, rng: np.random.Generator) -> float:
+    """Hit frequency of ``runs`` independent runs that each hit with probability ``p``:
+    one ``rng.binomial(runs, p)`` draw over ``runs``.  Time and memory do not depend on
+    ``runs``, which must be an integer in [1, 2**63)."""
     if isinstance(runs, bool) or not isinstance(runs, int) or not 1 <= runs < 2**63:
         raise ShapeError(f"runs must be an integer in [1, 2**63), got {runs!r}")
-    p = counterexample_probability(hypothesis, amplitudes)
     return int(rng.binomial(runs, p)) / runs
 
 

@@ -20,6 +20,7 @@ from wfsim import (
     embed,
     expectation,
     partial_trace,
+    projective_collapse,
     purity,
     tensor,
     validate,
@@ -189,6 +190,16 @@ class TestNonFiniteEntries:
         for amps, normalized in cases:
             with pytest.raises(InvalidState, match="non-finite"):
                 PureState(space, np.array(amps), normalized=normalized)
+
+    def test_pure_state_with_overflowing_norm(self):
+        """Finite amplitudes whose squared norm overflows are not non-finite: a
+        normalized state fails the squared-norm check, a sub-normalized one is
+        accepted, and neither warns (the suite turns warnings into errors)."""
+        space = CompositeSpace.qubits("x")
+        amps = np.array([1e200, 1e200])
+        with pytest.raises(InvalidState, match="^squared norm inf differs from 1"):
+            PureState(space, amps)
+        assert np.array_equal(PureState(space, amps, normalized=False).amplitudes, amps)
 
     def test_density_operator(self):
         space = CompositeSpace.qubits("x")
@@ -433,6 +444,8 @@ class TestEmbedAndExpectation:
                 expectation(state, z)
             with pytest.raises(ShapeError, match="factor 'q' has dim 2"):
                 born_probabilities(state, z)
+        with pytest.raises(ShapeError, match="factor 'q' has dim 2"):
+            projective_collapse(psi, basis=z, rng=np.random.default_rng(0))
 
 
 class TestValidate:

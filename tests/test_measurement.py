@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import wfsim.hilbert
 from wfsim import (
     InvariantViolation,
     CollapseHypothesis,
@@ -359,6 +360,21 @@ class TestProjectiveCollapse:
             projective_collapse(psi, on=measured, rng=rng)
             born_probabilities(psi, measured)
         assert checked == []
+
+    def test_one_permutation_per_collapse(self, monkeypatch):
+        """A collapse by labels or by a held frame computes one ``_front_order``
+        permutation and takes the branch back with that same one."""
+        calls = []
+        front_order = wfsim.hilbert._front_order
+        monkeypatch.setattr(wfsim.hilbert, "_front_order",
+                            lambda *args: calls.append(args) or front_order(*args))
+        for space, measured, rng in labelled_cases(65, 20):
+            psi = PureState(space, random_pure(rng, space.dim))
+            frame = ProjectiveMeasurement.computational(space.subspace(measured))
+            for on, basis in ((measured, None), (None, frame)):
+                calls.clear()
+                projective_collapse(psi, on=on, basis=basis, rng=rng)
+                assert len(calls) == 1, (space, measured, basis)
 
     def test_certain_outcome(self):
         psi = PureState.basis(CompositeSpace.qubits("q"), "1")

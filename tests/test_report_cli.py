@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import wfsim.cli as cli
+import wfsim.scenarios as scenarios
 from wfsim import ConfigError, InvariantViolation, ScenarioConfig, emit, run
 from wfsim.chsh import _GRID_PAIR_BUDGET, _scan_pairs
 from wfsim.report import CSV_COLUMNS, ENV_OUT_DIR, render_csv, render_json
@@ -266,6 +267,17 @@ class TestRunCounterexample:
         collapse = rows[("subjective_collapse", "photon_probability")]
         assert unitary.estimate == 1.0
         assert abs(collapse.estimate - 0.5) < 5 * math.sqrt(0.25 / 50_000)
+
+    def test_one_probability_evaluation_per_hypothesis(self, monkeypatch):
+        """With shots, each hypothesis's exact photon probability is evaluated once,
+        for both the exact value and the binomial draw."""
+        evaluated = []
+        density = scenarios.counterexample_density
+        monkeypatch.setattr(scenarios, "counterexample_density",
+                            lambda *args: evaluated.append(args[0]) or density(*args))
+        config = ScenarioConfig(scenario="counterexample", shots=1000, seed=8)
+        run(config)
+        assert [h.name for h in evaluated] == list(config.hypotheses)
 
     def test_largest_accepted_shot_count_returns(self):
         """The top of the accepted range costs one binomial draw per hypothesis."""

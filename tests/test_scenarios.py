@@ -367,6 +367,20 @@ class TestClaimedBranchCollapse:
             claimed_branch_collapse(first.state, "b", rng)
         assert built == []
 
+    def test_collapse_builds_only_the_output_space(self, monkeypatch):
+        """With the held bases built, a claimed-branch collapse constructs one
+        CompositeSpace: the friend interaction's output space."""
+        joint = prepared_state().state
+        claimed_branch_collapse(joint, "A", np.random.default_rng(0))
+        built = []
+        validate_space = CompositeSpace.__post_init__
+        monkeypatch.setattr(CompositeSpace, "__post_init__",
+                            lambda self: built.append(self.factors) or validate_space(self))
+        for seed in range(4):
+            built.clear()
+            after = claimed_branch_collapse(joint, "A", np.random.default_rng(seed))
+            assert built == [after.state.space.factors]
+
     def test_error_paths_keep_type_and_message(self):
         """A missing incoming photon, a bad side and a 3-dim photon fail before any collapse."""
         rng = np.random.default_rng(0)

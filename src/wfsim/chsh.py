@@ -29,8 +29,9 @@ the correlators; over the basis triples M is K.  Tables are linear in rho,
 so ``hypothesis_comparison`` takes K and the settings' M once per held
 dephasing and mixes those with a hypothesis's weights, in term order
 (``_mixed``); it never mixes densities for them.  Its ``s_max`` is the
-closed form of the mixed K below.  An entry beyond 1 + 1e-10 in
-magnitude, held or mixed, raises InvariantViolation.
+closed form of the mixed K below, and its grid cross-check scans that K
+(``_grid_gap``).  An entry beyond 1 + 1e-10 in magnitude, held or mixed,
+raises InvariantViolation.
 
 Settings search
 ---------------
@@ -66,7 +67,10 @@ scan evaluates only the upper triangle i <= j of the distinct directions,
 keeping the first z.  It walks the triangle in row blocks of a fixed
 number of pairs, each from its own first row on, so its memory grows with
 the number of directions, not of pairs; a later block wins only when
-strictly larger, which keeps the tie rule.
+strictly larger, which keeps the tie rule.  The grid cross-check of an
+exact maximum (``_grid_gap``, for both scenarios that run one) needs only
+K: it reads S at the scan's pick by the formula above, building no
+observable, where ``optimize_settings`` returns S at the built settings.
 
 The walk is screened.  Before it starts, the scan takes S at the grid pair
 nearest the exact optimum (the seed).  A threshold t, a relative 1e-6 below
@@ -406,6 +410,8 @@ def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np
     pair the screen drops lies below the grid maximum, so the pick is the
     unscreened scan's.
     """
+    if not grid_step_in_range(grid_step):
+        raise ShapeError(f"grid_step {grid_step!r} outside [pi/128, pi/8]")
     vectors = _scan_directions(grid_step)
     w = vectors @ kernel.T  # row i = K b_i
     norms2 = np.einsum("ij,ij->i", w, w)
@@ -525,12 +531,10 @@ def _search(
     alice_labels: Sequence[str] | None = None,
     bob_labels: Sequence[str] | None = None,
     grid_step: float | None = None,
-) -> tuple[tuple, tuple, InequalityResult]:
+) -> tuple[tuple, np.ndarray, tuple, InequalityResult]:
     """Shared body of both searches, exact or on a grid, building no observable: the wing
-    spaces, the ``_settings_angles`` of the state's K, and the result there from
+    spaces, the state's K, its ``_settings_angles``, and the result there from
     ``_bloch_operator`` stacks, bitwise ``chsh_value`` at the built settings."""
-    if grid_step is not None and not grid_step_in_range(grid_step):
-        raise ShapeError(f"grid_step {grid_step!r} outside [pi/128, pi/8]")
     if alice_labels is None and bob_labels is None and state.space.nfactors == 2:
         alice_labels, bob_labels = state.space.labels[:1], state.space.labels[1:]
     if alice_labels is None or bob_labels is None:
@@ -539,13 +543,14 @@ def _search(
             "bob_labels to say which wing measures what"
         )
     spaces = (state.space.subspace(alice_labels), state.space.subspace(bob_labels))
-    angles = _settings_angles(_correlation_kernel(state, *spaces), grid_step)
+    kernel = _correlation_kernel(state, *spaces)
+    angles = _settings_angles(kernel, grid_step)
     triples = [_basis_triple(space.nfactors) for space in spaces]
     stacks = [
         np.stack([np.eye(len(triple[0])), *(_bloch_operator(t, p, triple) for t, p in wing)])
         for triple, wing in zip(triples, angles)
     ]
-    return spaces, angles, _table_result(_wing_moments(state, *spaces, *stacks))
+    return spaces, kernel, angles, _table_result(_wing_moments(state, *spaces, *stacks))
 
 
 def _built_settings(spaces: tuple, angles: tuple, origin: str) -> MeasurementSettings:
@@ -572,7 +577,7 @@ def exact_optimum(
     The wings default as in ``optimize_settings``.  Returns the
     canonical maximizing settings (origin "exact") and S there.
     """
-    spaces, angles, result = _search(state, alice_labels, bob_labels)
+    spaces, _, angles, result = _search(state, alice_labels, bob_labels)
     return _built_settings(spaces, angles, "exact"), result.s_value
 
 
@@ -592,23 +597,19 @@ def optimize_settings(
     noise, since Bob's coarse grid is a subset of the fine one and
     Alice's response is exact; ``exact_optimum`` is the limit.
     """
-    spaces, angles, result = _search(state, alice_labels, bob_labels, grid_step)
+    spaces, _, angles, result = _search(state, alice_labels, bob_labels, grid_step)
     return _built_settings(spaces, angles, f"optimized(grid_step={grid_step:.9g})"), result.s_value
 
 
-def _grid_gap(
-    state: State,
-    s_max: float,
-    grid_step: float,
-    alice_labels: Sequence[str] | None = None,
-    bob_labels: Sequence[str] | None = None,
-) -> float:
-    """``s_max`` minus the grid-search maximum at ``grid_step``, found by ``_search``.
+def _grid_gap(kernel: np.ndarray, s_max: float, grid_step: float) -> float:
+    """``s_max`` minus the grid maximum of K at ``grid_step``: S at ``_grid_bob_pair``'s
+    pick, read as |K(b1 + b0)| + |K(b1 - b0)|, the formula the scan maximizes.
 
     No grid point can beat the supremum, so a gap below -1e-9 raises
     InvariantViolation.
     """
-    grid_value = _search(state, alice_labels, bob_labels, grid_step)[2].s_value
+    b1, b0 = _grid_bob_pair(kernel, grid_step)
+    grid_value = float(np.linalg.norm(kernel @ (b1 + b0)) + np.linalg.norm(kernel @ (b1 - b0)))
     gap = s_max - grid_value
     if gap < -1e-9:
         raise InvariantViolation(
@@ -691,9 +692,9 @@ def hypothesis_comparison(
     carries the exact maximum ``s_max`` of the hypothesis's own state.
     Both come from mixed tables (see module docstring), not from mixed
     densities; hypotheses whose tables are equal entry by entry share one
-    entry.  With ``grid_step`` set, each entry's mixed density
-    (``exact_state_under``) is also searched once on that grid, and
-    ``grid_gap`` is ``s_max`` minus the grid maximum.  With ``shots > 0``
+    entry.  With ``grid_step`` set, each entry's mixed K is also scanned
+    once on that grid, and ``grid_gap`` is ``s_max`` minus the grid
+    maximum (``_grid_gap``).  With ``shots > 0``
     the returned results are sampling estimates (one child stream per
     hypothesis, spawned from ``rng`` in list order) with the exact
     companions attached.
@@ -709,7 +710,7 @@ def hypothesis_comparison(
         settings = _built_settings(spaces, _settings_angles(kernel), "exact")
     # id of a held density -> its (K, M), both 3 x 3
     tables = {id(rho_unitary): np.stack([kernel, _settings_moments(rho_unitary, settings)])}
-    entries: list[tuple[np.ndarray, float, CollapseHypothesis]] = []  # ((K, M), s_max, first)
+    entries: list[tuple[np.ndarray, float]] = []  # ((K, M), s_max)
     which: dict[CollapseHypothesis, int] = {}  # hypothesis -> index into entries
     # (K, M) bytes -> index into entries; adding 0.0 turns -0.0 into 0.0, so tables
     # that compare equal entry by entry share a key
@@ -723,7 +724,7 @@ def hypothesis_comparison(
         mixed = _mixed([(w, tables[id(rho)]) for w, rho in terms])
         which[hyp] = index_of.setdefault((mixed + 0.0).tobytes(), len(entries))
         if which[hyp] == len(entries):
-            entries.append((mixed, _s_max(mixed[0]), hyp))
+            entries.append((mixed, _s_max(mixed[0])))
 
     s_data = _table_result(entries[0][0][1]).s_value
     grid_gap: dict[int, float] = {}
@@ -731,11 +732,10 @@ def hypothesis_comparison(
     results: list[InequalityResult] = []
     for k, hyp in enumerate(parsed):
         index = which[hyp]
-        (_, moments), s_max, first = entries[index]
+        (kernel, moments), s_max = entries[index]
         exact = _table_result(moments, hyp)
         if grid_step is not None and index not in grid_gap:
-            rho = scenario.exact_state_under(first)
-            grid_gap[index] = _grid_gap(rho, s_max, grid_step, *labels)
+            grid_gap[index] = _grid_gap(kernel, s_max, grid_step)
         evaluated = _sample_table(moments, shots, streams[k], hyp) if shots > 0 else exact
         results.append(
             replace(

@@ -29,6 +29,7 @@ from .chsh import (
     InequalityResult,
     _built_settings,
     _grid_gap,
+    _s_max,
     _scan_pairs,
     _search,
     correlator,
@@ -317,10 +318,11 @@ def _run_bell_singlet(config: ScenarioConfig, rng: np.random.Generator) -> list[
         DichotomicObservable.pauli("z", "e1"),
         DichotomicObservable.pauli("z", "e2"),
     )
-    spaces, angles, exact = _search(psi)
+    spaces, kernel, angles, exact = _search(psi)
+    s_max = _s_max(kernel)
     gap_rows = []
     if config.grid_step is not None:
-        gap = _grid_gap(psi, exact.s_value, config.grid_step)
+        gap = _grid_gap(kernel, s_max, config.grid_step)
         gap_rows.append(ReportRow(config.scenario, "", "grid_gap", gap))
 
     sampled = None
@@ -335,7 +337,7 @@ def _run_bell_singlet(config: ScenarioConfig, rng: np.random.Generator) -> list[
             ("reduced_purity_e2", purity(reduced_e2)),
             ("coherence_reduced_e1", coherence_norm(reduced_e1)),
             ("sigma_zz_correlator", zz),
-            ("s_max", exact.s_value),
+            ("s_max", s_max),
         )
     ] + gap_rows + _inequality_rows(
         config.scenario, "", "s_at_optimal", exact.s_value, exact.correlators, sampled

@@ -32,7 +32,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import HeraldImpossible, InvalidState, ShapeError, UnknownSubsystem
+from .errors import HeraldImpossible, InvalidState, ShapeError
 from .hilbert import (
     ALGEBRA_TOL,
     CompositeSpace,
@@ -165,14 +165,11 @@ def friend_interaction(joint: PureState, side: str) -> ScenarioState:
     """
     in_label, prime_label, friend_label = _side_labels(side)
     space = joint.space
-    for lbl in (in_label, prime_label, friend_label):
-        if lbl not in space.labels:
-            raise UnknownSubsystem(f"factor {lbl!r} missing from {space.labels}")
+    # Every label is looked up before any is compared, so a missing one raises first.
+    if [space.dim_of(lbl) for lbl in (in_label, prime_label, friend_label)] != [2, 2, 2]:
+        raise ShapeError("friend interaction is defined for two-dimensional factors")
     if not joint.normalized:
         raise InvalidState("friend_interaction expects a normalized input")
-
-    if any(space.dim_of(lbl) != 2 for lbl in (in_label, prime_label, friend_label)):
-        raise ShapeError("friend interaction is defined for two-dimensional factors")
 
     # The constant M takes (prime, friend, in, rest) to (friend, in, rest); the output space
     # is the only space built, and one permutation of it puts the friend back in place.

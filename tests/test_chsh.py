@@ -1,7 +1,6 @@
 """Tests for the inequality engine: observables, search, sampling."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from wfsim import (
     CLASSICAL_BOUND,
     CollapseHypothesis,
     CompositeSpace,
+    DensityOperator,
     DichotomicObservable,
     InequalityResult,
     InvariantViolation,
@@ -27,10 +27,12 @@ from wfsim import (
     observable_from_bloch,
     optimize_settings,
     proietti_scenario,
+    run,
     sample_inequality,
     ScenarioConfig,
     source_state,
 )
+from wfsim.scenarios import ProiettiScenario
 
 from wfsim.measurement import _HYPOTHESIS_VARIANTS
 
@@ -498,15 +500,26 @@ class TestHypothesisComparison:
             )
 
     def test_each_state_is_searched_once(self, monkeypatch):
-        calls = []
-        search = chsh._search
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return search(*args, **kwargs)
-
-        monkeypatch.setattr(chsh, "_search", counted)
+        """One grid scan per distinct entry, of its mixed K: no density is mixed for it."""
         scenario = proietti_scenario()
+        calls = []
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(chsh, "_grid_bob_pair", counted("scan", chsh._grid_bob_pair))
+        monkeypatch.setattr(
+            ProiettiScenario,
+            "exact_state_under",
+            counted("exact_state_under", ProiettiScenario.exact_state_under),
+        )
+        monkeypatch.setattr(
+            DensityOperator, "mixture", classmethod(counted("mixture", DensityOperator.mixture))
+        )
         for hypotheses, grid_step, searches in (
             (["unitary_only", "friend_dephasing"], None, 0),
             (["unitary_only", "friend_dephasing"], PI / 16, 2),
@@ -515,7 +528,7 @@ class TestHypothesisComparison:
         ):
             calls.clear()
             hypothesis_comparison(scenario, hypotheses, grid_step=grid_step)
-            assert len(calls) == searches, (hypotheses, grid_step)
+            assert calls == ["scan"] * searches, (hypotheses, grid_step)
         calls.clear()
         with pytest.raises(ShapeError):
             hypothesis_comparison(scenario, ["unitary_only"], shots=10, grid_step=PI / 16)
@@ -548,17 +561,20 @@ class TestHypothesisComparison:
         assert at_defaults.s_value == chsh_value(rho, defaults).s_value
 
     def test_grid_above_the_exact_maximum_is_an_invariant_violation(self, monkeypatch):
-        search = chsh._search
+        """S is homogeneous in Bob's pick, so a pick scaled by 1 + 1e-6 reads S above s_max,
+        in the comparison and in the singlet's report alike."""
+        pick = chsh._grid_bob_pair
 
-        def inflated(*args, **kwargs):
-            spaces, angles, result = search(*args, **kwargs)
-            return spaces, angles, replace(result, s_value=result.s_value + 1e-6)
+        def inflated(kernel, grid_step):
+            return tuple(b * (1.0 + 1e-6) for b in pick(kernel, grid_step))
 
-        monkeypatch.setattr(chsh, "_search", inflated)
+        monkeypatch.setattr(chsh, "_grid_bob_pair", inflated)
         with pytest.raises(InvariantViolation, match="above the exact maximum"):
             hypothesis_comparison(
                 proietti_scenario(), ["friend_dephasing"], grid_step=PI / 16
             )
+        with pytest.raises(InvariantViolation, match="above the exact maximum"):
+            run(ScenarioConfig(scenario="bell_singlet", grid_step=PI / 16))
 
     @pytest.mark.parametrize("at_defaults", [False, True])
     def test_table_route_equals_density_route(self, at_defaults):

@@ -33,6 +33,8 @@ from wfsim.chsh import (
     MeasurementSettings,
     _correlation_kernel,
     _grid_bob_pair,
+    _grid_gap,
+    _s_max,
     _wing_moments,
     observable_from_bloch,
     sample_inequality,
@@ -377,12 +379,18 @@ def _grid_kernel(rng: np.random.Generator, kind: str) -> np.ndarray:
 @GRID_EXAMPLES
 @given(seed=SEEDS, kind=st.sampled_from(GRID_KERNELS))
 def test_grid_pair_matches_full_table(seed, kind):
-    """The screened half-triangle scan picks the full table's first maximum, bitwise."""
+    """The screened half-triangle scan picks the full table's first maximum, bitwise, and
+    the grid gap is s_max minus |K(b1 + b0)| + |K(b1 - b0)| at that pick, never below -1e-9."""
     kernel = _grid_kernel(np.random.default_rng(seed), kind)
+    s_max = _s_max(kernel)
     for step in (math.pi / 8, math.pi / 16):
         picked = _grid_bob_pair(kernel, step)
         expected = brute_grid_pair(kernel, step)
         assert all(np.array_equal(a, b) for a, b in zip(picked, expected)), (kind, step)
+        b1, b0 = expected
+        at_pick = np.linalg.norm(kernel @ (b1 + b0)) + np.linalg.norm(kernel @ (b1 - b0))
+        gap = _grid_gap(kernel, s_max, step)
+        assert gap == s_max - at_pick and gap >= -1e-9, (kind, step)
 
 
 @GRID_EXAMPLES

@@ -11,8 +11,8 @@ import pytest
 
 import wfsim.cli as cli
 import wfsim.scenarios as scenarios
-from wfsim import ConfigError, InvariantViolation, ScenarioConfig, emit, run
-from wfsim.chsh import _GRID_PAIR_BUDGET, _scan_pairs
+from wfsim import ConfigError, InvariantViolation, ScenarioConfig, bell_singlet, emit, run
+from wfsim.chsh import _GRID_PAIR_BUDGET, _correlation_kernel, _s_max, _scan_pairs
 from wfsim.report import CSV_COLUMNS, ENV_OUT_DIR, render_csv, render_json
 
 
@@ -203,6 +203,14 @@ class TestRunBellSinglet:
             2 * math.sqrt(2), abs=1e-9
         )
         assert rows[("", "reduced_purity_e1")].exact_value == pytest.approx(0.5)
+
+    def test_s_max_is_the_closed_form_of_the_kernel(self):
+        """The row holds ``_s_max`` of the singlet's K bitwise, as in ``hypothesis_comparison``."""
+        psi = bell_singlet()
+        kernel = _correlation_kernel(psi, *(psi.space.subspace((label,)) for label in ("e1", "e2")))
+        for grid_step in (None, math.pi / 16):
+            config = ScenarioConfig(scenario="bell_singlet", grid_step=grid_step)
+            assert _rows_by_quantity(run(config))[("", "s_max")].exact_value == _s_max(kernel)
 
     def test_sampled_rows_track_exact(self):
         config = ScenarioConfig(

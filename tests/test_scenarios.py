@@ -142,8 +142,17 @@ class TestFriendInteraction:
         assert float(np.max(np.abs(final.amplitudes - reference.amplitudes))) < 1e-12
 
     def test_missing_factor_raises(self):
-        with pytest.raises(UnknownSubsystem):
+        """The ``CompositeSpace.axis`` message, as from ``claimed_branch_collapse``, and
+        ahead of the normalization check."""
+        with pytest.raises(UnknownSubsystem, match=r"^no factor labeled 'alpha_prime' in"):
             friend_interaction(source_state(), "A")
+        pair = friend_pair_state("A")
+        with pytest.raises(UnknownSubsystem, match=r"^no factor labeled 'a' in") as collapse:
+            claimed_branch_collapse(pair, "A", np.random.default_rng(0))
+        unnormalized = PureState(pair.space, 2.0 * pair.amplitudes, normalized=False)
+        for state in (pair, unnormalized):
+            with pytest.raises(UnknownSubsystem, match=f"^{re.escape(str(collapse.value))}$"):
+                friend_interaction(state, "A")
 
     def test_impossible_herald_raises(self):
         """An input orthogonal to every surviving branch cannot herald."""

@@ -73,7 +73,9 @@ K: it reads S at the scan's pick by the formula above, building no
 observable, where ``optimize_settings`` returns S at the built settings.
 
 The walk is screened.  Before it starts, the scan takes S at the grid pair
-nearest the exact optimum (the seed).  A threshold t, a relative 1e-6 below
+nearest a closed-form maximizer (the seed, ``_seed_pair``): the pair above
+built from K's raw SVD, without the canonical rule, which only reported
+settings need (``_exact_bob_pair``).  A threshold t, a relative 1e-6 below
 the best S known so far (the seed's, then the running best's), screens each
 block with one matmul that tests a proven necessary condition for S >= t
 (derived at ``_grid_bob_pair``).  Only the pairs that pass get S, from
@@ -391,13 +393,14 @@ _BLOCK_PAIRS = 1 << 15
 # and -t^2 at (6, 7) and (7, 6): one matmul screens a Gram block, and costs
 # less than squaring its G (the Gram matmul then runs only where a pair
 # passes).  t is the best S known so far, first the S of the grid pair
-# nearest the exact optimum, shrunk by _SCREEN_MARGIN = m, so every dropped
-# pair lies below the grid maximum.  Near t^2 = 2P, once the first test
-# fails, the second's slack is at least about (m t^2)^2, and must outlast
-# Q's rounding, a few eps t^4: m = 1e-6 leaves a factor of several hundred,
-# while m = 1e-9 changed picks on rank-one kernels.  The margin also covers
-# the seed's S, which another product order can read up to about 2e-8
-# higher where P - G is near 0.
+# nearest the maximizer _seed_pair reads off K's raw SVD (the canonical rule
+# of _exact_bob_pair is for reported settings only), shrunk by
+# _SCREEN_MARGIN = m, so every dropped pair lies below the grid maximum.
+# Near t^2 = 2P, once the first test fails, the second's slack is at least
+# about (m t^2)^2, and must outlast Q's rounding, a few eps t^4: m = 1e-6
+# leaves a factor of several hundred, while m = 1e-9 changed picks on
+# rank-one kernels.  The margin also covers the seed's S, which another
+# product order can read up to about 2e-8 higher where P - G is near 0.
 _SCREEN_MARGIN = 1e-6
 _PRODUCTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))  # (a, b) of c's w_a w_b
 
@@ -429,7 +432,7 @@ def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np
         weights[6, 6], weights[6, 7], weights[7, 6] = t2 * t2 / 4.0, -t2, -t2
         return t2
 
-    i, j = (int(np.argmax(vectors @ b)) for b in _exact_bob_pair(kernel))
+    i, j = (int(np.argmax(vectors @ b)) for b in _seed_pair(kernel))
     seed = float(_pair_values(norms2[i] + norms2[j], 2.0 * (w[i] @ w[j])))
     t2 = screen_below(seed)
     rows = max(1, _BLOCK_PAIRS // n)
@@ -507,6 +510,21 @@ def _exact_bob_pair(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 group.append(rest / norm)
         basis += group
         start = stop
+    return _closed_form_pair(sigma, basis)
+
+
+def _seed_pair(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (b1, b0) attaining 2 sqrt(mu1 + mu2) from K's raw SVD, without the canonical
+    rule: the grid scan's seed, which sets only how much its screen prunes."""
+    _, sigma, vt = np.linalg.svd(kernel)
+    return _closed_form_pair(sigma, vt)
+
+
+def _closed_form_pair(
+    sigma: np.ndarray, basis: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """b1, b0 = cos(t) v1 +/- sin(t) v2 with tan(t) = sigma2 / sigma1, for v1, v2 the
+    first two rows of ``basis``."""
     t = math.atan2(float(sigma[1]), float(sigma[0]))
     along, across = math.cos(t) * basis[0], math.sin(t) * basis[1]
     return along + across, along - across

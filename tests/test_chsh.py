@@ -292,17 +292,40 @@ class TestOptimizeSettings:
                      rho.space.subspace(scenario.bob_labels))
             kernels[name] = chsh._correlation_kernel(rho, *wings)
 
+        seeded = []
+
         def poor_pair(kernel):
+            seeded.append(kernel)
             least = np.linalg.svd(kernel)[2][2]
             return least, least
 
-        monkeypatch.setattr(chsh, "_exact_bob_pair", poor_pair)
+        monkeypatch.setattr(chsh, "_seed_pair", poor_pair)
         for name, picks in self.PINNED_PICKS.items():
             for div, (i1, i0) in picks.items():
                 _, _, vectors = chsh._sphere_grid(PI / div)
                 b1, b0 = chsh._grid_bob_pair(kernels[name], PI / div)
                 assert np.array_equal(b1, vectors[i1]), (name, div)
                 assert np.array_equal(b0, vectors[i0]), (name, div)
+        assert len(seeded) == sum(map(len, self.PINNED_PICKS.values()))
+
+    def test_scan_takes_no_canonical_pair(self, monkeypatch):
+        """The scan's seed comes from K's raw SVD: a grid comparison runs the canonical rule
+        of _exact_bob_pair once, for the shared settings, and a scan never runs it."""
+        calls = []
+        exact_pair = chsh._exact_bob_pair
+
+        def counted(kernel):
+            calls.append(kernel)
+            return exact_pair(kernel)
+
+        monkeypatch.setattr(chsh, "_exact_bob_pair", counted)
+        hypotheses = ["unitary_only", "friend_dephasing", "stochastic_collapse(0.3)"]
+        results = hypothesis_comparison(proietti_scenario(), hypotheses, grid_step=PI / 16)
+        assert all(result.grid_gap is not None for result in results)
+        assert len(calls) == 1
+        calls.clear()
+        chsh._grid_bob_pair(-np.eye(3), PI / 16)
+        assert calls == []
 
     def test_grid_step_validation(self):
         with pytest.raises(ShapeError):

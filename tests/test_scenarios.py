@@ -54,6 +54,8 @@ from wfsim.chsh import _basis_triple, _wing_moments
 from wfsim.measurement import CollapseHypothesis
 from wfsim.scenarios import counterexample_density
 
+from _oracles import random_pure
+
 COS_AMP = 0.6532814824381883
 SIN_AMP = 0.2705980500730985
 
@@ -68,6 +70,10 @@ CHAIN_DIGESTS = {
     (1, 1): "9f87941028f4ad50d626ca4c562385e69f52129894a6ee762589fcc3d992d561",
     (0, 1): "cdc89c7cf8425fad12ca6fced23b25e1dc623222768985a370f051047265e133",
 }
+
+# sha256 of friend_interaction's raw and renormalized output amplitude bytes over
+# seeds 0-7 (see TestFriendInteraction.test_heralded_bytes_are_pinned).
+HERALD_DIGEST = "778d2674731c48681dde45e6d55d428da7af224afca919c52e20008ed1f11d87"
 
 
 class TestSourceState:
@@ -140,6 +146,27 @@ class TestFriendInteraction:
         reference = expected_final_state()
         assert final.space.labels == reference.space.labels
         assert float(np.max(np.abs(final.amplitudes - reference.amplitudes))) < 1e-12
+
+    def test_heralded_bytes_are_pinned(self):
+        """The sha256 of the raw and renormalized output amplitudes over eight seeded
+        states per side: the states of the brute-force property, each side's photons
+        plus up to two extra factors in a random order, frozen bytes where that
+        property compares at 1e-12.  Side B's states are side A's with the labels
+        renamed, so both sides hash alike."""
+        for side in "AB":
+            wing = {"A": ["a", "alpha_prime", "alpha"], "B": ["b", "beta_prime", "beta"]}[side]
+            data = hashlib.sha256()
+            for seed in range(8):
+                rng = np.random.default_rng(seed)
+                extra = int(rng.integers(0, 3))
+                labels = wing + [f"x{k}" for k in range(extra)]
+                dims = [2, 2, 2] + [int(d) for d in rng.integers(2, 4, size=extra)]
+                order = rng.permutation(len(labels))
+                space = CompositeSpace(tuple((labels[k], dims[k]) for k in order))
+                after = friend_interaction(PureState(space, random_pure(rng, space.dim)), side)
+                data.update(after.raw_state.amplitudes.tobytes())
+                data.update(after.state.amplitudes.tobytes())
+            assert data.hexdigest() == HERALD_DIGEST, side
 
     def test_missing_factor_raises(self):
         """The ``CompositeSpace.axis`` message, as from ``claimed_branch_collapse``, and

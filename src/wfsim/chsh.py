@@ -68,9 +68,10 @@ keeping the first z.  It walks the triangle in row blocks of a fixed
 number of pairs, each from its own first row on, so its memory grows with
 the number of directions, not of pairs; a later block wins only when
 strictly larger, which keeps the tie rule.  The grid cross-check of an
-exact maximum (``_grid_gap``, for both scenarios that run one) needs only
+exact maximum (``_grid_gap``, in ``hypothesis_comparison``) needs only
 K: it reads S at the scan's pick by the formula above, building no
-observable, where ``optimize_settings`` returns S at the built settings.
+observable, where both searches return ``chsh_value`` at the settings
+they build.
 
 The walk is screened.  Before it starts, the scan takes S at the grid pair
 nearest a closed-form maximizer (the seed, ``_seed_pair``): the pair above
@@ -95,7 +96,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import InvariantViolation, ShapeError
+from .errors import InvariantViolation, ShapeError, _check_count
 from .hilbert import (
     CompositeSpace,
     DensityOperator,
@@ -544,36 +545,8 @@ def _settings_angles(kernel: np.ndarray, grid_step: float | None = None) -> tupl
     return (_angles_of(a0_vec), _angles_of(a1_vec)), (_angles_of(b0_vec), _angles_of(b1_vec))
 
 
-def _search(
-    state: State,
-    alice_labels: Sequence[str] | None = None,
-    bob_labels: Sequence[str] | None = None,
-    grid_step: float | None = None,
-) -> tuple[tuple, np.ndarray, tuple, InequalityResult]:
-    """Shared body of both searches, exact or on a grid, building no observable: the wing
-    spaces, the state's K, its ``_settings_angles``, and the result there from
-    ``_bloch_operator`` stacks, bitwise ``chsh_value`` at the built settings."""
-    if alice_labels is None and bob_labels is None and state.space.nfactors == 2:
-        alice_labels, bob_labels = state.space.labels[:1], state.space.labels[1:]
-    if alice_labels is None or bob_labels is None:
-        raise ShapeError(
-            f"state has factors {state.space.labels}; pass both alice_labels and "
-            "bob_labels to say which wing measures what"
-        )
-    spaces = (state.space.subspace(alice_labels), state.space.subspace(bob_labels))
-    kernel = _correlation_kernel(state, *spaces)
-    angles = _settings_angles(kernel, grid_step)
-    triples = [_basis_triple(space.nfactors) for space in spaces]
-    stacks = [
-        np.stack([np.eye(len(triple[0])), *(_bloch_operator(t, p, triple) for t, p in wing)])
-        for triple, wing in zip(triples, angles)
-    ]
-    return spaces, kernel, angles, _table_result(_wing_moments(state, *spaces, *stacks))
-
-
 def _built_settings(spaces: tuple, angles: tuple, origin: str) -> MeasurementSettings:
-    """The validated observables at (Alice's, Bob's) angles on the two wing spaces; the
-    search's result at those angles is bitwise ``chsh_value`` at these settings."""
+    """The validated observables at (Alice's, Bob's) angles on the two wing spaces."""
     alice, bob = (tuple(observable_from_bloch(t, p, space) for t, p in wing)
                   for space, wing in zip(spaces, angles))
     return MeasurementSettings(alice, bob, *angles, origin=origin)
@@ -583,6 +556,28 @@ def _s_max(kernel: np.ndarray) -> float:
     """The maximum of S, 2 sqrt(sigma1^2 + sigma2^2) of K; see module docstring."""
     sigma = np.linalg.svd(kernel, compute_uv=False)
     return 2.0 * math.sqrt(sigma[0] ** 2 + sigma[1] ** 2)
+
+
+def _searched(
+    state: State,
+    alice_labels: Sequence[str] | None,
+    bob_labels: Sequence[str] | None,
+    grid_step: float | None,
+    origin: str,
+) -> tuple[MeasurementSettings, float]:
+    """Shared body of both searches, exact or on a grid: the settings at the
+    ``_settings_angles`` of the state's K on the wings, and ``chsh_value`` there."""
+    if alice_labels is None and bob_labels is None and state.space.nfactors == 2:
+        alice_labels, bob_labels = state.space.labels[:1], state.space.labels[1:]
+    if alice_labels is None or bob_labels is None:
+        raise ShapeError(
+            f"state has factors {state.space.labels}; pass both alice_labels and "
+            "bob_labels to say which wing measures what"
+        )
+    spaces = (state.space.subspace(alice_labels), state.space.subspace(bob_labels))
+    angles = _settings_angles(_correlation_kernel(state, *spaces), grid_step)
+    settings = _built_settings(spaces, angles, origin)
+    return settings, chsh_value(state, settings).s_value
 
 
 def exact_optimum(
@@ -595,8 +590,7 @@ def exact_optimum(
     The wings default as in ``optimize_settings``.  Returns the
     canonical maximizing settings (origin "exact") and S there.
     """
-    spaces, _, angles, result = _search(state, alice_labels, bob_labels)
-    return _built_settings(spaces, angles, "exact"), result.s_value
+    return _searched(state, alice_labels, bob_labels, None, "exact")
 
 
 def optimize_settings(
@@ -615,8 +609,8 @@ def optimize_settings(
     noise, since Bob's coarse grid is a subset of the fine one and
     Alice's response is exact; ``exact_optimum`` is the limit.
     """
-    spaces, _, angles, result = _search(state, alice_labels, bob_labels, grid_step)
-    return _built_settings(spaces, angles, f"optimized(grid_step={grid_step:.9g})"), result.s_value
+    origin = f"optimized(grid_step={grid_step:.9g})"
+    return _searched(state, alice_labels, bob_labels, grid_step, origin)
 
 
 def _grid_gap(kernel: np.ndarray, s_max: float, grid_step: float) -> float:
@@ -659,10 +653,10 @@ def sample_inequality(
     factors; <A>, <B> and E come from the settings' moment table.  An
     entry below -1e-10 raises InvariantViolation; the rest are clipped
     and renormalized as in ``born_probabilities``.  The standard error is
-    the plug-in estimate sqrt(sum (1 - E_k^2) / shots).
+    the plug-in estimate sqrt(sum (1 - E_k^2) / shots), which must be an
+    integer in [1, 2**63).
     """
-    if shots < 1:
-        raise ShapeError("sample_inequality needs shots >= 1")
+    _check_count("shots", shots, 1)
     return _sample_table(_settings_moments(state, settings), shots, rng, hypothesis)
 
 
@@ -702,21 +696,25 @@ def hypothesis_comparison(
 ) -> list[InequalityResult]:
     """Evaluate each hypothesis against the unitary-model statistics.
 
-    The unitary-only exact state stands in for "the data": settings
-    default to its exact optimum, and every hypothesis is evaluated
-    exactly at those shared settings.  A hypothesis is flagged
-    inconsistent when its exact S at the shared settings differs from the
-    unitary value by more than ``CONSISTENCY_TOL``.  Each result also
-    carries the exact maximum ``s_max`` of the hypothesis's own state.
-    Both come from mixed tables (see module docstring), not from mixed
-    densities; hypotheses whose tables are equal entry by entry share one
-    entry.  With ``grid_step`` set, each entry's mixed K is also scanned
-    once on that grid, and ``grid_gap`` is ``s_max`` minus the grid
-    maximum (``_grid_gap``).  With ``shots > 0``
-    the returned results are sampling estimates (one child stream per
+    ``scenario`` names its wings as ``alice_labels`` and ``bob_labels``,
+    and ``scenario.held_terms(hypothesis)`` gives a hypothesis's (weight,
+    held state) terms, a state held for several being one object.  The
+    unitary-only exact state stands in for "the data": settings default
+    to its exact optimum, and every hypothesis is evaluated exactly at
+    those shared settings.  A hypothesis is flagged inconsistent when its
+    exact S at the shared settings differs from the unitary value by more
+    than ``CONSISTENCY_TOL``.  Each result also carries the exact maximum
+    ``s_max`` of the hypothesis's own state.  Both come from mixed tables
+    (see module docstring), not from mixed densities; hypotheses whose
+    tables are equal entry by entry share one entry.  With ``grid_step``
+    set, each entry's mixed K is also scanned once on that grid, and
+    ``grid_gap`` is ``s_max`` minus the grid maximum (``_grid_gap``).
+    ``shots`` must be an integer in [0, 2**63).  With ``shots > 0`` the
+    returned results are sampling estimates (one child stream per
     hypothesis, spawned from ``rng`` in list order) with the exact
     companions attached.
     """
+    _check_count("shots", shots, 0)
     if shots > 0 and rng is None:
         raise ShapeError("sampling a comparison needs a Generator")
     parsed = [CollapseHypothesis.parse(h) for h in hypotheses]
@@ -726,7 +724,7 @@ def hypothesis_comparison(
     kernel = _correlation_kernel(rho_unitary, *spaces)
     if settings is None:
         settings = _built_settings(spaces, _settings_angles(kernel), "exact")
-    # id of a held density -> its (K, M), both 3 x 3
+    # id of a held state -> its (K, M), both 3 x 3
     tables = {id(rho_unitary): np.stack([kernel, _settings_moments(rho_unitary, settings)])}
     entries: list[tuple[np.ndarray, float]] = []  # ((K, M), s_max)
     which: dict[CollapseHypothesis, int] = {}  # hypothesis -> index into entries

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a draw count."""
 
 
 class WfsimError(Exception):
@@ -38,3 +38,10 @@ class InvariantViolation(WfsimError):
 
 class ConfigError(WfsimError):
     """A scenario configuration failed validation."""
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """Raise ShapeError unless ``value`` is an int, not a bool, in [low, 2**63): numpy's
+    int64 draws would truncate a float, count True as 1 and overflow from 2**63 on."""
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < 2**63:
+        raise ShapeError(f"{name} must be an integer in [{low}, 2**63), got {value!r}")

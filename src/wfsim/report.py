@@ -1,10 +1,13 @@
 """Scenario configuration, batch execution, and deterministic reports.
 
-A report is a flat list of quantity rows so the CSV and JSON emissions
-are literally the same table.  Numbers are printed with 12 significant
-digits, which round-trips exactly through a double.  For a fixed
-configuration and seed the data rows are byte-identical across runs;
-wall time is the one field excluded from that guarantee.
+A report is a flat list of quantity rows.  Both inequality scenarios
+read theirs off ``hypothesis_comparison`` results (``_result_rows``), and
+each row becomes one record over CSV_COLUMNS with its numbers rounded to
+12 significant digits (``_records``): the JSON emits the records and the
+CSV prints them with ``%.12g``, so the two formats are literally the same
+table.  For a fixed configuration and seed the data rows are
+byte-identical across runs; wall time is the one field excluded from
+that guarantee.
 """
 
 from __future__ import annotations
@@ -27,16 +30,11 @@ from . import __version__
 from .chsh import (
     _GRID_PAIR_BUDGET,
     InequalityResult,
-    _built_settings,
-    _grid_gap,
-    _s_max,
     _scan_pairs,
-    _search,
     correlator,
     grid_step_in_range,
     hypothesis_comparison,
     local_deterministic_bound,
-    sample_inequality,
 )
 from .errors import ConfigError, InvalidState
 from .hilbert import (
@@ -61,8 +59,8 @@ from .scenarios import (
     COUNTEREXAMPLE_ORDER,
     PROIETTI_ORDER,
     SINGLET_ORDER,
+    _SingletScenario,
     _binomial_frequency,
-    bell_singlet,
     counterexample_probability,
     expected_final_state,
     proietti_scenario,
@@ -257,24 +255,20 @@ def _probability_row(
     return ReportRow(scenario, hypothesis, quantity, exact, p_hat, std_error, shots)
 
 
-def _inequality_rows(
-    scenario: str,
-    hypothesis: str,
-    quantity: str,
-    exact_s: float,
-    exact_correlators: tuple[float, ...],
-    sampled: InequalityResult | None,
+def _result_rows(
+    scenario: str, hypothesis: str, quantity: str, result: InequalityResult
 ) -> list[ReportRow]:
-    """The S row and its four correlator rows; estimates only when sampled."""
-    if sampled is None:
-        estimate, std_error, shots = None, None, None
-        estimates = (None,) * len(_CORRELATOR_NAMES)
-    else:
-        estimate, std_error, shots = sampled.s_value, sampled.std_error, sampled.shots
-        estimates = sampled.correlators
-    rows = [ReportRow(scenario, hypothesis, quantity, exact_s, estimate, std_error, shots)]
-    for name, ex, est in zip(_CORRELATOR_NAMES, exact_correlators, estimates):
-        rows.append(ReportRow(scenario, hypothesis, name, ex, est, None, shots))
+    """A comparison result's rows: ``s_max``, ``grid_gap`` when a grid ran, then the exact
+    S as ``quantity`` and its four correlators, with estimates only when sampled."""
+    rows = [ReportRow(scenario, hypothesis, "s_max", result.s_max)]
+    if result.grid_gap is not None:
+        rows.append(ReportRow(scenario, hypothesis, "grid_gap", result.grid_gap))
+    names = (quantity, *_CORRELATOR_NAMES)
+    exact = (result.exact_s, *result.exact_correlators)
+    estimates = (None,) * len(names) if result.exact else (result.s_value, *result.correlators)
+    std_errors = (result.std_error,) + (None,) * len(_CORRELATOR_NAMES)
+    for row in zip(names, exact, estimates, std_errors):
+        rows.append(ReportRow(scenario, hypothesis, *row, result.shots))
     return rows
 
 
@@ -309,7 +303,8 @@ def _run_pointer_basic(config: ScenarioConfig, rng: np.random.Generator) -> list
 
 
 def _run_bell_singlet(config: ScenarioConfig, rng: np.random.Generator) -> list[ReportRow]:
-    psi = bell_singlet()
+    scenario = _SingletScenario()
+    psi = scenario.state
     rho = psi.density()
     reduced_e1 = partial_trace(rho, ("e1",))
     reduced_e2 = partial_trace(rho, ("e2",))
@@ -318,17 +313,9 @@ def _run_bell_singlet(config: ScenarioConfig, rng: np.random.Generator) -> list[
         DichotomicObservable.pauli("z", "e1"),
         DichotomicObservable.pauli("z", "e2"),
     )
-    spaces, kernel, angles, exact = _search(psi)
-    s_max = _s_max(kernel)
-    gap_rows = []
-    if config.grid_step is not None:
-        gap = _grid_gap(kernel, s_max, config.grid_step)
-        gap_rows.append(ReportRow(config.scenario, "", "grid_gap", gap))
-
-    sampled = None
-    if config.shots > 0:
-        settings = _built_settings(spaces, angles, "exact")
-        sampled = sample_inequality(psi, settings, config.shots, rng.spawn(1)[0])
+    (result,) = hypothesis_comparison(
+        scenario, ["unitary_only"], shots=config.shots, rng=rng, grid_step=config.grid_step
+    )
     return [
         ReportRow(config.scenario, "", quantity, value)
         for quantity, value in (
@@ -337,11 +324,8 @@ def _run_bell_singlet(config: ScenarioConfig, rng: np.random.Generator) -> list[
             ("reduced_purity_e2", purity(reduced_e2)),
             ("coherence_reduced_e1", coherence_norm(reduced_e1)),
             ("sigma_zz_correlator", zz),
-            ("s_max", s_max),
         )
-    ] + gap_rows + _inequality_rows(
-        config.scenario, "", "s_at_optimal", exact.s_value, exact.correlators, sampled
-    )
+    ] + _result_rows(config.scenario, "", "s_at_optimal", result)
 
 
 def _run_proietti(config: ScenarioConfig, rng: np.random.Generator) -> list[ReportRow]:
@@ -370,25 +354,11 @@ def _run_proietti(config: ScenarioConfig, rng: np.random.Generator) -> list[Repo
     ]
 
     results = hypothesis_comparison(
-        scenario,
-        config.hypotheses,
-        shots=config.shots,
-        rng=rng if config.shots > 0 else None,
-        grid_step=config.grid_step,
+        scenario, config.hypotheses, shots=config.shots, rng=rng, grid_step=config.grid_step
     )
     for res in results:
         name = res.hypothesis.name
-        rows.append(ReportRow(config.scenario, name, "s_max", res.s_max))
-        if res.grid_gap is not None:
-            rows.append(ReportRow(config.scenario, name, "grid_gap", res.grid_gap))
-        rows += _inequality_rows(
-            config.scenario,
-            name,
-            "s_at_witness_settings",
-            res.exact_s,
-            res.exact_correlators,
-            None if res.exact else res,
-        )
+        rows += _result_rows(config.scenario, name, "s_at_witness_settings", res)
         flag = 1.0 if res.consistent_with_data else 0.0
         rows.append(ReportRow(config.scenario, name, "consistent_with_unitary", flag))
     return rows
@@ -476,44 +446,39 @@ def run(config: ScenarioConfig) -> RunReport:
     )
 
 
-def _format12(value) -> str:
-    if value is None:
-        return ""
-    return f"{float(value):.12g}"
-
-
 def _round12(value):
     if value is None:
         return None
     return float(f"{float(value):.12g}")
 
 
+def _records(report: RunReport) -> list[dict]:
+    """Each row as one record over CSV_COLUMNS, its numbers rounded to 12 significant
+    digits: the JSON objects, whose floats the CSV prints with ``%.12g``."""
+    seed = report.config.seed
+    return [
+        dict(zip(CSV_COLUMNS, (
+            row.scenario, row.hypothesis, row.quantity, _round12(row.exact_value),
+            _round12(row.estimate), _round12(row.std_error), row.shots, seed,
+        )))
+        for row in report.rows
+    ]
+
+
 def render_csv(report: RunReport) -> str:
-    """The CSV text: header plus one line per row, 12 significant digits."""
+    """The CSV text: header plus one line per record, 12 significant digits."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in report.rows:
-        writer.writerow(
-            [
-                row.scenario,
-                row.hypothesis,
-                row.quantity,
-                _format12(row.exact_value),
-                _format12(row.estimate),
-                _format12(row.std_error),
-                "" if row.shots is None else str(row.shots),
-                str(report.config.seed),
-            ]
-        )
+    for record in _records(report):
+        writer.writerow("%.12g" % v if isinstance(v, float) else v for v in record.values())
     return buf.getvalue()
 
 
 def render_json(report: RunReport) -> str:
-    """The JSON text mirroring the CSV schema, one object per row.
+    """The JSON text mirroring the CSV schema, one object per record.
 
-    Numeric fields are rounded to 12 significant digits before encoding,
-    so parsing the file recovers exactly the values the CSV prints.
+    Parsing the file recovers exactly the values the CSV prints.
     ``wall_time_s`` is informational and excluded from the determinism
     guarantee.
     """
@@ -521,19 +486,7 @@ def render_json(report: RunReport) -> str:
         "version": report.version,
         "factor_order": list(report.factor_order),
         "config": report.config.echo(),
-        "rows": [
-            {
-                "scenario": row.scenario,
-                "hypothesis": row.hypothesis,
-                "quantity": row.quantity,
-                "exact_value": _round12(row.exact_value),
-                "estimate": _round12(row.estimate),
-                "std_error": _round12(row.std_error),
-                "shots": row.shots,
-                "seed": report.config.seed,
-            }
-            for row in report.rows
-        ],
+        "rows": _records(report),
         "wall_time_s": _round12(report.wall_time_s),
     }
     return json.dumps(body, indent=2) + "\n"

@@ -32,7 +32,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import HeraldImpossible, InvalidState, ShapeError
+from .errors import HeraldImpossible, InvalidState, ShapeError, _check_count
 from .hilbert import (
     ALGEBRA_TOL,
     CompositeSpace,
@@ -407,8 +407,7 @@ def _binomial_frequency(p: float, runs: int, rng: np.random.Generator) -> float:
     """Hit frequency of ``runs`` independent runs that each hit with probability ``p``:
     one ``rng.binomial(runs, p)`` draw over ``runs``.  Time and memory do not depend on
     ``runs``, which must be an integer in [1, 2**63)."""
-    if isinstance(runs, bool) or not isinstance(runs, int) or not 1 <= runs < 2**63:
-        raise ShapeError(f"runs must be an integer in [1, 2**63), got {runs!r}")
+    _check_count("runs", runs, 1)
     return int(rng.binomial(runs, p)) / runs
 
 
@@ -422,3 +421,19 @@ def bell_singlet() -> PureState:
     """
     space = CompositeSpace.qubits(*SINGLET_ORDER)
     return PureState.from_mapping(space, {"ud": 1 / _SQRT2, "du": -1 / _SQRT2})
+
+
+class _SingletScenario:
+    """The singlet as a one-term scenario of :func:`~wfsim.chsh.hypothesis_comparison`:
+    the wings e1 | e2 and one :func:`bell_singlet` state, held under unitary_only only."""
+
+    alice_labels, bob_labels = SINGLET_ORDER[:1], SINGLET_ORDER[1:]
+
+    def __init__(self) -> None:
+        self.state = bell_singlet()
+
+    def held_terms(self, hypothesis: CollapseHypothesis | str) -> list:
+        hypothesis = CollapseHypothesis.parse(hypothesis)
+        if hypothesis != UNITARY_ONLY:
+            raise ShapeError(f"the singlet holds unitary_only only, not {hypothesis.name}")
+        return [(1.0, self.state)]

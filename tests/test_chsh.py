@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import wfsim.chsh as chsh
+import wfsim.report as report
 from wfsim import (
     CLASSICAL_BOUND,
     CollapseHypothesis,
@@ -32,7 +33,7 @@ from wfsim import (
     ScenarioConfig,
     source_state,
 )
-from wfsim.scenarios import ProiettiScenario
+from wfsim.scenarios import ProiettiScenario, _SingletScenario
 
 from wfsim.measurement import _HYPOTHESIS_VARIANTS
 
@@ -462,6 +463,17 @@ class TestSampleInequality:
         with pytest.raises(ShapeError):
             sample_inequality(bell_singlet(), settings, 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("shots", [0, -1, 2**63, 10**19, 1.5, 2.5, True])
+    def test_shots_outside_the_int64_range_are_rejected(self, shots, monkeypatch):
+        """A bare multinomial would truncate 2.5 to 2 yet divide by 2.5, count True as one
+        shot and overflow from 2**63 on; the check runs before any table is taken."""
+        settings = MeasurementSettings.defaults(
+            CompositeSpace.qubits("e1"), CompositeSpace.qubits("e2")
+        )
+        monkeypatch.setattr(chsh, "_wing_moments", None)
+        with pytest.raises(ShapeError, match="shots must be an integer"):
+            sample_inequality(bell_singlet(), settings, shots, np.random.default_rng(0))
+
 
 class TestHypothesisComparison:
     def test_unitary_consistent_dephasing_not(self):
@@ -520,6 +532,17 @@ class TestHypothesisComparison:
         with pytest.raises(ShapeError):
             hypothesis_comparison(
                 scenario, ["unitary_only"], shots=10, grid_step=PI / 16
+            )
+
+    @pytest.mark.parametrize("shots", [-1, -5, 2**63, 10**19, 2.5, 1.0, True, False])
+    def test_shots_outside_the_int64_range_are_rejected(self, shots, monkeypatch):
+        """A float was truncated by the multinomial yet divided by as given, True sampled
+        one shot, a negative count returned exact results and 10**19 overflowed; the
+        check runs before any held term is asked for."""
+        monkeypatch.setattr(ProiettiScenario, "held_terms", None)
+        with pytest.raises(ShapeError, match="shots must be an integer"):
+            hypothesis_comparison(
+                proietti_scenario(), ["unitary_only"], shots=shots, rng=np.random.default_rng(0)
             )
 
     def test_each_state_is_searched_once(self, monkeypatch):
@@ -663,3 +686,68 @@ class TestHypothesisComparison:
         assert values[0] == pytest.approx(TSIRELSON_BOUND, abs=1e-9)
         assert values[0] > values[1] > values[2]
         assert values[2] == pytest.approx(math.sqrt(2.0), abs=1e-9)
+
+
+def _counting(monkeypatch, module, name, calls):
+    """Replace ``module.name`` by a wrapper that appends ``name`` to ``calls``."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestOnePath:
+    """Each report quantity has one code path: the searches read S through ``chsh_value``,
+    and the singlet's inequality rows come from ``hypothesis_comparison``."""
+
+    def test_searches_return_chsh_value_at_their_settings(self, monkeypatch):
+        calls = []
+        _counting(monkeypatch, chsh, "chsh_value", calls)
+        for search in (exact_optimum, lambda psi: optimize_settings(psi, PI / 16)):
+            calls.clear()
+            settings, value = search(bell_singlet())
+            assert calls == ["chsh_value"]
+            assert value == chsh_value(bell_singlet(), settings).s_value
+        assert not hasattr(chsh, "_search")
+
+    @pytest.mark.parametrize("shots", [0, 1000])
+    def test_singlet_report_runs_one_comparison(self, shots, monkeypatch):
+        """One comparison, and three tables in all: the sigma_z sigma_z correlator, then
+        the singlet's K and its settings' table, each taken once, sampled or not."""
+        calls = []
+        _counting(monkeypatch, report, "hypothesis_comparison", calls)
+        _counting(monkeypatch, chsh, "_wing_moments", calls)
+        run(ScenarioConfig(scenario="bell_singlet", shots=shots, grid_step=PI / 16))
+        assert calls.count("hypothesis_comparison") == 1
+        assert calls.count("_wing_moments") == 3
+
+    def test_singlet_scenario_holds_unitary_only(self):
+        scenario = _SingletScenario()
+        assert scenario.held_terms("unitary_only") == [(1.0, scenario.state)]
+        for hypothesis in ("friend_dephasing", "stochastic_collapse(0)"):
+            with pytest.raises(ShapeError, match="unitary_only only"):
+                hypothesis_comparison(scenario, [hypothesis])
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("shots", [1, 1000])
+    def test_singlet_rows_match_the_public_api(self, seed, shots):
+        """Bit for bit: S at the exact optimum, the correlators there, and the estimates of
+        ``sample_inequality`` on the report generator's one spawned child."""
+        psi = bell_singlet()
+        settings, s_exact = exact_optimum(psi)
+        exact = chsh_value(psi, settings)
+        sampled = sample_inequality(psi, settings, shots, np.random.default_rng(seed).spawn(1)[0])
+        rows = run(ScenarioConfig(scenario="bell_singlet", shots=shots, seed=seed)).rows
+        names = [row.quantity for row in rows]
+        start = names.index("s_at_optimal")
+        assert names[start:] == ["s_at_optimal", "correlator_e11", "correlator_e10",
+                                 "correlator_e01", "correlator_e00"]
+        got = rows[start:]
+        assert got[0].exact_value == s_exact == exact.s_value
+        assert (got[0].estimate, got[0].std_error) == (sampled.s_value, sampled.std_error)
+        assert tuple(row.exact_value for row in got[1:]) == exact.correlators
+        assert tuple(row.estimate for row in got[1:]) == sampled.correlators
+        assert {row.shots for row in got} == {shots}

@@ -8,12 +8,21 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wfsim.cli as cli
 import wfsim.scenarios as scenarios
 from wfsim import ConfigError, InvariantViolation, ScenarioConfig, bell_singlet, emit, run
 from wfsim.chsh import _GRID_PAIR_BUDGET, _correlation_kernel, _s_max, _scan_pairs
-from wfsim.report import CSV_COLUMNS, ENV_OUT_DIR, render_csv, render_json
+from wfsim.report import (
+    CSV_COLUMNS,
+    ENV_OUT_DIR,
+    ReportRow,
+    RunReport,
+    render_csv,
+    render_json,
+)
 
 
 def _rows_by_quantity(report):
@@ -315,6 +324,27 @@ class TestEmission:
         assert body["config"]["seed"] == 9
         assert len(body["rows"]) == len(report.rows)
         assert body["rows"][0]["quantity"] == report.rows[0].quantity
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.tuples(*[st.none() | st.floats()] * 3), min_size=1, max_size=8))
+    @example(values=[(0.0, -0.0, None), (math.inf, -math.inf, math.nan)])
+    @example(values=[(5e-324, -2.5e-320, 2.2250738585072014e-308), (1e-308, None, None)])
+    @example(values=[(0.1 + 0.2, 1 / 3, 2**63 - 1.0), (-1.7976931348623157e308, 2.0, 1e16)])
+    def test_both_formats_print_each_number_once_rounded(self, values):
+        """Each CSV cell is the value's ``.12g`` (empty for None), and each JSON value is
+        that text parsed back, so the two formats hold the same numbers."""
+        config = ScenarioConfig(scenario="pointer_basic")
+        rows = tuple(ReportRow("s", "h", "q", *triple, shots=3) for triple in values)
+        report = RunReport(config, ("s", "p"), rows, 0.0, "0")
+        cells = list(csv.reader(render_csv(report).splitlines()))[1:]
+        records = json.loads(render_json(report))["rows"]
+        assert len(cells) == len(records) == len(values)
+        for triple, line, record in zip(values, cells, records):
+            numbers = [record[name] for name in ("exact_value", "estimate", "std_error")]
+            for x, cell, number in zip(triple, line[3:6], numbers):
+                assert cell == ("" if x is None else f"{x:.12g}")
+                assert repr(number) == repr(None if x is None else float(f"{x:.12g}"))
+            assert (line[6], record["shots"]) == ("3", 3)
 
     def test_emit_writes_explicit_path(self, tmp_path):
         report = run(ScenarioConfig(scenario="pointer_basic", hypotheses=()))

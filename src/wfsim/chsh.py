@@ -215,7 +215,6 @@ class InequalityResult:
 
     s_value: float
     correlators: tuple[float, float, float, float]
-    bound: float = CLASSICAL_BOUND
     hypothesis: CollapseHypothesis | None = None
     exact: bool = True
     shots: int | None = None

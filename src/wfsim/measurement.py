@@ -13,9 +13,10 @@ apart:
 A :class:`ProjectiveMeasurement` is a read-only unitary frame W = [V_1 ... V_k],
 P_i = V_i V_i^dag, validated once by one Gram check W^dag W = I.  Born (p_i sums
 block i of diag(W^dag rho W)) and collapse (V_i V_i^dag M) resolve it one way.
-A held observable or scenario basis is built and checked once.  Measured labels
-build nothing: their basis is the computational one, W = I, so Born reads the
-diagonal of the reduced state and collapse keeps one row of M.
+An observable builds and checks its frame once and holds it.  Labels build no
+frame (and a collapse by labels no space): their basis is W = I, so Born reads
+the diagonal of the reduced state and collapse keeps one row of M.  Each one-shot
+outcome or branch is one :func:`_draw` from a Born distribution.
 
 Randomness everywhere in the package comes from ``numpy.random.Generator``
 (PCG64 via ``numpy.random.default_rng``).  A run owns its generator; when
@@ -302,13 +303,14 @@ def projective_collapse(
                            f"got {type(rng).__name__}")
     if isinstance(on, str):
         on = (on,)
-    if basis is None and on is None:
-        raise ShapeError("give either measured labels or an explicit basis")
     meas = _as_measurement(basis)
-    sub = state.space.subspace(on) if meas is None else meas.space
-    if on is not None and tuple(on) != sub.labels:
-        raise ShapeError(f"labels {tuple(on)} disagree with the measurement's {sub.labels}")
-    front, perm = _factors_first(state, sub.factors)
+    if meas is None and (on is None or len(on) == 0):
+        raise ShapeError("give either measured labels or an explicit basis")
+    if meas is not None and on is not None and tuple(on) != meas.space.labels:
+        raise ShapeError(f"labels {tuple(on)} disagree with the measurement's {meas.space.labels}")
+    space = state.space  # labels give their (label, dim) pairs: no space, no frame
+    factors = meas.space.factors if meas else tuple(space.factors[a] for a in space.axes(on))
+    front, perm = _factors_first(state, factors)
     if not state.normalized:
         raise InvalidState("a sub-normalized state has no reduced state; normalize() it first")
     outcome = _draw(_born(meas, front @ front.conj().T), rng)

@@ -36,7 +36,7 @@ from .chsh import (
     hypothesis_comparison,
     local_deterministic_bound,
 )
-from .errors import ConfigError, InvalidState
+from .errors import ConfigError, InvalidState, ShapeError, _check_count
 from .hilbert import (
     CompositeSpace,
     DichotomicObservable,
@@ -137,8 +137,10 @@ class ScenarioConfig:
                     f"hypotheses for scenario {self.scenario!r} must come from "
                     f"[{', '.join(spec.allowed_variants)}], got {hyp.name!r}"
                 )
-        if not _is_int(self.shots) or not 0 <= self.shots < 2**63:
-            raise ConfigError(f"shots must be an integer in [0, 2**63), got {self.shots!r}")
+        try:
+            _check_count("shots", self.shots, 0)
+        except ShapeError as exc:
+            raise ConfigError(str(exc)) from None
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.grid_step is not None:

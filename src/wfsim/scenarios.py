@@ -49,6 +49,7 @@ from .measurement import (
     UNITARY_ONLY,
     CollapseHypothesis,
     ProjectiveMeasurement,
+    _draw,
     _ensemble_terms,
     _mix,
     born_probabilities,
@@ -191,13 +192,6 @@ def friend_interaction(joint: PureState, side: str) -> ScenarioState:
     )
 
 
-@lru_cache(maxsize=1)
-def _in_photon_bases() -> dict[str, ProjectiveMeasurement]:
-    """Each incoming photon's computational basis, built and Gram-checked once, on first use."""
-    photons = (CompositeSpace.qubits(a) for a, _, _ in _SIDES.values())
-    return {q.labels[0]: ProjectiveMeasurement.computational(q) for q in photons}
-
-
 def claimed_branch_collapse(
     joint: PureState, side: str, rng: np.random.Generator
 ) -> ScenarioState:
@@ -210,9 +204,9 @@ def claimed_branch_collapse(
     those factors.
     """
     in_label, _, _ = _side_labels(side)
-    if joint.space.dim_of(in_label) != 2:  # before the held two-dimensional basis meets it
+    if joint.space.dim_of(in_label) != 2:  # before any draw from rng
         raise ShapeError("friend interaction is defined for two-dimensional factors")
-    outcome, collapsed = projective_collapse(joint, basis=_in_photon_bases()[in_label], rng=rng)
+    outcome, collapsed = projective_collapse(joint, on=(in_label,), rng=rng)
     after = friend_interaction(collapsed, side)
     return replace(after, stage="collapsed", hypothesis=SUBJECTIVE_COLLAPSE, branch=outcome)
 
@@ -344,10 +338,11 @@ def counterexample_state_under(
 
     Under unitary_only the two memories stay in the coherent superposition
     c_up |u u> + c_down |d d> with the communication mode empty.  Under
-    subjective_collapse one branch is sampled (|u u 0> or |d d 0>) with
-    the Born weights.  The equal-amplitude case is the one the shipped
-    protocol specifies; other amplitudes are supported but exercise the
-    same machinery without an external reference.
+    subjective_collapse one branch (|u u 0> or |d d 0>) is sampled from A's
+    Born distribution by ``measurement._draw``, the one draw every collapse
+    uses.  The equal-amplitude case is the one the shipped protocol
+    specifies; other amplitudes are supported but exercise the same
+    machinery without an external reference.
     """
     hypothesis = _counterexample_hypothesis(hypothesis)
     unitary = _counterexample_unitary(amplitudes)
@@ -355,7 +350,7 @@ def counterexample_state_under(
         return ScenarioState(stage="final", state=unitary, hypothesis=hypothesis)
     if rng is None:
         raise InvalidState("subjective_collapse sampling needs a Generator")
-    branch = 0 if rng.random() < abs(unitary.amplitude("uu0")) ** 2 else 1
+    branch = _draw(born_probabilities(unitary, ("A",)), rng)
     state = PureState.basis(unitary.space, "uu0" if branch == 0 else "dd0")
     return ScenarioState(stage="collapsed", state=state, hypothesis=hypothesis, branch=branch)
 

@@ -361,6 +361,30 @@ class TestProjectiveCollapse:
             born_probabilities(psi, measured)
         assert checked == []
 
+    def test_labels_collapse_builds_no_space(self, monkeypatch):
+        """A collapse by labels reads the measured (label, dim) pairs off the state's space:
+        100 of them construct no CompositeSpace, the post-measurement state reusing its own."""
+        cases = [(PureState(space, random_pure(rng, space.dim)), measured, rng)
+                 for space, measured, rng in labelled_cases(66, 100)]
+        built = []
+        validate_space = CompositeSpace.__post_init__
+        monkeypatch.setattr(CompositeSpace, "__post_init__",
+                            lambda self: built.append(self.factors) or validate_space(self))
+        for psi, measured, rng in cases:
+            _, post = projective_collapse(psi, on=measured, rng=rng)
+            assert post.space is psi.space
+        assert built == []
+
+    def test_collapse_on_no_labels_is_rejected(self):
+        """An empty label tuple names no measurement: ShapeError before any draw."""
+        psi = PureState(CompositeSpace.qubits("a", "b"), np.full(4, 0.5))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        for on in ((), []):
+            with pytest.raises(ShapeError, match="give either measured labels or an explicit"):
+                projective_collapse(psi, on=on, rng=rng)
+        assert rng.bit_generator.state == before
+
     def test_one_permutation_per_collapse(self, monkeypatch):
         """A collapse by labels or by a held frame computes one ``_front_order``
         permutation and takes the branch back with that same one."""

@@ -15,6 +15,7 @@ import wfsim.cli as cli
 import wfsim.scenarios as scenarios
 from wfsim import ConfigError, InvariantViolation, ScenarioConfig, bell_singlet, emit, run
 from wfsim.chsh import _GRID_PAIR_BUDGET, _correlation_kernel, _s_max, _scan_pairs
+from wfsim.errors import ShapeError, _check_count
 from wfsim.report import (
     CSV_COLUMNS,
     ENV_OUT_DIR,
@@ -73,6 +74,19 @@ class TestScenarioConfig:
         assert ScenarioConfig(shots=2**63 - 1).shots == 2**63 - 1
         with pytest.raises(ConfigError, match=r"shots must be an integer in \[0, 2\*\*63\), got"):
             ScenarioConfig(shots=2**63)
+
+    @pytest.mark.parametrize("shots", [0, 1, 2**63 - 1, 2**63, 10**19, -1, True, 2.5, "5", None])
+    def test_shots_follow_the_shared_count_rule(self, shots):
+        """The config accepts exactly the shot counts ``_check_count`` accepts, and
+        rejects the others with its message as a ConfigError."""
+        try:
+            _check_count("shots", shots, 0)
+        except ShapeError as exc:
+            with pytest.raises(ConfigError) as raised:
+                ScenarioConfig(shots=shots)
+            assert str(raised.value) == str(exc)
+        else:
+            assert ScenarioConfig(shots=shots).shots == shots
 
     def test_numeric_validation(self):
         with pytest.raises(ConfigError):

@@ -10,6 +10,9 @@ import hashlib
 import itertools
 import math
 import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -390,7 +393,8 @@ class TestClaimedBranchCollapse:
             assert hashlib.sha256(data).hexdigest() == CHAIN_DIGESTS[branches], seed
 
     def test_chain_builds_no_computational_measurement(self, monkeypatch):
-        """After a first collapse on each side, 200 seeded collapses reuse the held bases."""
+        """After a first collapse on each side, 200 seeded collapses build no
+        computational measurement: the incoming photon is collapsed by its label."""
         joint = prepared_state().state
         first = claimed_branch_collapse(joint, "A", np.random.default_rng(0))
         claimed_branch_collapse(first.state, "B", np.random.default_rng(0))
@@ -404,8 +408,8 @@ class TestClaimedBranchCollapse:
         assert built == []
 
     def test_collapse_builds_only_the_output_space(self, monkeypatch):
-        """With the held bases built, a claimed-branch collapse constructs one
-        CompositeSpace: the friend interaction's output space."""
+        """A claimed-branch collapse constructs one CompositeSpace, the friend
+        interaction's output space: the label collapse before it builds none."""
         joint = prepared_state().state
         claimed_branch_collapse(joint, "A", np.random.default_rng(0))
         built = []
@@ -416,6 +420,25 @@ class TestClaimedBranchCollapse:
             built.clear()
             after = claimed_branch_collapse(joint, "A", np.random.default_rng(seed))
             assert built == [after.state.space.factors]
+
+    def test_fresh_chain_builds_no_frame(self):
+        """In a fresh interpreter, where no earlier call can have built and cached a basis,
+        one seeded A -> B chain builds and Gram-checks no measurement frame."""
+        code = textwrap.dedent("""
+            import numpy as np
+            from wfsim import ProjectiveMeasurement, claimed_branch_collapse, prepared_state
+            frames = []
+            set_frame = ProjectiveMeasurement._set_frame
+            ProjectiveMeasurement._set_frame = (
+                lambda self, *args: frames.append(args) or set_frame(self, *args))
+            rng = np.random.default_rng(5)
+            first = claimed_branch_collapse(prepared_state().state, "A", rng)
+            claimed_branch_collapse(first.state, "B", rng)
+            print(len(frames))
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"]
 
     def test_error_paths_keep_type_and_message(self):
         """A missing incoming photon, a bad side and a 3-dim photon fail before any collapse."""
@@ -460,6 +483,21 @@ class TestCounterexample:
     def test_collapse_needs_generator(self):
         with pytest.raises(InvalidState):
             counterexample_state_under(SUBJECTIVE_COLLAPSE)
+
+    @pytest.mark.parametrize("amps", [
+        (1 / math.sqrt(2), 1 / math.sqrt(2)),
+        (math.sqrt(0.3), math.sqrt(0.7)),
+        (math.sqrt(0.3) * np.exp(0.4j), -math.sqrt(0.7) * np.exp(-1.1j)),
+    ])
+    def test_branch_draw_equals_the_born_threshold(self, amps):
+        """The sampled branch is the collapse draw on A's Born distribution, which is
+        the threshold rule branch = 0 iff one uniform < |c_up|^2: over 3000 seeds the
+        branches and the generator states afterwards agree."""
+        for seed in range(3000):
+            ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            branch = counterexample_state_under(SUBJECTIVE_COLLAPSE, ours, amps).branch
+            assert branch == (0 if twin.random() < abs(amps[0]) ** 2 else 1), seed
+            assert ours.bit_generator.state == twin.bit_generator.state, seed
 
     def test_other_hypotheses_rejected(self):
         with pytest.raises(ShapeError):

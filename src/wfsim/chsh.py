@@ -258,8 +258,7 @@ def _wing_moments(
     d_a, d_b = alice_space.dim, bob_space.dim
     if (alice_ops.shape[-1], bob_ops.shape[-1]) != (d_a, d_b):
         raise ShapeError(f"operator stacks do not fit wings of dimensions ({d_a}, {d_b})")
-    wings = CompositeSpace(alice_space.factors + bob_space.factors)
-    r = _reduced_matrix(state, wings).reshape(d_a, d_b, d_a, d_b)
+    r = _reduced_matrix(state, alice_space.factors + bob_space.factors).reshape(d_a, d_b, d_a, d_b)
     # Contiguous: K @ v on a strided view of the same numbers can round differently.
     moments = np.einsum("ijkl,mki,nlj->mn", r, alice_ops, bob_ops).real
     return _checked(np.ascontiguousarray(moments))

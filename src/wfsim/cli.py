@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, InvariantViolation
-from .report import ENV_OUT_DIR, SCENARIOS, ScenarioConfig, emit, run
+from .report import _FORMATS, ENV_OUT_DIR, SCENARIOS, ScenarioConfig, emit, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("csv", "json"),
+        choices=_FORMATS,
         dest="output_format",
         help="report format",
     )

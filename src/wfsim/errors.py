@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the one check of a draw count."""
+"""Exception types shared across the package, and the checks of a draw count and a generator."""
+
+import numpy as np
 
 
 class WfsimError(Exception):
@@ -45,3 +47,10 @@ def _check_count(name: str, value, low: int) -> None:
     int64 draws would truncate a float, count True as 1 and overflow from 2**63 on."""
     if isinstance(value, bool) or not isinstance(value, int) or not low <= value < 2**63:
         raise ShapeError(f"{name} must be an integer in [{low}, 2**63), got {value!r}")
+
+
+def _check_generator(rng, user: str) -> None:
+    """Raise InvalidState unless ``rng`` is a numpy Generator: a legacy RandomState or a
+    stdlib Random would draw from another stream, and None from none."""
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidState(f"{user} needs a seeded numpy Generator, got {type(rng).__name__}")

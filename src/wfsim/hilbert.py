@@ -496,14 +496,14 @@ def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _reduced_matrix(
-    state: Union[PureState, DensityOperator], sub: CompositeSpace
+    state: Union[PureState, DensityOperator], factors: Sequence[tuple[str, int]]
 ) -> np.ndarray:
-    """The state reduced to ``sub``'s factors, as a matrix in ``sub``'s order.
+    """The state reduced to the (label, dim) ``factors``, as a matrix in their order.
 
     M M^dag for a pure state, the trace over the rest index for a density.
     A sub-normalized PureState raises InvalidState.
     """
-    front, _ = _factors_first(state, sub.factors)
+    front, _ = _factors_first(state, factors)
     if isinstance(state, DensityOperator):
         return np.trace(front, axis1=1, axis2=3)
     if not state.normalized:
@@ -525,7 +525,7 @@ def partial_trace(
     if not keep:
         raise ShapeError("keep must name at least one factor")
     sub = rho.space.subspace(sorted(keep, key=rho.space.axis))
-    return DensityOperator(sub, _reduced_matrix(rho, sub))
+    return DensityOperator(sub, _reduced_matrix(rho, sub.factors))
 
 
 def purity(rho: DensityOperator) -> float:
@@ -594,7 +594,7 @@ def expectation(
     """
     if on is not None:
         obs = obs.retarget(on)
-    value = np.einsum("ij,ji->", _reduced_matrix(state, obs.space), obs.matrix)
+    value = np.einsum("ij,ji->", _reduced_matrix(state, obs.space.factors), obs.matrix)
     return float(value.real)
 
 

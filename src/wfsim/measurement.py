@@ -13,9 +13,9 @@ apart:
 A :class:`ProjectiveMeasurement` is a read-only unitary frame W = [V_1 ... V_k],
 P_i = V_i V_i^dag, validated once by one Gram check W^dag W = I.  Born (p_i sums
 block i of diag(W^dag rho W)) and collapse (V_i V_i^dag M) resolve it one way.
-An observable builds and checks its frame once and holds it.  Labels build no
-frame (and a collapse by labels no space): their basis is W = I, so Born reads
-the diagonal of the reduced state and collapse keeps one row of M.  Each one-shot
+An observable builds and checks its frame once and holds it.  Labels build neither
+a frame nor a space, in Born or collapse: their basis is W = I, so Born reads the
+diagonal of the reduced state and collapse keeps one row of M.  Each one-shot
 outcome or branch is one :func:`_draw` from a Born distribution.
 
 Randomness everywhere in the package comes from ``numpy.random.Generator``
@@ -35,7 +35,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidState, InvariantViolation, PointerNotReady, ShapeError
+from .errors import InvalidState, InvariantViolation, PointerNotReady, ShapeError, _check_generator
 from .hilbert import (
     ALGEBRA_TOL,
     VALIDITY_TOL,
@@ -106,10 +106,9 @@ def couple_pointer(psi: PureState, coupling: PointerCoupling) -> PureState:
     if not present:
         pointer = CompositeSpace(((coupling.pointer_label, sdim),))
         psi = tensor(psi, PureState.basis(pointer, (ready,)))
-        space = psi.space
 
-    pair = space.subspace((coupling.system_label, coupling.pointer_label))
-    front, perm = _factors_first(psi, pair.factors)
+    pair = ((coupling.system_label, sdim), (coupling.pointer_label, pdim))
+    front, perm = _factors_first(psi, pair)
     front = front.reshape(sdim, pdim, -1)  # (system, pointer, rest)
     stray = np.delete(front, ready, axis=1)
     if stray.size and float(np.max(np.abs(stray))) > ALGEBRA_TOL:
@@ -118,7 +117,7 @@ def couple_pointer(psi: PureState, coupling: PointerCoupling) -> PureState:
         )
     out = np.zeros_like(front)
     out[np.arange(sdim), coupling.copy_basis] = front[:, ready]
-    return PureState(space, _factors_back(out, space, perm), normalized=psi.normalized)
+    return PureState(psi.space, _factors_back(out, psi.space, perm), normalized=psi.normalized)
 
 
 def improper_mixture(psi: PureState, keep: Sequence[str]) -> DensityOperator:
@@ -226,11 +225,18 @@ class ProjectiveMeasurement:
 MeasurementLike = Union[ProjectiveMeasurement, DichotomicObservable, Sequence[str]]
 
 
-def _as_measurement(what: MeasurementLike) -> ProjectiveMeasurement | None:
-    """The held frame of a measurement or observable; None for labels, whose basis is W = I."""
-    if isinstance(what, DichotomicObservable):
-        return what.measurement
-    return what if isinstance(what, ProjectiveMeasurement) else None
+def _resolved(space: CompositeSpace, basis, labels) -> tuple[ProjectiveMeasurement | None, tuple]:
+    """The frame and the measured (label, dim) pairs, one rule for Born and collapse.  A
+    ``basis`` that is a ProjectiveMeasurement, or an observable holding one, gives its own;
+    otherwise ``labels``, a tuple or one string, give None (their basis is W = I) and read
+    their pairs off ``space``."""
+    meas = basis.measurement if isinstance(basis, DichotomicObservable) else basis
+    if isinstance(meas, ProjectiveMeasurement):
+        return meas, meas.space.factors
+    labels = (labels,) if isinstance(labels, str) else labels
+    if labels is None or len(labels) == 0:
+        raise ShapeError("give either measured labels or an explicit basis")
+    return None, tuple(space.factors[a] for a in space.axes(labels))
 
 
 def born_probabilities(
@@ -244,11 +250,8 @@ def born_probabilities(
     ProjectiveMeasurement.  Entries are clipped at zero and renormalized;
     a total deviating from 1 beyond tolerance raises InvariantViolation.
     """
-    if isinstance(basis_or_obs, str):
-        basis_or_obs = (basis_or_obs,)
-    meas = _as_measurement(basis_or_obs)
-    sub = state.space.subspace(basis_or_obs) if meas is None else meas.space
-    return _born(meas, _reduced_matrix(state, sub))
+    meas, factors = _resolved(state.space, basis_or_obs, basis_or_obs)
+    return _born(meas, _reduced_matrix(state, factors))
 
 
 def _born(meas: ProjectiveMeasurement | None, rho_sub: np.ndarray) -> np.ndarray:
@@ -271,6 +274,7 @@ def _clipped_distribution(probs: np.ndarray) -> np.ndarray:
 
 def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
     """The first outcome whose cumulative probability exceeds one uniform from ``rng``."""
+    _check_generator(rng, "a Born draw")
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
@@ -298,18 +302,12 @@ def projective_collapse(
     if not isinstance(state, PureState):
         raise InvalidState(f"projective_collapse needs a PureState, got {type(state).__name__}; "
                            "use born_probabilities or dephase for a mixed state")
-    if not isinstance(rng, np.random.Generator):
-        raise InvalidState("projective_collapse needs a seeded numpy Generator, "
-                           f"got {type(rng).__name__}")
+    _check_generator(rng, "projective_collapse")
     if isinstance(on, str):
         on = (on,)
-    meas = _as_measurement(basis)
-    if meas is None and (on is None or len(on) == 0):
-        raise ShapeError("give either measured labels or an explicit basis")
+    meas, factors = _resolved(state.space, basis, on)
     if meas is not None and on is not None and tuple(on) != meas.space.labels:
         raise ShapeError(f"labels {tuple(on)} disagree with the measurement's {meas.space.labels}")
-    space = state.space  # labels give their (label, dim) pairs: no space, no frame
-    factors = meas.space.factors if meas else tuple(space.factors[a] for a in space.axes(on))
     front, perm = _factors_first(state, factors)
     if not state.normalized:
         raise InvalidState("a sub-normalized state has no reduced state; normalize() it first")

@@ -32,7 +32,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import HeraldImpossible, InvalidState, ShapeError, _check_count
+from .errors import HeraldImpossible, InvalidState, ShapeError, _check_count, _check_generator
 from .hilbert import (
     ALGEBRA_TOL,
     CompositeSpace,
@@ -293,12 +293,17 @@ def proietti_scenario() -> ProiettiScenario:
     return ProiettiScenario()
 
 
+_COUNTEREXAMPLE_SPACE = CompositeSpace.qubits(*COUNTEREXAMPLE_ORDER)
+
+
+@lru_cache(maxsize=1)
 def counterexample_measurement() -> ProjectiveMeasurement:
     """W's binary Bell measurement on (A, B): {P_phi_plus, complement}.
 
     Only the first outcome has a specified consequence (the photon is
     emitted to the communication mode); everything else is lumped into
-    "no photon".
+    "no photon".  Built and Gram-checked on first use, then shared: it is
+    frozen and its arrays are read-only.
     """
     space = CompositeSpace.qubits("A", "B")
     phi_plus = np.zeros(4, dtype=complex)
@@ -315,8 +320,7 @@ def _counterexample_unitary(amplitudes: Sequence[complex]) -> PureState:
     total = abs(c_up) ** 2 + abs(c_down) ** 2
     if abs(total - 1.0) > 1e-10:
         raise InvalidState(f"branch amplitudes have squared norm {total!r}, not 1")
-    space = CompositeSpace.qubits(*COUNTEREXAMPLE_ORDER)
-    return PureState.from_mapping(space, {"uu0": c_up, "dd0": c_down})
+    return PureState.from_mapping(_COUNTEREXAMPLE_SPACE, {"uu0": c_up, "dd0": c_down})
 
 
 def _counterexample_hypothesis(hypothesis: CollapseHypothesis | str) -> CollapseHypothesis:
@@ -348,8 +352,7 @@ def counterexample_state_under(
     unitary = _counterexample_unitary(amplitudes)
     if hypothesis.variant == "unitary_only":
         return ScenarioState(stage="final", state=unitary, hypothesis=hypothesis)
-    if rng is None:
-        raise InvalidState("subjective_collapse sampling needs a Generator")
+    _check_generator(rng, "subjective_collapse sampling")
     branch = _draw(born_probabilities(unitary, ("A",)), rng)
     state = PureState.basis(unitary.space, "uu0" if branch == 0 else "dd0")
     return ScenarioState(stage="collapsed", state=state, hypothesis=hypothesis, branch=branch)
@@ -403,6 +406,7 @@ def _binomial_frequency(p: float, runs: int, rng: np.random.Generator) -> float:
     one ``rng.binomial(runs, p)`` draw over ``runs``.  Time and memory do not depend on
     ``runs``, which must be an integer in [1, 2**63)."""
     _check_count("runs", runs, 1)
+    _check_generator(rng, "a binomial draw")
     return int(rng.binomial(runs, p)) / runs
 
 

@@ -362,27 +362,38 @@ class TestProjectiveCollapse:
         assert checked == []
 
     def test_labels_collapse_builds_no_space(self, monkeypatch):
-        """A collapse by labels reads the measured (label, dim) pairs off the state's space:
-        100 of them construct no CompositeSpace, the post-measurement state reusing its own."""
+        """A collapse or a Born call by labels reads the measured (label, dim) pairs off the
+        state's space: 100 collapses and Born calls on each pure state and its density
+        construct no CompositeSpace, the post-measurement state reusing its own."""
         cases = [(PureState(space, random_pure(rng, space.dim)), measured, rng)
                  for space, measured, rng in labelled_cases(66, 100)]
+        densities = [psi.density() for psi, _, _ in cases]
         built = []
         validate_space = CompositeSpace.__post_init__
         monkeypatch.setattr(CompositeSpace, "__post_init__",
                             lambda self: built.append(self.factors) or validate_space(self))
-        for psi, measured, rng in cases:
+        for (psi, measured, rng), rho in zip(cases, densities):
             _, post = projective_collapse(psi, on=measured, rng=rng)
             assert post.space is psi.space
+            born_probabilities(psi, measured)
+            born_probabilities(rho, measured)
         assert built == []
 
     def test_collapse_on_no_labels_is_rejected(self):
-        """An empty label tuple names no measurement: ShapeError before any draw."""
+        """An empty label tuple, or None, names no measurement, and labels passed as the
+        basis are no basis: Born and collapse raise ShapeError before any draw."""
         psi = PureState(CompositeSpace.qubits("a", "b"), np.full(4, 0.5))
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         for on in ((), []):
             with pytest.raises(ShapeError, match="give either measured labels or an explicit"):
                 projective_collapse(psi, on=on, rng=rng)
+        for on in ((), [], None):
+            with pytest.raises(ShapeError, match="give either measured labels or an explicit"):
+                born_probabilities(psi, on)
+        for label in psi.space.labels:
+            with pytest.raises(ShapeError, match="give either measured labels or an explicit"):
+                projective_collapse(psi, basis=(label,), rng=rng)
         assert rng.bit_generator.state == before
 
     def test_one_permutation_per_collapse(self, monkeypatch):

@@ -9,6 +9,7 @@ counterexample photon probabilities 1 and 1/2.
 import hashlib
 import itertools
 import math
+import random
 import re
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from wfsim import (
     FRIEND_PROJECTIVE,
     HeraldImpossible,
     InvalidState,
+    PointerCoupling,
     ProjectiveMeasurement,
     PureState,
     SUBJECTIVE_COLLAPSE,
@@ -36,11 +38,13 @@ from wfsim import (
     bell_singlet,
     claimed_branch_collapse,
     coherence_norm,
+    correlator,
     counterexample_frequencies,
     counterexample_measurement,
     counterexample_probability,
     counterexample_run,
     counterexample_state_under,
+    couple_pointer,
     dephase,
     expected_final_state,
     friend_interaction,
@@ -483,6 +487,43 @@ class TestCounterexample:
     def test_collapse_needs_generator(self):
         with pytest.raises(InvalidState):
             counterexample_state_under(SUBJECTIVE_COLLAPSE)
+
+    @pytest.mark.parametrize("rng", [np.random.RandomState(0), random.Random(0), None])
+    def test_draws_reject_other_random_sources(self, rng):
+        """The branch and the frequencies draw only from a numpy Generator, as a collapse
+        does; unitary_only draws nothing and needs none."""
+        kind = type(rng).__name__
+        with pytest.raises(InvalidState, match=f"Generator, got {kind}$"):
+            counterexample_state_under(SUBJECTIVE_COLLAPSE, rng)
+        with pytest.raises(InvalidState, match=f"Generator, got {kind}$"):
+            counterexample_frequencies(SUBJECTIVE_COLLAPSE, 10, rng)
+        assert counterexample_state_under(UNITARY_ONLY).stage == "final"
+
+    def test_reductions_build_no_space(self, monkeypatch):
+        """Each reduction takes its measured (label, dim) pairs as they are: a correlator, a
+        pointer coupling whose pointer is present, 10 sampled branches and, after a warm
+        call, 10 runs construct no CompositeSpace, and the runs no measurement frame."""
+        psi = proietti_scenario().final.state
+        alice, bob = DichotomicObservable.pauli("z", "a"), DichotomicObservable.pauli("x", "b")
+        ready = PureState.from_mapping(CompositeSpace.qubits("s", "p"), {"00": 0.6, "10": 0.8})
+        coupling = PointerCoupling("s", "p")
+        rng = np.random.default_rng(12)
+        counterexample_run(SUBJECTIVE_COLLAPSE, rng)
+        built, frames = [], []
+        validate_space = CompositeSpace.__post_init__
+        monkeypatch.setattr(CompositeSpace, "__post_init__",
+                            lambda self: built.append(self.factors) or validate_space(self))
+        set_frame = ProjectiveMeasurement._set_frame
+        monkeypatch.setattr(ProjectiveMeasurement, "_set_frame",
+                            lambda self, *args: frames.append(args) or set_frame(self, *args))
+        correlator(psi, alice, bob)
+        couple_pointer(ready, coupling)
+        for _ in range(10):
+            counterexample_state_under(SUBJECTIVE_COLLAPSE, rng)
+        assert built == []
+        for _ in range(10):
+            counterexample_run(SUBJECTIVE_COLLAPSE, rng)
+        assert (built, frames) == ([], [])
 
     @pytest.mark.parametrize("amps", [
         (1 / math.sqrt(2), 1 / math.sqrt(2)),

@@ -58,31 +58,31 @@ textbook b1, b0 = (z +/- x)/sqrt(2) for the singlet.
 ``optimize_settings`` is the exhaustive reference: it scans Bob's two
 directions over the full (theta, phi) product grid with Alice exact, so
 halving grid_step produces a superset of Bob grid points and the
-maximum can only grow, up to the exact value.  Ties take the first
-candidate in row-major grid order, i.e. the lexicographically smallest
-(theta_b1, phi_b1, theta_b0, phi_b0).  S(b1, b0) and S(b0, b1) evaluate
-bitwise equal, and every phi of the theta = 0 row is the same z, so that
-first maximum has b1 at or before b0 and b1 not a later copy of z: the
-scan evaluates only the upper triangle i <= j of the distinct directions,
-keeping the first z.  It walks the triangle in row blocks of a fixed
-number of pairs, each from its own first row on, so its memory grows with
-the number of directions, not of pairs; a later block wins only when
-strictly larger, which keeps the tie rule.  The grid cross-check of an
-exact maximum (``_grid_gap``, in ``hypothesis_comparison``) needs only
-K: it reads S at the scan's pick by the formula above, building no
-observable, where both searches return ``chsh_value`` at the settings
-they build.
+maximum can only grow, up to the exact value.  It picks the first pair in
+row-major grid order (the lexicographically smallest (theta_b1, phi_b1,
+theta_b0, phi_b0)) whose S lies within _TIE_EPS = 1e-12 of the grid
+maximum, so rounding never decides between exact ties.  S is symmetric in
+(b1, b0) and even in each, and every phi of the theta = 0 row is the same
+z, so the scan evaluates only the triangle i <= j of ``_scan_directions``:
+one z and, when pi / grid_step is an integer, the first of each antipodal
+pair.  It walks the triangle in row blocks of a fixed number of pairs,
+each from its own first row on, so its memory grows with the number of
+directions, not of pairs.  S is read off the rows w = K b of a pair's
+directions as |w1 + w0| + |w1 - w0|, whatever the blocking or the BLAS.
+The grid cross-check of an exact maximum (``_grid_gap``, in
+``hypothesis_comparison``) needs only K: it reads S at the scan's pick by
+the formula above, building no observable, where both searches return
+``chsh_value`` at the settings they build.
 
 The walk is screened.  Before it starts, the scan takes S at the grid pair
 nearest a closed-form maximizer (the seed, ``_seed_pair``): the pair above
 built from K's raw SVD, without the canonical rule, which only reported
-settings need (``_exact_bob_pair``).  A threshold t, a relative 1e-6 below
-the best S known so far (the seed's, then the running best's), screens each
-block with one matmul that tests a proven necessary condition for S >= t
-(derived at ``_grid_bob_pair``).  Only the pairs that pass get S, from
-their block's Gram entries, in the same arithmetic as an unscreened scan,
-and every pair dropped lies below the grid maximum.  So the maximum, its
-ties and the pick are the unscreened scan's; the seed changes only how
+settings need (``_exact_bob_pair``).  A threshold t, a relative 1e-6 and
+then _TIE_EPS below the best S known so far (the seed's, then the running
+best's), screens each block with one matmul that tests a proven necessary
+condition for S >= t (derived at ``_grid_bob_pair``).  Only the pairs that
+pass get S, and every pair dropped lies more than _TIE_EPS below the grid
+maximum.  So the pick is the unscreened scan's; the seed changes only how
 much is pruned.
 """
 
@@ -96,7 +96,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import InvariantViolation, ShapeError, _check_count
+from .errors import InvariantViolation, ShapeError, _check_count, _check_generator
 from .hilbert import (
     CompositeSpace,
     DensityOperator,
@@ -114,12 +114,12 @@ TSIRELSON_TOL = 1e-9
 CONSISTENCY_TOL = 1e-6  # |S - S_data| at the shared settings that still reproduces the data
 
 # Accepted grid steps, inclusive.  The scan's pairs grow as step**-4: one pi/128 scan
-# takes 1.4-3.7 s (the singlet 3.0 s) and 38-41 MB peak RSS on a shared 2-core Xeon,
-# each halving from pi/32 on about 17-25x more.
+# takes 0.25-0.95 s (the singlet 0.94 s) and about 38 MB peak RSS on a shared 2-core
+# Xeon, about 25x a pi/64 scan.
 GRID_STEP_RANGE = (math.pi / 128, math.pi / 8)
 
 # Most grid pairs a run may scan, counted as (hypotheses + 1) scans of _scan_pairs:
-# sixteen pi/128 scans, 25-60 s on that Xeon.  More exits 2 up front.
+# sixteen pi/128 scans, 4-15 s on that Xeon.  More exits 2 up front.
 _GRID_PAIR_BUDGET = 1 << 33
 
 
@@ -206,7 +206,7 @@ class InequalityResult:
     they are estimates and ``exact_s``/``exact_correlators`` carry the
     exact companions at the same settings.  ``s_max`` is the exact
     maximum for the same state when one was computed, and ``grid_gap``
-    is ``s_max`` minus the grid-search maximum when a grid cross-check
+    is ``s_max`` minus S at the grid search's pick when a grid cross-check
     ran.  ``consistent_with_data`` is set by hypothesis comparisons:
     whether this hypothesis reproduces the unitary-model statistics that
     stand in for the observed data.  An exact |S| or an ``s_max`` beyond
@@ -329,7 +329,12 @@ def _grid_shape(step: float) -> tuple[int, int]:
 
 
 def _scan_pairs(step: float) -> int:
-    """The triangle n(n + 1)/2 over the scan's n distinct directions (one z at theta = 0)."""
+    """The triangle n(n + 1)/2 over the grid's n distinct directions (one z at theta = 0).
+
+    The run budget counts this triangle, the requested grid's, even where the scan keeps
+    one direction of each antipodal pair and evaluates about a quarter of it, so the
+    configurations it accepts do not depend on that halving.
+    """
     n_theta, n_phi = _grid_shape(step)
     n = (n_theta - 1) * n_phi + 1
     return n * (n + 1) // 2
@@ -361,22 +366,32 @@ def _angles_of(vector: np.ndarray) -> tuple[float, float]:
 
 @lru_cache(maxsize=4)
 def _scan_directions(step: float) -> np.ndarray:
-    """The scan's distinct directions, read-only: ``_sphere_grid``'s with one z at theta = 0."""
-    _, phis, vectors = _sphere_grid(step)
-    vectors = np.delete(vectors, np.s_[1 : len(phis)], axis=0)
+    """``_sphere_grid``'s directions, read-only, with one z and, when pi / step is an integer k,
+    the first of each antipodal pair (theta_a, phi_b), (theta_(k-a), phi_(b+k mod 2k)) only."""
+    thetas, phis, vectors = _sphere_grid(step)
+    row, col = np.divmod(np.arange(len(vectors)), len(phis))
+    k = len(thetas) - 1
+    k = k if abs(k * step - math.pi) <= 1e-14 else math.inf  # inf: the grid holds no antipodes
+    vectors = vectors[((row > 0) | (col == 0)) & ((2 * row < k) | ((2 * row == k) & (col < k)))]
     vectors.setflags(write=False)
     return vectors
 
 
-def _pair_values(pair_sum, gram):
-    """S = sqrt(P + G) + sqrt(P - G), each clamped at 0, for pair sums P and G = 2 w_i . w_j."""
-    return np.sqrt(np.maximum(pair_sum + gram, 0.0)) + np.sqrt(np.maximum(pair_sum - gram, 0.0))
+def _row_values(w: np.ndarray, firsts, seconds) -> np.ndarray:
+    """S = |w_i + w_j| + |w_i - w_j| for rows w_i = K b_i: ``_grid_gap``'s formula."""
+    return np.linalg.norm(w[firsts] + w[seconds], axis=-1) + np.linalg.norm(
+        w[firsts] - w[seconds], axis=-1)
 
 
-# Pairs per Gram block: whole rows of the triangle, each from the block's first row on.
-# A survivor's G is read from its block's matmul, whose shape does not depend on what
-# the screen keeps, so G is bitwise the same whatever the threshold.
+# Pairs per screen block: whole rows of the triangle, each from the block's first row on.
+# The blocks bound the screen's memory only: S at a survivor is read off its two rows,
+# the same whatever the blocking, the BLAS or the threshold.
 _BLOCK_PAIRS = 1 << 15
+
+# The tie rule's tolerance.  On the pinned and property-drawn kernels, S of pairs tied
+# exactly to the grid maximum spread at most 1.8e-15, and the best pair not tied to it
+# lay at least 9.9e-9 below: rounding cannot move a pair across this line.
+_TIE_EPS = 1e-12
 
 # The screen.  With w_i = K b_i, n_i = |w_i|^2, P = n_i + n_j, G = 2 w_i . w_j
 # (|G| <= P) and R = sqrt(P^2 - G^2), a pair's S^2 = 2P + 2R.  So S >= t
@@ -389,28 +404,24 @@ _BLOCK_PAIRS = 1 << 15
 # c_j = (w_j0^2, w_j1^2, w_j2^2, w_j0 w_j1, w_j0 w_j2, w_j1 w_j2, 1, n_j)
 #     Q = G^2 - t^2 n_i - t^2 n_j + t^4 / 4 = c_i . W c_j <= 0
 # for the symmetric W = diag(4, 4, 4, 8, 8, 8, 0, 0) plus t^4 / 4 at (6, 6)
-# and -t^2 at (6, 7) and (7, 6): one matmul screens a Gram block, and costs
-# less than squaring its G (the Gram matmul then runs only where a pair
-# passes).  t is the best S known so far, first the S of the grid pair
-# nearest the maximizer _seed_pair reads off K's raw SVD (the canonical rule
-# of _exact_bob_pair is for reported settings only), shrunk by
-# _SCREEN_MARGIN = m, so every dropped pair lies below the grid maximum.
-# Near t^2 = 2P, once the first test fails, the second's slack is at least
-# about (m t^2)^2, and must outlast Q's rounding, a few eps t^4: m = 1e-6
-# leaves a factor of several hundred, while m = 1e-9 changed picks on
-# rank-one kernels.  The margin also covers the seed's S, which another
-# product order can read up to about 2e-8 higher where P - G is near 0.
+# and -t^2 at (6, 7) and (7, 6): one matmul screens a block, and only the
+# pairs that pass get S.  t is the best S known so far, first the S of the
+# pair of grid directions nearest +/- the maximizer _seed_pair reads off K's
+# raw SVD (the canonical rule of _exact_bob_pair is for reported settings
+# only), shrunk by _SCREEN_MARGIN = m and then by _TIE_EPS, so every dropped
+# pair lies more than _TIE_EPS below the grid maximum.  Near t^2 = 2P, once
+# the first test fails, the second's slack is at least about (m t^2)^2, and
+# must outlast Q's rounding, a few eps t^4: m = 1e-6 leaves a factor of
+# several hundred, while m = 1e-9 changed picks on rank-one kernels.
 _SCREEN_MARGIN = 1e-6
 _PRODUCTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))  # (a, b) of c's w_a w_b
 
 
 def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bob's best (b1, b0) over the product grid, first in row-major order on ties.
+    """Bob's (b1, b0): the first grid pair in row-major order within _TIE_EPS of the maximum.
 
-    Each Gram block is screened as above.  Only its survivors get S, from
-    the block's own G, bitwise the value an unscreened scan computes; every
-    pair the screen drops lies below the grid maximum, so the pick is the
-    unscreened scan's.
+    A screened survivor is kept when it beats every earlier pair and lies within _TIE_EPS
+    of the running best; the pair sought beats every pair before it, so it is kept.
     """
     if not grid_step_in_range(grid_step):
         raise ShapeError(f"grid_step {grid_step!r} outside [pi/128, pi/8]")
@@ -426,21 +437,21 @@ def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np
     suffix_max = np.maximum.accumulate(norms2[::-1])[::-1]  # suffix_max[k] = max(norms2[k:])
 
     def screen_below(s: float) -> float:
-        """Set W for t = s shrunk by the margin; return t^2."""
-        t2 = (s * (1.0 - _SCREEN_MARGIN)) ** 2
+        """Set W for t = s shrunk by the margin and the tie tolerance; return t^2."""
+        t2 = max(s * (1.0 - _SCREEN_MARGIN) - _TIE_EPS, 0.0) ** 2
         weights[6, 6], weights[6, 7], weights[7, 6] = t2 * t2 / 4.0, -t2, -t2
         return t2
 
-    i, j = (int(np.argmax(vectors @ b)) for b in _seed_pair(kernel))
-    seed = float(_pair_values(norms2[i] + norms2[j], 2.0 * (w[i] @ w[j])))
+    i, j = (int(np.argmax(np.abs(vectors @ b))) for b in _seed_pair(kernel))
+    seed = float(_row_values(w, i, j))
     t2 = screen_below(seed)
     rows = max(1, _BLOCK_PAIRS // n)
     starts = range(0, n, rows)
     row_max = np.maximum.reduceat(norms2, starts)  # largest n_i of each block's rows
-    buffer = np.empty(rows * n)  # the block's Q, then its w_i . w_j, G / 2
+    buffer = np.empty(rows * n)  # the block's Q
     flags = np.empty(rows * n, dtype=bool)
-    best_value = -math.inf
-    best_pair = (0, 0)
+    best = -math.inf
+    kept = []  # (S, i, j) of each block's kept survivors, in row-major order
     for block_index, start in enumerate(starts):
         stop = min(start + rows, n)
         shape = (stop - start, n - start)  # columns from the block's first row on
@@ -455,21 +466,19 @@ def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np
         survivors = np.flatnonzero(keep)
         if survivors.size == 0:
             continue
-        np.matmul(w[start:stop], w[start:].T, out=block)  # w_i . w_j, G / 2
         firsts = survivors // shape[1]  # np.divmod takes about twice as long
-        seconds = survivors - firsts * shape[1]
-        pair_sum = norms2[start:stop][firsts] + norms2[start:][seconds]
-        # Scaling by 2 commutes with rounding, so this G is bitwise (2 w_i) . w_j.
-        values = _pair_values(pair_sum, 2.0 * block.reshape(-1)[survivors])
-        local = int(np.argmax(values))  # survivors are in row-major order
-        value = float(values[local])
-        if value > best_value:  # strict >: the earliest block keeps a tie
-            best_value = value
-            best_pair = (start + int(firsts[local]), start + int(seconds[local]))
-            if value > seed:
-                t2 = screen_below(value)
+        seconds = survivors - firsts * shape[1] + start
+        firsts += start
+        values = _row_values(w, firsts, seconds)
+        earlier = np.maximum.accumulate(np.concatenate(([best], values[:-1])))
+        best = max(best, float(values.max()))
+        chosen = np.flatnonzero((values > earlier) & (values >= best - _TIE_EPS))
+        kept.append((values[chosen], firsts[chosen], seconds[chosen]))
+        t2 = screen_below(max(best, seed))
 
-    return vectors[best_pair[0]], vectors[best_pair[1]]
+    values, firsts, seconds = (np.concatenate(parts) for parts in zip(*kept))
+    pick = int(np.argmax(values >= best - _TIE_EPS))
+    return vectors[firsts[pick]], vectors[seconds[pick]]
 
 
 # z, x, y: the order in which the canonical rule projects the axes.
@@ -612,12 +621,8 @@ def optimize_settings(
 
 
 def _grid_gap(kernel: np.ndarray, s_max: float, grid_step: float) -> float:
-    """``s_max`` minus the grid maximum of K at ``grid_step``: S at ``_grid_bob_pair``'s
-    pick, read as |K(b1 + b0)| + |K(b1 - b0)|, the formula the scan maximizes.
-
-    No grid point can beat the supremum, so a gap below -1e-9 raises
-    InvariantViolation.
-    """
+    """``s_max`` minus S at ``_grid_bob_pair``'s pick, read as |K(b1 + b0)| + |K(b1 - b0)|.
+    No grid point can beat the supremum, so a gap below -1e-9 raises InvariantViolation."""
     b1, b0 = _grid_bob_pair(kernel, grid_step)
     grid_value = float(np.linalg.norm(kernel @ (b1 + b0)) + np.linalg.norm(kernel @ (b1 - b0)))
     gap = s_max - grid_value
@@ -652,9 +657,10 @@ def sample_inequality(
     entry below -1e-10 raises InvariantViolation; the rest are clipped
     and renormalized as in ``born_probabilities``.  The standard error is
     the plug-in estimate sqrt(sum (1 - E_k^2) / shots), which must be an
-    integer in [1, 2**63).
+    integer in [1, 2**63), and ``rng`` a numpy Generator (else InvalidState).
     """
     _check_count("shots", shots, 1)
+    _check_generator(rng, "sample_inequality")
     return _sample_table(_settings_moments(state, settings), shots, rng, hypothesis)
 
 
@@ -706,15 +712,18 @@ def hypothesis_comparison(
     (see module docstring), not from mixed densities; hypotheses whose
     tables are equal entry by entry share one entry.  With ``grid_step``
     set, each entry's mixed K is also scanned once on that grid, and
-    ``grid_gap`` is ``s_max`` minus the grid maximum (``_grid_gap``).
+    ``grid_gap`` is ``s_max`` minus S at the grid's pick (``_grid_gap``).
     ``shots`` must be an integer in [0, 2**63).  With ``shots > 0`` the
     returned results are sampling estimates (one child stream per
     hypothesis, spawned from ``rng`` in list order) with the exact
-    companions attached.
+    companions attached; ``rng`` None raises ShapeError, and any other
+    ``rng`` that is not a numpy Generator InvalidState.
     """
     _check_count("shots", shots, 0)
     if shots > 0 and rng is None:
         raise ShapeError("sampling a comparison needs a Generator")
+    if shots > 0:
+        _check_generator(rng, "sampling a comparison")
     parsed = [CollapseHypothesis.parse(h) for h in hypotheses]
     labels = (tuple(scenario.alice_labels), tuple(scenario.bob_labels))
     ((_, rho_unitary),) = scenario.held_terms(UNITARY_ONLY)

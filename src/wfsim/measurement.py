@@ -291,7 +291,8 @@ def projective_collapse(
     ``on`` names the measured factors for a computational-basis collapse;
     alternatively ``basis`` supplies a DichotomicObservable or an explicit
     ProjectiveMeasurement (then ``on`` is redundant and, if given, must
-    match the measurement's labels).  Returns the outcome index and the
+    match the measurement's labels); any other ``basis`` raises ShapeError
+    before a draw.  Returns the outcome index and the
     renormalized post-measurement state.  ``rng`` must be a numpy Generator;
     one ``rng.random()`` against the cumulative Born distribution, divided by
     its last entry, picks the outcome.  That is ``Generator.choice``'s own
@@ -303,6 +304,9 @@ def projective_collapse(
         raise InvalidState(f"projective_collapse needs a PureState, got {type(state).__name__}; "
                            "use born_probabilities or dephase for a mixed state")
     _check_generator(rng, "projective_collapse")
+    if basis is not None and not isinstance(basis, (ProjectiveMeasurement, DichotomicObservable)):
+        raise ShapeError(f"give either measured labels or an explicit basis; a "
+                         f"{type(basis).__name__} is neither a measurement nor an observable")
     if isinstance(on, str):
         on = (on,)
     meas, factors = _resolved(state.space, basis, on)

@@ -164,7 +164,8 @@ class ScenarioConfig:
                 )
         if self.output_format not in _FORMATS:
             raise ConfigError(
-                f"output_format must be 'csv' or 'json', got {self.output_format!r}"
+                f"output_format must be one of {', '.join(map(repr, _FORMATS))}, "
+                f"got {self.output_format!r}"
             )
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ConfigError(f"output_path must be a string, got {self.output_path!r}")

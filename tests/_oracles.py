@@ -144,55 +144,31 @@ def brute_correlation_kernel(
     return brute_wing_moments(matrix, dims, alice, bob, triples[len(alice)], triples[len(bob)])
 
 
-def brute_grid_pair(kernel: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bob's (b1, b0) by the unscreened scan: every pair of the scan's directions.
-
-    The scan's distinct directions (``_sphere_grid``'s with one z at theta
-    = 0) are walked in the scan's own row blocks (``_BLOCK_PAIRS`` pairs,
-    each block from its first row on), and every pair of a block gets the
-    elementwise S = sqrt(p + 2g) + sqrt(p - 2g), p = |K b1|^2 + |K b0|^2 and
-    g = K b1 . K b0, from that block's Gram product.  The same products
-    matter: the last bit of a k = 3 matmul entry can depend on the columns
-    it is taken with, and on a rank-one K that bit decides between exact
-    ties.  ``np.argmax`` takes a block's first maximum in row-major order,
-    and a later block wins only when strictly larger.  Nothing is screened.
-    The pick is mapped back to ``_sphere_grid`` indices, where the scan's
-    index 0 is the z at (0, 0) and index k > 0 is grid index k + n_phi - 1.
-    """
-    from wfsim.chsh import _BLOCK_PAIRS, _sphere_grid
-
-    _, phis, vectors = _sphere_grid(step)
-    grid_index = np.concatenate([[0], np.arange(len(phis), len(vectors))])
-    directions = vectors[grid_index]
-    w = directions @ kernel.T
-    norms2 = np.einsum("ij,ij->i", w, w)
-    n = len(directions)
-    rows = max(1, _BLOCK_PAIRS // n)
-    best_value, best_pair = -np.inf, (0, 0)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        pair = norms2[start:stop, None] + norms2[None, start:]
-        gram = 2.0 * (w[start:stop] @ w[start:].T)
-        table = np.sqrt(np.maximum(pair + gram, 0.0)) + np.sqrt(np.maximum(pair - gram, 0.0))
-        first, second = divmod(int(np.argmax(table)), n - start)
-        if table[first, second] > best_value:
-            best_value, best_pair = table[first, second], (start + first, start + second)
-    b1, b0 = (grid_index[k] for k in best_pair)
-    return vectors[b1], vectors[b0]
-
-
-def full_table_maximum(kernel: np.ndarray, step: float) -> float:
-    """The largest S over the full table of ordered ``_sphere_grid`` pairs, repeats
-    included, with the same elementwise formula as ``brute_grid_pair``."""
+def brute_grid_table(kernel: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """(directions, table): the ``_sphere_grid`` directions and S over every ordered pair of
+    them, repeats included, as |K(b1 + b0)| + |K(b1 - b0)| with K applied to each sum and
+    difference of two directions.  Nothing is screened, halved or blocked."""
     from wfsim.chsh import _sphere_grid
 
     _, _, vectors = _sphere_grid(step)
-    w = vectors @ kernel.T
-    norms2 = np.einsum("ij,ij->i", w, w)
-    pair = norms2[:, None] + norms2[None, :]
-    gram = 2.0 * (w @ w.T)
-    table = np.sqrt(np.maximum(pair + gram, 0.0)) + np.sqrt(np.maximum(pair - gram, 0.0))
-    return float(np.max(table))
+    plus = (vectors[:, None, :] + vectors[None, :, :]) @ kernel.T
+    minus = (vectors[:, None, :] - vectors[None, :, :]) @ kernel.T
+    return vectors, np.linalg.norm(plus, axis=-1) + np.linalg.norm(minus, axis=-1)
+
+
+def brute_grid_pair(kernel: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's (b1, b0) by the tie rule on the full table: the first ordered pair in
+    row-major order whose S lies within ``_TIE_EPS`` of the table's maximum."""
+    from wfsim.chsh import _TIE_EPS
+
+    vectors, table = brute_grid_table(kernel, step)
+    first, second = divmod(int(np.argmax(table >= table.max() - _TIE_EPS)), len(vectors))
+    return vectors[first], vectors[second]
+
+
+def full_table_maximum(kernel: np.ndarray, step: float) -> float:
+    """The largest S over the full table of ordered ``_sphere_grid`` pairs."""
+    return float(brute_grid_table(kernel, step)[1].max())
 
 
 def brute_friend_interaction(

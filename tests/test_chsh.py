@@ -1,6 +1,7 @@
 """Tests for the inequality engine: observables, search, sampling."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from wfsim import (
     DensityOperator,
     DichotomicObservable,
     InequalityResult,
+    InvalidState,
     InvariantViolation,
     MeasurementSettings,
     PureState,
@@ -253,27 +255,30 @@ class TestOptimizeSettings:
         assert s_max <= CLASSICAL_BOUND + 1e-6
         assert s_max == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
-    # Row-major grid indices of the (b1, b0) the scan picks.  Several of
-    # these kernels have near-ties on the grid, so the picks pin both the
-    # order of the scan's arithmetic and its tie rule.  At pi/64 the scan
-    # runs 3-row blocks, which pi/16 and pi/32 do not reach.
+    # Row-major _sphere_grid indices of the (b1, b0) the scan picks: the first pair within
+    # _TIE_EPS of the grid maximum.  The singlet, unitary_only and the rank-one
+    # friend_dephasing tie exactly between many pairs, so these pin the tie rule, and the
+    # first pair of each tie is z with x, or z twice.  At pi/64 the scan runs 8-row
+    # blocks, which pi/16 and pi/32 do not reach.
     PINNED_PICKS = {
-        "singlet": {16: (174, 430), 32: (476, 1500), 64: (387, 4483)},
-        "unitary_only": {16: (70, 286), 32: (64, 1088), 64: (130, 4034)},
-        "friend_dephasing": {16: (0, 32), 32: (0, 64), 64: (0, 128)},
-        "stochastic_collapse(0.3)": {16: (336, 448), 32: (96, 864), 64: (320, 3392)},
+        "singlet": {16: (0, 256), 32: (0, 1024), 64: (0, 4096)},
+        "unitary_only": {16: (0, 256), 32: (0, 1024), 64: (0, 4096)},
+        "friend_dephasing": {16: (0, 0), 32: (0, 0), 64: (0, 0)},
+        "stochastic_collapse(0.3)": {16: (80, 192), 32: (96, 864), 64: (320, 3392)},
     }
 
-    def test_grid_picks_are_pinned(self):
+    def _pinned_kernels(self):
         scenario = proietti_scenario()
         kernels = {"singlet": -np.eye(3)}
         for name in list(self.PINNED_PICKS)[1:]:
             rho = scenario.exact_state_under(name)
-            kernels[name] = chsh._correlation_kernel(
-                rho,
-                rho.space.subspace(scenario.alice_labels),
-                rho.space.subspace(scenario.bob_labels),
-            )
+            wings = (rho.space.subspace(scenario.alice_labels),
+                     rho.space.subspace(scenario.bob_labels))
+            kernels[name] = chsh._correlation_kernel(rho, *wings)
+        return kernels
+
+    def test_grid_picks_are_pinned(self):
+        kernels = self._pinned_kernels()
         for name, picks in self.PINNED_PICKS.items():
             for div, (i1, i0) in picks.items():
                 _, _, vectors = chsh._sphere_grid(PI / div)
@@ -285,14 +290,7 @@ class TestOptimizeSettings:
         """The seed pair only sets how much the scan's screen prunes: seeded from the
         least singular direction twice (S = 2 sigma3, 0 for a rank-one K), the scan
         still makes the pinned picks."""
-        scenario = proietti_scenario()
-        kernels = {"singlet": -np.eye(3)}
-        for name in list(self.PINNED_PICKS)[1:]:
-            rho = scenario.exact_state_under(name)
-            wings = (rho.space.subspace(scenario.alice_labels),
-                     rho.space.subspace(scenario.bob_labels))
-            kernels[name] = chsh._correlation_kernel(rho, *wings)
-
+        kernels = self._pinned_kernels()
         seeded = []
 
         def poor_pair(kernel):
@@ -308,6 +306,39 @@ class TestOptimizeSettings:
                 assert np.array_equal(b1, vectors[i1]), (name, div)
                 assert np.array_equal(b0, vectors[i0]), (name, div)
         assert len(seeded) == sum(map(len, self.PINNED_PICKS.values()))
+
+    @pytest.mark.parametrize("block_pairs", [1 << 15, 1 << 10, 1])
+    def test_grid_picks_do_not_depend_on_the_block_size(self, monkeypatch, block_pairs):
+        """The blocks bound the screen's memory only: with 2^15 (the default), 2^10 or one
+        pair per block, which gives one-row blocks, the scan makes the pinned picks bitwise."""
+        kernels = self._pinned_kernels()
+        monkeypatch.setattr(chsh, "_BLOCK_PAIRS", block_pairs)
+        for name, picks in self.PINNED_PICKS.items():
+            for div, (i1, i0) in picks.items():
+                _, _, vectors = chsh._sphere_grid(PI / div)
+                b1, b0 = chsh._grid_bob_pair(kernels[name], PI / div)
+                assert np.array_equal(b1, vectors[i1]), (name, div, block_pairs)
+                assert np.array_equal(b0, vectors[i0]), (name, div, block_pairs)
+
+    def test_grid_picks_do_not_depend_on_the_antipodal_halving(self, monkeypatch):
+        """Scanning every direction instead of one of each antipodal pair makes the pinned
+        picks too: a pair and its sign variants tie up to rounding, and the tie rule takes
+        the first of them, whose directions both lie in the kept half."""
+        kernels = self._pinned_kernels()
+
+        def every_direction(step):
+            _, phis, vectors = chsh._sphere_grid(step)
+            return vectors[np.r_[0, len(phis) : len(vectors)]]
+
+        monkeypatch.setattr(chsh, "_scan_directions", every_direction)
+        for name, picks in self.PINNED_PICKS.items():
+            for div, (i1, i0) in picks.items():
+                if div == 64:
+                    continue  # 32.5M pairs unhalved; pi/16 and pi/32 check every kernel
+                _, _, vectors = chsh._sphere_grid(PI / div)
+                b1, b0 = chsh._grid_bob_pair(kernels[name], PI / div)
+                assert np.array_equal(b1, vectors[i1]), (name, div)
+                assert np.array_equal(b0, vectors[i0]), (name, div)
 
     def test_scan_takes_no_canonical_pair(self, monkeypatch):
         """The scan's seed comes from K's raw SVD: a grid comparison runs the canonical rule
@@ -534,6 +565,20 @@ class TestHypothesisComparison:
                 scenario, ["unitary_only"], shots=10, grid_step=PI / 16
             )
 
+    @pytest.mark.parametrize("rng", [np.random.RandomState(0), random.Random(0)])
+    def test_legacy_generators_are_invalid(self, rng, monkeypatch):
+        """A legacy RandomState or a stdlib Random failed with a bare AttributeError on
+        spawn; the comparison and the sampler raise InvalidState before any table."""
+        monkeypatch.setattr(ProiettiScenario, "held_terms", None)
+        monkeypatch.setattr(chsh, "_wing_moments", None)
+        with pytest.raises(InvalidState, match="numpy Generator"):
+            hypothesis_comparison(proietti_scenario(), ["unitary_only"], shots=10, rng=rng)
+        settings = MeasurementSettings.defaults(
+            CompositeSpace.qubits("e1"), CompositeSpace.qubits("e2")
+        )
+        with pytest.raises(InvalidState, match="numpy Generator"):
+            sample_inequality(bell_singlet(), settings, 10, rng)
+
     @pytest.mark.parametrize("shots", [-1, -5, 2**63, 10**19, 2.5, 1.0, True, False])
     def test_shots_outside_the_int64_range_are_rejected(self, shots, monkeypatch):
         """A float was truncated by the multinomial yet divided by as given, True sampled
@@ -582,7 +627,8 @@ class TestHypothesisComparison:
 
     def test_unitary_s_max_is_its_own_search(self):
         """s_max is the closed form of the unitary kernel, bitwise, and the exact
-        optimum's value to rounding; grid_gap is s_max minus the grid value, bitwise."""
+        optimum's value to rounding; grid_gap is s_max minus |K(b1 + b0)| + |K(b1 - b0)| at
+        the scan's pick, bitwise, and optimize_settings reads that S to rounding."""
         scenario = proietti_scenario()
         rho = scenario.exact_state_under("unitary_only")
         labels = (scenario.alice_labels, scenario.bob_labels)
@@ -591,10 +637,13 @@ class TestHypothesisComparison:
         kernel = chsh._correlation_kernel(rho, *(rho.space.subspace(wing) for wing in labels))
         sigma = np.linalg.svd(kernel, compute_uv=False)
         closed = 2.0 * math.sqrt(sigma[0] ** 2 + sigma[1] ** 2)
+        b1, b0 = chsh._grid_bob_pair(kernel, PI / 16)
+        at_pick = np.linalg.norm(kernel @ (b1 + b0)) + np.linalg.norm(kernel @ (b1 - b0))
+        assert abs(s_grid - at_pick) <= 1e-15
         (result,) = hypothesis_comparison(scenario, ["unitary_only"], grid_step=PI / 16)
         assert result.s_max == closed
         assert abs(result.s_max - s_own) <= 1e-15
-        assert result.grid_gap == result.s_max - s_grid
+        assert result.grid_gap == result.s_max - at_pick
         assert result.s_value == chsh_value(rho, optimum).s_value
         defaults = MeasurementSettings.defaults(
             rho.space.subspace(labels[0]), rho.space.subspace(labels[1])
@@ -603,7 +652,7 @@ class TestHypothesisComparison:
             scenario, ["unitary_only"], settings=defaults, grid_step=PI / 16
         )
         assert at_defaults.s_max == closed
-        assert at_defaults.grid_gap == closed - s_grid
+        assert at_defaults.grid_gap == closed - at_pick
         assert at_defaults.s_value == chsh_value(rho, defaults).s_value
 
     def test_grid_above_the_exact_maximum_is_an_invariant_violation(self, monkeypatch):

@@ -481,6 +481,18 @@ class TestProjectiveCollapse:
         with pytest.raises(ShapeError):
             projective_collapse(psi, on=("b",), basis=meas, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("basis", [("a",), "a", np.eye(2), np.eye(4)])
+    def test_basis_that_is_no_measurement_is_rejected_before_a_draw(self, basis):
+        """Labels, a string or a matrix given as ``basis`` were ignored when ``on`` was also
+        given; they raise ShapeError and leave the generator untouched."""
+        psi = PureState.basis(CompositeSpace.qubits("a", "b"), "00")
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        for on in (None, ("a",)):
+            with pytest.raises(ShapeError):
+                projective_collapse(psi, on=on, basis=basis, rng=rng)
+        assert rng.bit_generator.state == before
+
     def test_observable_frame_is_built_once(self, monkeypatch):
         """100 collapses and a Born call with one observable build its frame once."""
         built = []

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfsim import (
+    CollapseHypothesis,
     CompositeSpace,
     DensityOperator,
     DichotomicObservable,
@@ -27,9 +28,11 @@ from wfsim import (
     optimize_settings,
     partial_trace,
     projective_collapse,
+    proietti_scenario,
 )
 from wfsim.chsh import (
     _SETTING_ORDER,
+    _TIE_EPS,
     MeasurementSettings,
     _correlation_kernel,
     _grid_bob_pair,
@@ -39,6 +42,8 @@ from wfsim.chsh import (
     observable_from_bloch,
     sample_inequality,
 )
+
+from wfsim.measurement import _HYPOTHESIS_VARIANTS
 
 from _oracles import (
     brute_correlation_kernel,
@@ -255,8 +260,11 @@ class _RecordingStream:
         return np.array([shots, 0, 0, 0])
 
 
-class _RecordingGenerator:
+class _RecordingGenerator(np.random.Generator):
+    """A Generator, as the sampler checks, whose spawned children record their draws."""
+
     def __init__(self):
+        super().__init__(np.random.PCG64(0))
         self.drawn = []
 
     def spawn(self, n):
@@ -380,8 +388,8 @@ def _grid_kernel(rng: np.random.Generator, kind: str) -> np.ndarray:
 @GRID_EXAMPLES
 @given(seed=SEEDS, kind=st.sampled_from(GRID_KERNELS))
 def test_grid_pair_matches_full_table(seed, kind):
-    """The screened half-triangle scan picks the unscreened scan's first maximum, bitwise;
-    S there is the full table's maximum; and the grid gap is s_max minus
+    """The screened scan picks the full table's first pair within _TIE_EPS of its maximum,
+    bitwise; S there lies within _TIE_EPS of that maximum; and the grid gap is s_max minus
     |K(b1 + b0)| + |K(b1 - b0)| at that pick, never below -1e-9."""
     kernel = _grid_kernel(np.random.default_rng(seed), kind)
     s_max = _s_max(kernel)
@@ -391,8 +399,7 @@ def test_grid_pair_matches_full_table(seed, kind):
         assert all(np.array_equal(a, b) for a, b in zip(picked, expected)), (kind, step)
         b1, b0 = expected
         at_pick = np.linalg.norm(kernel @ (b1 + b0)) + np.linalg.norm(kernel @ (b1 - b0))
-        # sqrt(P - G) near 0 turns a last-bit difference into about sqrt(eps) = 1.5e-8.
-        assert abs(at_pick - full_table_maximum(kernel, step)) <= 1e-7, (kind, step)
+        assert abs(at_pick - full_table_maximum(kernel, step)) <= _TIE_EPS, (kind, step)
         gap = _grid_gap(kernel, s_max, step)
         assert gap == s_max - at_pick and gap >= -1e-9, (kind, step)
 
@@ -401,14 +408,15 @@ def test_grid_pair_matches_full_table(seed, kind):
 @given(seed=SEEDS, kind=st.sampled_from(GRID_KERNELS))
 @example(seed=248, kind="rank_one")
 def test_grid_pair_matches_full_table_on_uneven_steps(seed, kind):
-    """Bitwise the unscreened scan's first maximum at steps that do not divide pi.
+    """Bitwise the full table's pick at steps that do not divide pi.
 
-    Such steps leave phi and theta rows short of 2 pi and pi, and at
-    step 0.2 (481 distinct directions, 68 rows per block) the last row
-    block is ragged.  At seed 248 the rank-one kernel's tied pairs differ
-    in the last bit between a Gram product over the scan's 211 directions
-    and one over the full grid's 231, so an oracle on the full table picks
-    another pair.
+    Such steps leave phi and theta rows short of 2 pi and pi, so the grid
+    holds no antipodes and the scan keeps every direction; at step 0.2
+    (481 distinct directions, 68 rows per block) the last row block is
+    ragged.  At seed 248 the rank-one kernel's tied pairs differed in the
+    last bit between a Gram product over the scan's 211 directions and one
+    over the full grid's 231, which moved the pick under a tie rule that
+    took the first exact maximum.
     """
     kernel = _grid_kernel(np.random.default_rng(seed), kind)
     for step in (0.2, 0.3, 0.37):
@@ -443,3 +451,51 @@ def test_friend_interaction_matches_brute_force(seed, side):
     assert np.max(np.abs(after.raw_state.amplitudes - raw)) < 1e-12
     assert abs(after.herald_probability - herald) < 1e-12
     assert np.max(np.abs(after.state.amplitudes - raw / math.sqrt(herald))) < 1e-12
+
+
+def _local_deviation(rho, reference, wings) -> float:
+    """The largest entry difference between ``rho``'s and ``reference``'s reduced densities
+    on every single factor and on each wing."""
+    keeps = [(label,) for label in reference.space.labels] + [tuple(wing) for wing in wings]
+    gaps = (partial_trace(rho, keep).matrix - partial_trace(reference, keep).matrix
+            for keep in keeps)
+    return max(float(np.max(np.abs(gap))) for gap in gaps)
+
+
+@EXAMPLES
+@given(variant=st.sampled_from(_HYPOTHESIS_VARIANTS[1:]), p=st.floats(1e-3, 1.0))
+def test_collapse_hypotheses_leave_every_local_state_unchanged(variant, p):
+    """The improper-mixture point: attributing outcomes to the friends, under any collapse
+    variant, leaves every single-photon and wing density the unitary one within 1e-15;
+    only the joint density and S at the unitary witness settings tell them apart.
+
+    The floors are measured: with p the collapse probability (1 for the full-collapse
+    variants), S there falls by 2.12 p (at p = 1) to 2.79 p (as p goes to 0), and the
+    joint density's largest entry moves by 0.427 p to 0.832 p.  Local deviations read 0.
+    """
+    scenario = proietti_scenario()
+    wings = (scenario.alice_labels, scenario.bob_labels)
+    stochastic = variant == "stochastic_collapse"
+    hypothesis = CollapseHypothesis.stochastic(p) if stochastic else CollapseHypothesis(variant)
+    weight = p if stochastic else 1.0
+    unitary = scenario.exact_state_under("unitary_only")
+    rho = scenario.exact_state_under(hypothesis)
+    witness, s_unitary = exact_optimum(unitary, *wings)
+    assert _local_deviation(rho, unitary, wings) <= 1e-15
+    assert s_unitary - chsh_value(rho, witness).s_value >= 2.1 * weight
+    assert np.max(np.abs(rho.matrix - unitary.matrix)) >= 0.42 * weight
+
+
+def test_a_local_bit_flip_moves_a_wing_density():
+    """The local check above can fail: X on any one photon of the unitary state leaves each
+    single-photon density I/2, but moves that photon's wing density by 0.5."""
+    scenario = proietti_scenario()
+    wings = (scenario.alice_labels, scenario.bob_labels)
+    unitary = scenario.exact_state_under("unitary_only")
+    space = unitary.space
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    for label in space.labels:
+        x = embed(flip, space.subspace((label,)), space)
+        flipped = DensityOperator(space, x @ unitary.matrix @ x)
+        assert _local_deviation(flipped, unitary, ()) == 0.0, label
+        assert _local_deviation(flipped, unitary, wings) >= 0.49, label

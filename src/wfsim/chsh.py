@@ -74,11 +74,11 @@ The grid cross-check of an exact maximum (``_grid_gap``, in
 the formula above, building no observable, where both searches return
 ``chsh_value`` at the settings they build.
 
-The walk is screened.  Before it starts, the scan takes S at the grid pair
-nearest a closed-form maximizer (the seed, ``_seed_pair``): the pair above
-built from K's raw SVD, without the canonical rule, which only reported
-settings need (``_exact_bob_pair``).  A threshold t, a relative 1e-6 and
-then _TIE_EPS below the best S known so far (the seed's, then the running
+The walk is screened.  Before it starts, the scan takes the best S in one
+row of its own table, that of the direction with the largest |K b| (the
+seed, ``_row_seed``): a grid pair's S, so never above the grid maximum,
+and found without an SVD.  A threshold t, a relative 1e-6 and then
+_TIE_EPS below the best S known so far (the seed's, then the running
 best's), screens each block with one matmul that tests a proven necessary
 condition for S >= t (derived at ``_grid_bob_pair``).  Only the pairs that
 pass get S, and every pair dropped lies more than _TIE_EPS below the grid
@@ -378,9 +378,18 @@ def _scan_directions(step: float) -> np.ndarray:
 
 
 def _row_values(w: np.ndarray, firsts, seconds) -> np.ndarray:
-    """S = |w_i + w_j| + |w_i - w_j| for rows w_i = K b_i: ``_grid_gap``'s formula."""
-    return np.linalg.norm(w[firsts] + w[seconds], axis=-1) + np.linalg.norm(
-        w[firsts] - w[seconds], axis=-1)
+    """S = |w_i + w_j| + |w_i - w_j| for rows w_i = K b_i: ``_grid_gap``'s formula, each norm
+    the sqrt of ``np.add.reduce`` over squares, bitwise what ``np.linalg.norm`` takes."""
+    a, b = w[firsts], w[seconds]
+    plus, minus = a + b, a - b
+    return np.sqrt(np.add.reduce(plus * plus, axis=-1)) + np.sqrt(
+        np.add.reduce(minus * minus, axis=-1))
+
+
+def _row_seed(w: np.ndarray, norms2: np.ndarray) -> float:
+    """The screen's first S: the best pair in the row of the largest |K b_i|.  A grid pair's
+    S, so never above the grid maximum, and it needs no SVD."""
+    return float(_row_values(w, int(np.argmax(norms2)), slice(None)).max())
 
 
 # Pairs per screen block: whole rows of the triangle, each from the block's first row on.
@@ -405,16 +414,16 @@ _TIE_EPS = 1e-12
 #     Q = G^2 - t^2 n_i - t^2 n_j + t^4 / 4 = c_i . W c_j <= 0
 # for the symmetric W = diag(4, 4, 4, 8, 8, 8, 0, 0) plus t^4 / 4 at (6, 6)
 # and -t^2 at (6, 7) and (7, 6): one matmul screens a block, and only the
-# pairs that pass get S.  t is the best S known so far, first the S of the
-# pair of grid directions nearest +/- the maximizer _seed_pair reads off K's
-# raw SVD (the canonical rule of _exact_bob_pair is for reported settings
-# only), shrunk by _SCREEN_MARGIN = m and then by _TIE_EPS, so every dropped
-# pair lies more than _TIE_EPS below the grid maximum.  Near t^2 = 2P, once
+# pairs that pass get S.  t is the best S known so far, first _row_seed's S
+# of a grid pair, shrunk by _SCREEN_MARGIN = m and then by _TIE_EPS, so every
+# dropped pair lies more than _TIE_EPS below the grid maximum.  At pi/16 the
+# seed leaves 1-4 survivors on the stochastic sweep's kernels without exact
+# ties (p = 0.1 ... 0.9).  Near t^2 = 2P, once
 # the first test fails, the second's slack is at least about (m t^2)^2, and
 # must outlast Q's rounding, a few eps t^4: m = 1e-6 leaves a factor of
 # several hundred, while m = 1e-9 changed picks on rank-one kernels.
 _SCREEN_MARGIN = 1e-6
-_PRODUCTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))  # (a, b) of c's w_a w_b
+_PRODUCTS = ([0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2])  # a and b of c's w_a w_b
 
 
 def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -430,8 +439,7 @@ def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np
     norms2 = np.einsum("ij,ij->i", w, w)
     n = vectors.shape[0]
     lifted = np.empty((8, n))  # column j is c_j
-    for row, (a, b) in zip(lifted, _PRODUCTS):
-        np.multiply(w[:, a], w[:, b], out=row)
+    np.multiply(w.T[_PRODUCTS[0]], w.T[_PRODUCTS[1]], out=lifted[:6])
     lifted[6], lifted[7] = 1.0, norms2
     weights = np.diag([4.0, 4.0, 4.0, 8.0, 8.0, 8.0, 0.0, 0.0])
     suffix_max = np.maximum.accumulate(norms2[::-1])[::-1]  # suffix_max[k] = max(norms2[k:])
@@ -442,8 +450,7 @@ def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np
         weights[6, 6], weights[6, 7], weights[7, 6] = t2 * t2 / 4.0, -t2, -t2
         return t2
 
-    i, j = (int(np.argmax(np.abs(vectors @ b))) for b in _seed_pair(kernel))
-    seed = float(_row_values(w, i, j))
+    seed = _row_seed(w, norms2)
     t2 = screen_below(seed)
     rows = max(1, _BLOCK_PAIRS // n)
     starts = range(0, n, rows)
@@ -518,21 +525,6 @@ def _exact_bob_pair(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 group.append(rest / norm)
         basis += group
         start = stop
-    return _closed_form_pair(sigma, basis)
-
-
-def _seed_pair(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A (b1, b0) attaining 2 sqrt(mu1 + mu2) from K's raw SVD, without the canonical
-    rule: the grid scan's seed, which sets only how much its screen prunes."""
-    _, sigma, vt = np.linalg.svd(kernel)
-    return _closed_form_pair(sigma, vt)
-
-
-def _closed_form_pair(
-    sigma: np.ndarray, basis: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """b1, b0 = cos(t) v1 +/- sin(t) v2 with tan(t) = sigma2 / sigma1, for v1, v2 the
-    first two rows of ``basis``."""
     t = math.atan2(float(sigma[1]), float(sigma[0]))
     along, across = math.cos(t) * basis[0], math.sin(t) * basis[1]
     return along + across, along - across
@@ -716,12 +708,10 @@ def hypothesis_comparison(
     ``shots`` must be an integer in [0, 2**63).  With ``shots > 0`` the
     returned results are sampling estimates (one child stream per
     hypothesis, spawned from ``rng`` in list order) with the exact
-    companions attached; ``rng`` None raises ShapeError, and any other
-    ``rng`` that is not a numpy Generator InvalidState.
+    companions attached, and an ``rng`` that is not a numpy Generator,
+    None included, raises InvalidState.
     """
     _check_count("shots", shots, 0)
-    if shots > 0 and rng is None:
-        raise ShapeError("sampling a comparison needs a Generator")
     if shots > 0:
         _check_generator(rng, "sampling a comparison")
     parsed = [CollapseHypothesis.parse(h) for h in hypotheses]

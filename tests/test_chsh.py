@@ -287,18 +287,16 @@ class TestOptimizeSettings:
                 assert np.array_equal(b0, vectors[i0]), (name, div)
 
     def test_grid_picks_do_not_depend_on_the_seed(self, monkeypatch):
-        """The seed pair only sets how much the scan's screen prunes: seeded from the
-        least singular direction twice (S = 2 sigma3, 0 for a rank-one K), the scan
-        still makes the pinned picks."""
+        """The seed only sets how much the scan's screen prunes: seeded from the row of the
+        least |K b| instead of the largest, the scan still makes the pinned picks."""
         kernels = self._pinned_kernels()
         seeded = []
 
-        def poor_pair(kernel):
-            seeded.append(kernel)
-            least = np.linalg.svd(kernel)[2][2]
-            return least, least
+        def poor_seed(w, norms2):
+            seeded.append(w)
+            return float(chsh._row_values(w, int(np.argmin(norms2)), slice(None)).max())
 
-        monkeypatch.setattr(chsh, "_seed_pair", poor_pair)
+        monkeypatch.setattr(chsh, "_row_seed", poor_seed)
         for name, picks in self.PINNED_PICKS.items():
             for div, (i1, i0) in picks.items():
                 _, _, vectors = chsh._sphere_grid(PI / div)
@@ -341,8 +339,8 @@ class TestOptimizeSettings:
                 assert np.array_equal(b0, vectors[i0]), (name, div)
 
     def test_scan_takes_no_canonical_pair(self, monkeypatch):
-        """The scan's seed comes from K's raw SVD: a grid comparison runs the canonical rule
-        of _exact_bob_pair once, for the shared settings, and a scan never runs it."""
+        """The scan's seed is a row of its own table: a grid comparison runs the canonical
+        rule of _exact_bob_pair once, for the shared settings, and a scan never runs it."""
         calls = []
         exact_pair = chsh._exact_bob_pair
 
@@ -358,6 +356,32 @@ class TestOptimizeSettings:
         calls.clear()
         chsh._grid_bob_pair(-np.eye(3), PI / 16)
         assert calls == []
+
+    def test_scan_takes_no_svd(self, monkeypatch):
+        """A scan takes no SVD, and the pi/16 sweep comparison takes 12: one _s_max for
+        each of its 11 distinct tables (p = 0 shares unitary_only's) and one canonical pair
+        for the shared settings.  Seeded from K's SVD, the sweep took 23.  The scan still
+        makes the pinned picks."""
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        kernels = self._pinned_kernels()
+        for name, picks in self.PINNED_PICKS.items():
+            for div, (i1, i0) in picks.items():
+                _, _, vectors = chsh._sphere_grid(PI / div)
+                b1, b0 = chsh._grid_bob_pair(kernels[name], PI / div)
+                assert np.array_equal(b1, vectors[i1]), (name, div)
+                assert np.array_equal(b0, vectors[i0]), (name, div)
+        assert calls == []
+        sweep = [CollapseHypothesis.stochastic(k / 10) for k in range(11)]
+        results = hypothesis_comparison(proietti_scenario(), sweep, grid_step=PI / 16)
+        assert all(result.grid_gap is not None for result in results)
+        assert len(calls) == 12
 
     def test_grid_step_validation(self):
         with pytest.raises(ShapeError):
@@ -559,8 +583,9 @@ class TestHypothesisComparison:
             assert abs(result.s_value - result.exact_s) < 6 * result.std_error
 
     def test_sampling_requires_generator(self):
+        """None raises InvalidState, like every other draw without a numpy Generator."""
         scenario = proietti_scenario()
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidState, match="numpy Generator, got NoneType"):
             hypothesis_comparison(
                 scenario, ["unitary_only"], shots=10, grid_step=PI / 16
             )
@@ -621,7 +646,7 @@ class TestHypothesisComparison:
             hypothesis_comparison(scenario, hypotheses, grid_step=grid_step)
             assert calls == ["scan"] * searches, (hypotheses, grid_step)
         calls.clear()
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidState):
             hypothesis_comparison(scenario, ["unitary_only"], shots=10, grid_step=PI / 16)
         assert calls == []
 

@@ -37,7 +37,9 @@ from wfsim.chsh import (
     _correlation_kernel,
     _grid_bob_pair,
     _grid_gap,
+    _row_seed,
     _s_max,
+    _scan_directions,
     _wing_moments,
     observable_from_bloch,
     sample_inequality,
@@ -50,6 +52,7 @@ from _oracles import (
     brute_expectation,
     brute_friend_interaction,
     brute_grid_pair,
+    brute_grid_table,
     full_table_maximum,
     brute_horodecki_value,
     brute_partial_trace,
@@ -402,6 +405,22 @@ def test_grid_pair_matches_full_table(seed, kind):
         assert abs(at_pick - full_table_maximum(kernel, step)) <= _TIE_EPS, (kind, step)
         gap = _grid_gap(kernel, s_max, step)
         assert gap == s_max - at_pick and gap >= -1e-9, (kind, step)
+
+
+@GRID_EXAMPLES
+@given(seed=SEEDS, kind=st.sampled_from(GRID_KERNELS))
+def test_scan_seed_is_a_pair_of_the_full_table(seed, kind):
+    """The screen's seed, the best S in the scan's row of the largest |K b|, is S at some
+    pair of the full table and not above its maximum, both up to rounding (the seed adds
+    K b_i and K b_j, the table applies K to b_i + b_j; they differ by at most 1.8e-15 on
+    1260 measured cases).  So every pair within _TIE_EPS of the maximum passes the screen."""
+    kernel = _grid_kernel(np.random.default_rng(seed), kind)
+    for step in (math.pi / 8, math.pi / 16, 0.37):
+        w = _scan_directions(step) @ kernel.T
+        value = _row_seed(w, np.einsum("ij,ij->i", w, w))
+        table = brute_grid_table(kernel, step)[1]
+        assert np.min(np.abs(table - value)) <= 1e-14, (kind, step)
+        assert value <= table.max() + 1e-14, (kind, step)
 
 
 @GRID_EXAMPLES

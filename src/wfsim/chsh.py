@@ -28,10 +28,10 @@ wing's (I, obs0, obs1) row 0 and column 0 are the marginals and the rest
 the correlators; over the basis triples M is K.  Tables are linear in rho,
 so ``hypothesis_comparison`` takes K and the settings' M once per held
 dephasing and mixes those with a hypothesis's weights, in term order
-(``_mixed``); it never mixes densities for them.  Its ``s_max`` is the
-closed form of the mixed K below, and its grid cross-check scans that K
-(``_grid_gap``).  An entry beyond 1 + 1e-10 in magnitude, held or mixed,
-raises InvariantViolation.
+(``_mixed``); it never mixes densities for them.  Its ``s_max`` values are
+the closed form below of the mixed Ks, all from one stacked SVD, and its
+grid cross-check scans those Ks in one pass (``_grid_gaps``).  An entry
+beyond 1 + 1e-10 in magnitude, held or mixed, raises InvariantViolation.
 
 Settings search
 ---------------
@@ -69,21 +69,21 @@ pair.  It walks the triangle in row blocks of a fixed number of pairs,
 each from its own first row on, so its memory grows with the number of
 directions, not of pairs.  S is read off the rows w = K b of a pair's
 directions as |w1 + w0| + |w1 - w0|, whatever the blocking or the BLAS.
-The grid cross-check of an exact maximum (``_grid_gap``, in
-``hypothesis_comparison``) needs only K: it reads S at the scan's pick by
-the formula above, building no observable, where both searches return
-``chsh_value`` at the settings they build.
+One scan takes a stack of Ks, which share its set-up and flushes but no
+t, best or pick: the grid cross-check (``_grid_gaps``) scans every entry's
+mixed K at once and reads S at each pick by the formula above, building no
+observable, where both searches return ``chsh_value`` at their settings.
 
-The walk is screened.  Before it starts, the scan takes the best S in one
-row of its own table, that of the direction with the largest |K b| (the
-seed, ``_row_seed``): a grid pair's S, so never above the grid maximum,
-and found without an SVD.  A threshold t, a relative 1e-6 and then
-_TIE_EPS below the best S known so far (the seed's, then the running
-best's), screens each block with one matmul that tests a proven necessary
-condition for S >= t (derived at ``_grid_bob_pair``).  Only the pairs that
-pass get S, and every pair dropped lies more than _TIE_EPS below the grid
-maximum.  So the pick is the unscreened scan's; the seed changes only how
-much is pruned.
+The walk is screened.  Before it starts, the scan takes each K's best S in
+one row of its own table, that of the direction with the largest |K b|
+(the seed, ``_row_seed``): a grid pair's S, so never above the grid
+maximum, and found without an SVD.  A threshold t, a relative 1e-6 and
+then _TIE_EPS below the best S known so far, screens each block with one
+matmul that tests a proven necessary condition for S >= t (derived above
+``_SCREEN_MARGIN``).  Only the pairs that pass are queued, and every pair
+dropped lies more than _TIE_EPS below the grid maximum.  A flush reads S
+at every K's queued pairs and tightens its t.  So the pick is the
+unscreened scan's; the seed and the flushes change only what is pruned.
 """
 
 from __future__ import annotations
@@ -113,13 +113,13 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 TSIRELSON_TOL = 1e-9
 CONSISTENCY_TOL = 1e-6  # |S - S_data| at the shared settings that still reproduces the data
 
-# Accepted grid steps, inclusive.  The scan's pairs grow as step**-4: one pi/128 scan
-# takes 0.25-0.95 s (the singlet 0.94 s) and about 38 MB peak RSS on a shared 2-core
-# Xeon, about 25x a pi/64 scan.
+# Accepted grid steps, inclusive.  The scan's pairs grow as step**-4: a pi/128 scan of one
+# kernel takes 0.22-0.55 s (the singlet 0.46-0.55 s) and 37-43 MB peak RSS on a shared
+# 2-core Xeon, about 25x a pi/64 scan.
 GRID_STEP_RANGE = (math.pi / 128, math.pi / 8)
 
-# Most grid pairs a run may scan, counted as (hypotheses + 1) scans of _scan_pairs:
-# sixteen pi/128 scans, 4-15 s on that Xeon.  More exits 2 up front.
+# Most grid pairs a run may scan, counted as (hypotheses + 1) scans of _scan_pairs: fifteen
+# hypotheses at pi/128, whose one comparison took 3.3 s on that Xeon.  More exits 2 up front.
 _GRID_PAIR_BUDGET = 1 << 33
 
 
@@ -368,6 +368,8 @@ def _angles_of(vector: np.ndarray) -> tuple[float, float]:
 def _scan_directions(step: float) -> np.ndarray:
     """``_sphere_grid``'s directions, read-only, with one z and, when pi / step is an integer k,
     the first of each antipodal pair (theta_a, phi_b), (theta_(k-a), phi_(b+k mod 2k)) only."""
+    if not grid_step_in_range(step):
+        raise ShapeError(f"grid_step {step!r} outside [pi/128, pi/8]")
     thetas, phis, vectors = _sphere_grid(step)
     row, col = np.divmod(np.arange(len(vectors)), len(phis))
     k = len(thetas) - 1
@@ -386,15 +388,16 @@ def _row_values(w: np.ndarray, firsts, seconds) -> np.ndarray:
         np.add.reduce(minus * minus, axis=-1))
 
 
-def _row_seed(w: np.ndarray, norms2: np.ndarray) -> float:
-    """The screen's first S: the best pair in the row of the largest |K b_i|.  A grid pair's
-    S, so never above the grid maximum, and it needs no SVD."""
-    return float(_row_values(w, int(np.argmax(norms2)), slice(None)).max())
+def _row_seed(w: np.ndarray, norms2: np.ndarray) -> np.ndarray:
+    """Each K's first S for the screen, w[c, i] = K_c b_i: the best pair in its row of the
+    largest |K_c b_i|.  A grid pair's S, so never above the grid maximum, and no SVD."""
+    rows = (np.arange(len(w))[:, None], np.argmax(norms2, axis=1)[:, None])
+    return _row_values(w, rows, slice(None)).max(axis=1)
 
 
-# Pairs per screen block: whole rows of the triangle, each from the block's first row on.
-# The blocks bound the screen's memory only: S at a survivor is read off its two rows,
-# the same whatever the blocking, the BLAS or the threshold.
+# Pairs per screen block (whole rows of the triangle, each from the block's first row on),
+# survivors queued before a flush and rows of w in one stack.  It bounds memory only: S at
+# a survivor is read off its two rows, whatever the blocking, flushes, stack, BLAS or t.
 _BLOCK_PAIRS = 1 << 15
 
 # The tie rule's tolerance.  On the pinned and property-drawn kernels, S of pairs tied
@@ -426,66 +429,82 @@ _SCREEN_MARGIN = 1e-6
 _PRODUCTS = ([0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2])  # a and b of c's w_a w_b
 
 
-def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bob's (b1, b0): the first grid pair in row-major order within _TIE_EPS of the maximum.
+def _grid_bob_pairs(kernels: np.ndarray, grid_step: float) -> np.ndarray:
+    """Bob's (b1, b0) for each K of a (k, 3, 3) stack, as a (k, 2, 3) array: each K's first
+    grid pair in row-major order within _TIE_EPS of its own maximum.
 
-    A screened survivor is kept when it beats every earlier pair and lies within _TIE_EPS
-    of the running best; the pair sought beats every pair before it, so it is kept.
-    """
-    if not grid_step_in_range(grid_step):
-        raise ShapeError(f"grid_step {grid_step!r} outside [pi/128, pi/8]")
+    The screen runs K by K and block by block and queues survivors, ascending, as indices
+    (c n + i) k n + c n + j of pairs of w's k n rows.  A flush (``_kept``) reads S at each
+    and keeps, ahead of later survivors, each K's pairs that beat all its earlier pairs and
+    lie within _TIE_EPS of its best: after the last flush, its pick is its first kept pair."""
     vectors = _scan_directions(grid_step)
-    w = vectors @ kernel.T  # row i = K b_i
-    norms2 = np.einsum("ij,ij->i", w, w)
-    n = vectors.shape[0]
-    lifted = np.empty((8, n))  # column j is c_j
-    np.multiply(w.T[_PRODUCTS[0]], w.T[_PRODUCTS[1]], out=lifted[:6])
-    lifted[6], lifted[7] = 1.0, norms2
+    k, n = len(kernels), len(vectors)
+    rows = max(1, _BLOCK_PAIRS // n)  # a block's rows, and the most Ks a stack's set-up holds
+    if k > rows:
+        return np.concatenate([_grid_bob_pairs(kernels[i : i + rows], grid_step)
+                               for i in range(0, k, rows)])
+    w = np.matmul(vectors, kernels.transpose(0, 2, 1))  # w[c, i] = K_c b_i, one gemm per K
+    norms2 = np.einsum("kij,kij->ki", w, w)
+    lifted, wt = np.empty((k, 8, n)), w.transpose(0, 2, 1)  # column j of lifted[c] is K_c's c_j
+    np.multiply(wt[:, _PRODUCTS[0]], wt[:, _PRODUCTS[1]], out=lifted[:, :6])
+    lifted[:, 6], lifted[:, 7] = 1.0, norms2
     weights = np.diag([4.0, 4.0, 4.0, 8.0, 8.0, 8.0, 0.0, 0.0])
-    suffix_max = np.maximum.accumulate(norms2[::-1])[::-1]  # suffix_max[k] = max(norms2[k:])
+    starts = np.arange(0, n, rows)
+    row_max = np.maximum.reduceat(norms2, starts, axis=1)  # each block's largest n_i, per K
+    suffix_max = np.maximum.accumulate(row_max[:, ::-1], axis=1)[:, ::-1].tolist()  # from it on
+    row_max = row_max.tolist()
+    known = _row_seed(w, norms2).tolist()  # each K's best S so far
+    buffer, flags = np.empty(rows * n), np.empty(rows * n, dtype=bool)  # a block's Q and keep
+    kept, queue, queued = np.empty(0, dtype=np.intp), [], 0  # and the survivors queued since
+    for c in range(k):
+        lift, norms, t2 = lifted[c], norms2[c], None
+        for block_index, start in enumerate(starts.tolist()):
+            stop = min(start + rows, n)
+            shape = (stop - start, n - start)  # columns from the block's first row on
+            size = shape[0] * shape[1]
+            block, keep = buffer[:size].reshape(shape), flags[:size].reshape(shape)
+            if t2 is None:  # t: K_c's best S so far, shrunk by the margin and the tie tolerance
+                t2 = max(known[c] * (1.0 - _SCREEN_MARGIN) - _TIE_EPS, 0.0) ** 2
+                weights[6, 6], weights[6, 7], weights[7, 6] = t2 * t2 / 4.0, -t2, -t2
+                left = lift.T @ weights  # row i is c_i W
+            np.matmul(left[start:stop], lift[:, start:], out=block)
+            np.less_equal(block, 0.0, out=keep)
+            if t2 / 2.0 - row_max[c][block_index] <= suffix_max[c][block_index]:
+                reach = t2 / 2.0 - norms[start:stop]  # a row may meet 2P >= t^2
+                near = np.flatnonzero(reach <= suffix_max[c][block_index])
+                keep[near] |= norms[None, start:] >= reach[near, None]
+            survivors = np.flatnonzero(keep)
+            if survivors.size:  # entry r (n - start) + j - start is the pair (start + r, j)
+                if queued + survivors.size > _BLOCK_PAIRS:  # flush, then tighten K_c's t
+                    kept = _kept(np.concatenate([kept, *queue]), w, known)
+                    queue, queued, t2 = [], 0, None
+                width, base = n - start, (c * n + start) * k * n + c * n + start
+                queue.append(survivors + (survivors // width) * (k * n - width) + base)
+                queued += survivors.size
+    kept = _kept(np.concatenate([kept, *queue]), w, known)  # each K's pick: its first kept
+    first = kept[np.searchsorted(kept, np.arange(0, k * k * n * n, (k * n + 1) * n))]
+    return vectors[first[:, None] // [k * n, 1] % n]  # (i, j) of (c n + i) k n + c n + j
 
-    def screen_below(s: float) -> float:
-        """Set W for t = s shrunk by the margin and the tie tolerance; return t^2."""
-        t2 = max(s * (1.0 - _SCREEN_MARGIN) - _TIE_EPS, 0.0) ** 2
-        weights[6, 6], weights[6, 7], weights[7, 6] = t2 * t2 / 4.0, -t2, -t2
-        return t2
 
-    seed = _row_seed(w, norms2)
-    t2 = screen_below(seed)
-    rows = max(1, _BLOCK_PAIRS // n)
-    starts = range(0, n, rows)
-    row_max = np.maximum.reduceat(norms2, starts)  # largest n_i of each block's rows
-    buffer = np.empty(rows * n)  # the block's Q
-    flags = np.empty(rows * n, dtype=bool)
-    best = -math.inf
-    kept = []  # (S, i, j) of each block's kept survivors, in row-major order
-    for block_index, start in enumerate(starts):
-        stop = min(start + rows, n)
-        shape = (stop - start, n - start)  # columns from the block's first row on
-        size = shape[0] * shape[1]
-        block, keep = buffer[:size].reshape(shape), flags[:size].reshape(shape)
-        np.matmul(lifted[:, start:stop].T @ weights, lifted[:, start:], out=block)
-        np.less_equal(block, 0.0, out=keep)
-        if t2 / 2.0 - row_max[block_index] <= suffix_max[start]:  # a row may meet 2P >= t^2
-            reach = t2 / 2.0 - norms2[start:stop]
-            near = np.flatnonzero(reach <= suffix_max[start])
-            keep[near] |= norms2[None, start:] >= reach[near, None]
-        survivors = np.flatnonzero(keep)
-        if survivors.size == 0:
-            continue
-        firsts = survivors // shape[1]  # np.divmod takes about twice as long
-        seconds = survivors - firsts * shape[1] + start
-        firsts += start
-        values = _row_values(w, firsts, seconds)
-        earlier = np.maximum.accumulate(np.concatenate(([best], values[:-1])))
-        best = max(best, float(values.max()))
-        chosen = np.flatnonzero((values > earlier) & (values >= best - _TIE_EPS))
-        kept.append((values[chosen], firsts[chosen], seconds[chosen]))
-        t2 = screen_below(max(best, seed))
+def _kept(pairs: np.ndarray, w: np.ndarray, known: list[float]) -> np.ndarray:
+    """``_grid_bob_pairs``' flush: of its queued pairs, each K's that beat all its earlier
+    pairs and lie within _TIE_EPS of its best S, read off w[c, i] = K_c b_i into known[c]."""
+    k, n = w.shape[:2]
+    firsts, seconds = np.divmod(pairs, k * n)
+    values, keep = _row_values(w.reshape(-1, 3), firsts, seconds), np.empty(pairs.size, bool)
+    bounds = np.searchsorted(firsts, np.arange(0, k * n + 1, n)).tolist()
+    for c, (a, b) in enumerate(zip(bounds, bounds[1:])):  # K_c's run of pairs
+        if b > a:
+            running = np.maximum.accumulate(values[a:b])  # exact
+            known[c] = max(known[c], float(running[-1]))
+            np.greater_equal(values[a:b], running[-1] - _TIE_EPS, out=keep[a:b])
+            keep[a + 1 : b] &= values[a + 1 : b] > running[:-1]
+    return pairs[keep]
 
-    values, firsts, seconds = (np.concatenate(parts) for parts in zip(*kept))
-    pick = int(np.argmax(values >= best - _TIE_EPS))
-    return vectors[firsts[pick]], vectors[seconds[pick]]
+
+def _grid_bob_pair(kernel: np.ndarray, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """One kernel's ``_grid_bob_pairs``."""
+    return tuple(_grid_bob_pairs(kernel[None], grid_step)[0])
 
 
 # z, x, y: the order in which the canonical rule projects the axes.
@@ -551,10 +570,10 @@ def _built_settings(spaces: tuple, angles: tuple, origin: str) -> MeasurementSet
     return MeasurementSettings(alice, bob, *angles, origin=origin)
 
 
-def _s_max(kernel: np.ndarray) -> float:
-    """The maximum of S, 2 sqrt(sigma1^2 + sigma2^2) of K; see module docstring."""
-    sigma = np.linalg.svd(kernel, compute_uv=False)
-    return 2.0 * math.sqrt(sigma[0] ** 2 + sigma[1] ** 2)
+def _s_max(kernels: np.ndarray) -> np.ndarray:
+    """The maximum of S, 2 sqrt(sigma1^2 + sigma2^2), of a K or of a stack in one SVD."""
+    sigma = np.linalg.svd(kernels, compute_uv=False)
+    return 2.0 * np.sqrt(sigma[..., 0] ** 2 + sigma[..., 1] ** 2)
 
 
 def _searched(
@@ -612,18 +631,22 @@ def optimize_settings(
     return _searched(state, alice_labels, bob_labels, grid_step, origin)
 
 
-def _grid_gap(kernel: np.ndarray, s_max: float, grid_step: float) -> float:
-    """``s_max`` minus S at ``_grid_bob_pair``'s pick, read as |K(b1 + b0)| + |K(b1 - b0)|.
+def _grid_gaps(kernels: np.ndarray, s_max: Sequence[float], grid_step: float) -> list[float]:
+    """Each K's ``s_max`` minus |K(b1 + b0)| + |K(b1 - b0)| at its ``_grid_bob_pairs`` pick.
     No grid point can beat the supremum, so a gap below -1e-9 raises InvariantViolation."""
-    b1, b0 = _grid_bob_pair(kernel, grid_step)
-    grid_value = float(np.linalg.norm(kernel @ (b1 + b0)) + np.linalg.norm(kernel @ (b1 - b0)))
-    gap = s_max - grid_value
-    if gap < -1e-9:
-        raise InvariantViolation(
-            f"grid search at step {grid_step!r} found S = {grid_value!r}, above the "
-            f"exact maximum {s_max!r}"
-        )
-    return gap
+    gaps = []
+    for kernel, top, (b1, b0) in zip(kernels, s_max, _grid_bob_pairs(kernels, grid_step)):
+        grid_value = float(np.linalg.norm(kernel @ (b1 + b0)) + np.linalg.norm(kernel @ (b1 - b0)))
+        gaps.append(top - grid_value)
+        if gaps[-1] < -1e-9:
+            raise InvariantViolation(f"grid search at step {grid_step!r} found S = "
+                                     f"{grid_value!r}, above the exact maximum {top!r}")
+    return gaps
+
+
+def _grid_gap(kernel: np.ndarray, s_max: float, grid_step: float) -> float:
+    """One kernel's ``_grid_gaps``."""
+    return _grid_gaps(kernel[None], [s_max], grid_step)[0]
 
 
 # Outcome signs (s_a, s_b) in the order ++, +-, -+, --.
@@ -703,8 +726,8 @@ def hypothesis_comparison(
     ``s_max`` of the hypothesis's own state.  Both come from mixed tables
     (see module docstring), not from mixed densities; hypotheses whose
     tables are equal entry by entry share one entry.  With ``grid_step``
-    set, each entry's mixed K is also scanned once on that grid, and
-    ``grid_gap`` is ``s_max`` minus S at the grid's pick (``_grid_gap``).
+    set, the entries' mixed Ks are also scanned in one pass on that grid, and
+    ``grid_gap`` is ``s_max`` minus S at each one's pick (``_grid_gaps``).
     ``shots`` must be an integer in [0, 2**63).  With ``shots > 0`` the
     returned results are sampling estimates (one child stream per
     hypothesis, spawned from ``rng`` in list order) with the exact
@@ -712,6 +735,8 @@ def hypothesis_comparison(
     None included, raises InvalidState.
     """
     _check_count("shots", shots, 0)
+    if grid_step is not None:
+        _scan_directions(grid_step)  # the scan's check of the step, before any table
     if shots > 0:
         _check_generator(rng, "sampling a comparison")
     parsed = [CollapseHypothesis.parse(h) for h in hypotheses]
@@ -723,7 +748,7 @@ def hypothesis_comparison(
         settings = _built_settings(spaces, _settings_angles(kernel), "exact")
     # id of a held state -> its (K, M), both 3 x 3
     tables = {id(rho_unitary): np.stack([kernel, _settings_moments(rho_unitary, settings)])}
-    entries: list[tuple[np.ndarray, float]] = []  # ((K, M), s_max)
+    entries: list[np.ndarray] = []  # distinct mixed (K, M)
     which: dict[CollapseHypothesis, int] = {}  # hypothesis -> index into entries
     # (K, M) bytes -> index into entries; adding 0.0 turns -0.0 into 0.0, so tables
     # that compare equal entry by entry share a key
@@ -737,23 +762,26 @@ def hypothesis_comparison(
         mixed = _mixed([(w, tables[id(rho)]) for w, rho in terms])
         which[hyp] = index_of.setdefault((mixed + 0.0).tobytes(), len(entries))
         if which[hyp] == len(entries):
-            entries.append((mixed, _s_max(mixed[0])))
+            entries.append(mixed)
 
-    s_data = _table_result(entries[0][0][1]).s_value
+    kernels = np.stack([table[0] for table in entries])
+    s_max = _s_max(kernels).tolist()
+    used = list(dict.fromkeys(which[hyp] for hyp in parsed))  # entries the hypotheses use
     grid_gap: dict[int, float] = {}
+    if grid_step is not None and used:
+        grid_gap = dict(zip(used, _grid_gaps(kernels[used], [s_max[i] for i in used], grid_step)))
+    s_data = _table_result(entries[0][1]).s_value
     streams = rng.spawn(len(parsed)) if shots > 0 else None
     results: list[InequalityResult] = []
     for k, hyp in enumerate(parsed):
         index = which[hyp]
-        (kernel, moments), s_max = entries[index]
+        moments = entries[index][1]
         exact = _table_result(moments, hyp)
-        if grid_step is not None and index not in grid_gap:
-            grid_gap[index] = _grid_gap(kernel, s_max, grid_step)
         evaluated = _sample_table(moments, shots, streams[k], hyp) if shots > 0 else exact
         results.append(
             replace(
                 evaluated,
-                s_max=s_max,
+                s_max=s_max[index],
                 grid_gap=grid_gap.get(index),
                 exact_s=exact.s_value,
                 exact_correlators=exact.correlators,

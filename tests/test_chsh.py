@@ -294,7 +294,8 @@ class TestOptimizeSettings:
 
         def poor_seed(w, norms2):
             seeded.append(w)
-            return float(chsh._row_values(w, int(np.argmin(norms2)), slice(None)).max())
+            rows = (np.arange(len(w))[:, None], np.argmin(norms2, axis=1)[:, None])
+            return chsh._row_values(w, rows, slice(None)).max(axis=1)
 
         monkeypatch.setattr(chsh, "_row_seed", poor_seed)
         for name, picks in self.PINNED_PICKS.items():
@@ -317,6 +318,25 @@ class TestOptimizeSettings:
                 b1, b0 = chsh._grid_bob_pair(kernels[name], PI / div)
                 assert np.array_equal(b1, vectors[i1]), (name, div, block_pairs)
                 assert np.array_equal(b0, vectors[i0]), (name, div, block_pairs)
+
+    @pytest.mark.parametrize("block_pairs", [1 << 15, 1 << 10, 1])
+    def test_stacked_picks_do_not_depend_on_the_block_size(self, monkeypatch, block_pairs):
+        """One scan over the pinned kernels and the zero kernel, whose every pair survives,
+        reversed and repeated in one stack, makes each kernel's pinned pick at every block
+        size, so whatever the flushes that split a kernel's survivors."""
+        kernels = self._pinned_kernels()
+        names = [*self.PINNED_PICKS, "zero"]
+        kernels["zero"] = np.zeros((3, 3))
+        order = names[::-1] + names
+        monkeypatch.setattr(chsh, "_BLOCK_PAIRS", block_pairs)
+        for div in (16, 32):
+            _, _, vectors = chsh._sphere_grid(PI / div)
+            picks = {name: pinned[div] for name, pinned in self.PINNED_PICKS.items()}
+            picks["zero"] = (0, 0)
+            pairs = chsh._grid_bob_pairs(np.stack([kernels[name] for name in order]), PI / div)
+            for name, (b1, b0) in zip(order, pairs):
+                assert np.array_equal(b1, vectors[picks[name][0]]), (name, div, block_pairs)
+                assert np.array_equal(b0, vectors[picks[name][1]]), (name, div, block_pairs)
 
     def test_grid_picks_do_not_depend_on_the_antipodal_halving(self, monkeypatch):
         """Scanning every direction instead of one of each antipodal pair makes the pinned
@@ -358,10 +378,10 @@ class TestOptimizeSettings:
         assert calls == []
 
     def test_scan_takes_no_svd(self, monkeypatch):
-        """A scan takes no SVD, and the pi/16 sweep comparison takes 12: one _s_max for
-        each of its 11 distinct tables (p = 0 shares unitary_only's) and one canonical pair
-        for the shared settings.  Seeded from K's SVD, the sweep took 23.  The scan still
-        makes the pinned picks."""
+        """A scan takes no SVD, and the pi/16 sweep comparison takes 2: one stacked _s_max
+        over its 11 distinct tables (p = 0 shares unitary_only's) and one canonical pair for
+        the shared settings.  With one _s_max per table it took 12, and seeded from K's SVD
+        23.  The scan still makes the pinned picks."""
         calls = []
         svd = np.linalg.svd
 
@@ -381,7 +401,7 @@ class TestOptimizeSettings:
         sweep = [CollapseHypothesis.stochastic(k / 10) for k in range(11)]
         results = hypothesis_comparison(proietti_scenario(), sweep, grid_step=PI / 16)
         assert all(result.grid_gap is not None for result in results)
-        assert len(calls) == 12
+        assert len(calls) == 2
 
     def test_grid_step_validation(self):
         with pytest.raises(ShapeError):
@@ -615,8 +635,22 @@ class TestHypothesisComparison:
                 proietti_scenario(), ["unitary_only"], shots=shots, rng=np.random.default_rng(0)
             )
 
+    @pytest.mark.parametrize("hypotheses", [[], ["unitary_only"]])
+    def test_grid_step_is_checked_before_any_held_term(self, hypotheses, monkeypatch):
+        """An out-of-range grid_step raises the scan's ShapeError before any table is built;
+        with no hypotheses it returned [] unchecked."""
+        monkeypatch.setattr(ProiettiScenario, "held_terms", None)
+        with pytest.raises(ShapeError, match="grid_step 5.0 outside"):
+            hypothesis_comparison(proietti_scenario(), hypotheses, grid_step=5.0)
+
+    def test_no_hypotheses_scan_nothing(self, monkeypatch):
+        """An empty hypothesis list never asks the scan for an empty stack."""
+        monkeypatch.setattr(chsh, "_grid_bob_pairs", None)
+        assert hypothesis_comparison(proietti_scenario(), [], grid_step=PI / 16) == []
+
     def test_each_state_is_searched_once(self, monkeypatch):
-        """One grid scan per distinct entry, of its mixed K: no density is mixed for it."""
+        """One grid scan per comparison, over the mixed K of each distinct entry its
+        hypotheses use: no density is mixed for it."""
         scenario = proietti_scenario()
         calls = []
 
@@ -627,7 +661,13 @@ class TestHypothesisComparison:
 
             return wrapper
 
-        monkeypatch.setattr(chsh, "_grid_bob_pair", counted("scan", chsh._grid_bob_pair))
+        scan = chsh._grid_bob_pairs
+
+        def counted_scan(kernels, grid_step):
+            calls.append(("scan", len(kernels)))
+            return scan(kernels, grid_step)
+
+        monkeypatch.setattr(chsh, "_grid_bob_pairs", counted_scan)
         monkeypatch.setattr(
             ProiettiScenario,
             "exact_state_under",
@@ -636,15 +676,15 @@ class TestHypothesisComparison:
         monkeypatch.setattr(
             DensityOperator, "mixture", classmethod(counted("mixture", DensityOperator.mixture))
         )
-        for hypotheses, grid_step, searches in (
-            (["unitary_only", "friend_dephasing"], None, 0),
-            (["unitary_only", "friend_dephasing"], PI / 16, 2),
-            (["friend_dephasing"], PI / 16, 1),
-            (["unitary_only", "stochastic_collapse(0)"], PI / 16, 1),
+        for hypotheses, grid_step, scans in (
+            (["unitary_only", "friend_dephasing"], None, []),
+            (["unitary_only", "friend_dephasing"], PI / 16, [("scan", 2)]),
+            (["friend_dephasing"], PI / 16, [("scan", 1)]),
+            (["unitary_only", "stochastic_collapse(0)"], PI / 16, [("scan", 1)]),
         ):
             calls.clear()
             hypothesis_comparison(scenario, hypotheses, grid_step=grid_step)
-            assert calls == ["scan"] * searches, (hypotheses, grid_step)
+            assert calls == scans, (hypotheses, grid_step)
         calls.clear()
         with pytest.raises(InvalidState):
             hypothesis_comparison(scenario, ["unitary_only"], shots=10, grid_step=PI / 16)
@@ -683,12 +723,12 @@ class TestHypothesisComparison:
     def test_grid_above_the_exact_maximum_is_an_invariant_violation(self, monkeypatch):
         """S is homogeneous in Bob's pick, so a pick scaled by 1 + 1e-6 reads S above s_max,
         in the comparison and in the singlet's report alike."""
-        pick = chsh._grid_bob_pair
+        pick = chsh._grid_bob_pairs
 
-        def inflated(kernel, grid_step):
-            return tuple(b * (1.0 + 1e-6) for b in pick(kernel, grid_step))
+        def inflated(kernels, grid_step):
+            return pick(kernels, grid_step) * (1.0 + 1e-6)
 
-        monkeypatch.setattr(chsh, "_grid_bob_pair", inflated)
+        monkeypatch.setattr(chsh, "_grid_bob_pairs", inflated)
         with pytest.raises(InvariantViolation, match="above the exact maximum"):
             hypothesis_comparison(
                 proietti_scenario(), ["friend_dephasing"], grid_step=PI / 16
@@ -743,7 +783,9 @@ class TestHypothesisComparison:
         for exact in (True, False):
             with pytest.raises(InvariantViolation, match="s_max"):
                 InequalityResult(2.0, correlators, exact=exact, s_max=TSIRELSON_BOUND + 2e-9)
-        monkeypatch.setattr(chsh, "_s_max", lambda kernel: TSIRELSON_BOUND + 2e-9)
+        monkeypatch.setattr(
+            chsh, "_s_max", lambda kernels: np.full(len(kernels), TSIRELSON_BOUND + 2e-9)
+        )
         with pytest.raises(InvariantViolation, match="s_max"):
             hypothesis_comparison(proietti_scenario(), ["friend_dephasing"])
 

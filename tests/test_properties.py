@@ -36,6 +36,7 @@ from wfsim.chsh import (
     MeasurementSettings,
     _correlation_kernel,
     _grid_bob_pair,
+    _grid_bob_pairs,
     _grid_gap,
     _row_seed,
     _s_max,
@@ -417,10 +418,31 @@ def test_scan_seed_is_a_pair_of_the_full_table(seed, kind):
     kernel = _grid_kernel(np.random.default_rng(seed), kind)
     for step in (math.pi / 8, math.pi / 16, 0.37):
         w = _scan_directions(step) @ kernel.T
-        value = _row_seed(w, np.einsum("ij,ij->i", w, w))
+        (value,) = _row_seed(w[None], np.einsum("ij,ij->i", w, w)[None])
         table = brute_grid_table(kernel, step)[1]
         assert np.min(np.abs(table - value)) <= 1e-14, (kind, step)
         assert value <= table.max() + 1e-14, (kind, step)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=SEEDS,
+    kinds=st.lists(st.sampled_from(GRID_KERNELS), min_size=1, max_size=4),
+    order=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+)
+@example(seed=0, kinds=["zero", "rank_one", "random"], order=[1, 0, 2, 0, 1, 2])
+def test_grid_picks_do_not_depend_on_the_stack(seed, kinds, order):
+    """Each kernel's pick from a stack of one to six, in any order and with repeats, is
+    bitwise the full table's pick for that kernel alone: a stack shares the scan's set-up and
+    survivor flushes, never a kernel's threshold, best or staircase."""
+    rng = np.random.default_rng(seed)
+    kernels = [_grid_kernel(rng, kind) for kind in kinds]
+    order = [i % len(kernels) for i in order]
+    for step in (math.pi / 8, math.pi / 16, 0.37):
+        expected = {i: brute_grid_pair(kernels[i], step) for i in set(order)}
+        picked = _grid_bob_pairs(np.stack([kernels[i] for i in order]), step)
+        for i, pair in zip(order, picked):
+            assert all(np.array_equal(a, b) for a, b in zip(pair, expected[i])), (kinds[i], step)
 
 
 @GRID_EXAMPLES

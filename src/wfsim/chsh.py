@@ -715,9 +715,10 @@ def hypothesis_comparison(
 ) -> list[InequalityResult]:
     """Evaluate each hypothesis against the unitary-model statistics.
 
-    ``scenario`` names its wings as ``alice_labels`` and ``bob_labels``,
-    and ``scenario.held_terms(hypothesis)`` gives a hypothesis's (weight,
-    held state) terms, a state held for several being one object.  The
+    ``scenario`` is a :class:`~wfsim.scenarios.HeldScenario`: it names its
+    wings as ``alice_labels`` and ``bob_labels``, and
+    ``scenario.held_terms(hypothesis)`` gives a hypothesis's (weight, held
+    state) terms, a state held for several being one object.  The
     unitary-only exact state stands in for "the data": settings default
     to its exact optimum, and every hypothesis is evaluated exactly at
     those shared settings.  A hypothesis is flagged inconsistent when its

@@ -340,7 +340,8 @@ class CollapseHypothesis:
     """Which story is told about the friend interactions.
 
     Each is a distribution over sets of dephased factors of the unitary state, and
-    :func:`exact_ensemble` is the one rule that turns it into the exact ensemble:
+    :func:`_ensemble_terms` is the one rule that turns it into the exact ensemble, the
+    weighted mixture of those dephasings (held by :class:`~wfsim.scenarios.HeldScenario`):
 
     * ``unitary_only``, {none: 1}: nothing but unitary evolution ever happens.
     * ``friend_projective``, {friends: 1}: each friend's outcome is physically
@@ -402,24 +403,12 @@ FRIEND_DEPHASING = CollapseHypothesis("friend_dephasing")
 SUBJECTIVE_COLLAPSE = CollapseHypothesis("subjective_collapse")
 
 
-def exact_ensemble(rho: DensityOperator, hypothesis: CollapseHypothesis | str,
-                   sites: Sequence[Sequence[str]], friends: Sequence[str]) -> DensityOperator:
-    """The hypothesis's distribution (see :class:`CollapseHypothesis`) applied to the unitary
-    density ``rho``: the weighted mixture of its dephasings.
-
-    ``sites`` are the collapse sites, one label tuple each; ``friends`` the friend labels.
-    Stochastic terms vary the first site fastest (none, A, B, AB for two sites) and multiply
-    weights in site order.  A one-term distribution returns its dephasing, or ``rho`` itself.
-    """
-    terms = _ensemble_terms(hypothesis, sites, friends)
-    return _mix([(w, dephase(rho, on) if on else rho) for w, on in terms])
-
-
-def _ensemble_terms(hypothesis: CollapseHypothesis | str, sites: Sequence[Sequence[str]],
+def _ensemble_terms(hypothesis: CollapseHypothesis, sites: Sequence[Sequence[str]],
                     friends: Sequence[str]) -> list[tuple[float, tuple[str, ...]]]:
-    """The hypothesis's distribution as (weight, dephased labels) terms, in the order of
-    :func:`exact_ensemble`; the labels of no dephasing are ()."""
-    hypothesis = CollapseHypothesis.parse(hypothesis)
+    """The hypothesis's distribution as (weight, dephased labels) terms; the labels of no
+    dephasing are ().  ``sites`` are the collapse sites, one label tuple each, and ``friends``
+    the friend labels.  Stochastic terms vary the first site fastest (none, A, B, AB for two
+    sites) and multiply weights in site order."""
     variant, p = hypothesis.variant, hypothesis.probability
     if variant == "stochastic_collapse":
         fired = [bits[::-1] for bits in itertools.product((False, True), repeat=len(sites))]

@@ -59,8 +59,9 @@ from .scenarios import (
     COUNTEREXAMPLE_ORDER,
     PROIETTI_ORDER,
     SINGLET_ORDER,
-    _SingletScenario,
+    HeldScenario,
     _binomial_frequency,
+    bell_singlet,
     counterexample_probability,
     expected_final_state,
     proietti_scenario,
@@ -306,8 +307,8 @@ def _run_pointer_basic(config: ScenarioConfig, rng: np.random.Generator) -> list
 
 
 def _run_bell_singlet(config: ScenarioConfig, rng: np.random.Generator) -> list[ReportRow]:
-    scenario = _SingletScenario()
-    psi = scenario.state
+    psi = bell_singlet()
+    scenario = HeldScenario(psi, SINGLET_ORDER[:1], SINGLET_ORDER[1:], variants=("unitary_only",))
     rho = psi.density()
     reduced_e1 = partial_trace(rho, ("e1",))
     reduced_e2 = partial_trace(rho, ("e2",))
@@ -334,7 +335,7 @@ def _run_bell_singlet(config: ScenarioConfig, rng: np.random.Generator) -> list[
 def _run_proietti(config: ScenarioConfig, rng: np.random.Generator) -> list[ReportRow]:
     scenario = proietti_scenario()
     final = scenario.final.state
-    rho_final = final.density()
+    ((_, rho_final),) = scenario.held_terms("unitary_only")  # the held final density
     reference = expected_final_state()
     deviation = float(np.max(np.abs(final.amplitudes - reference.amplitudes)))
     herald_a, herald_b = scenario.herald_probabilities

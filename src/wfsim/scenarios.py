@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -45,6 +45,7 @@ from .hilbert import (
     tensor,
 )
 from .measurement import (
+    _HYPOTHESIS_VARIANTS,
     SUBJECTIVE_COLLAPSE,
     UNITARY_ONLY,
     CollapseHypothesis,
@@ -54,7 +55,6 @@ from .measurement import (
     _mix,
     born_probabilities,
     dephase,
-    exact_ensemble,
     projective_collapse,
 )
 
@@ -232,24 +232,58 @@ def expected_final_state() -> PureState:
     )
 
 
-class ProiettiScenario:
+class HeldScenario:
+    """A unitary state and the hypotheses a scenario tells about it.
+
+    ``alice_labels`` and ``bob_labels`` name the wings an inequality search measures;
+    ``sites`` are the collapse sites, one label tuple each, and ``friends`` the friend
+    labels, from which :func:`~wfsim.measurement._ensemble_terms` turns a hypothesis into
+    its weighted dephasings.  ``variants`` are the hypothesis variants the scenario holds.
+    The unitary state is held as given, a density wherever there is a site to dephase.
+    """
+
+    def __init__(self, unitary: Union[PureState, DensityOperator], alice_labels: Sequence[str],
+                 bob_labels: Sequence[str], sites: Sequence[Sequence[str]] = (),
+                 friends: Sequence[str] = (), variants: Sequence[str] = _HYPOTHESIS_VARIANTS):
+        self.alice_labels, self.bob_labels = tuple(alice_labels), tuple(bob_labels)
+        self._sites, self._friends, self._variants = sites, friends, tuple(variants)
+        self._held = {(): unitary}  # dephased labels -> held state; () is the unitary state
+
+    def parsed(self, hypothesis: CollapseHypothesis | str) -> CollapseHypothesis:
+        """The parsed hypothesis; a variant the scenario does not hold raises ShapeError."""
+        hypothesis = CollapseHypothesis.parse(hypothesis)
+        if hypothesis.variant not in self._variants:
+            raise ShapeError(
+                f"this scenario holds {' and '.join(self._variants)} only, not {hypothesis.name}"
+            )
+        return hypothesis
+
+    def held_terms(self, hypothesis: CollapseHypothesis | str) -> list:
+        """A hypothesis's (weight, held state) terms, each dephasing built on first use and
+        then held, so every hypothesis that uses a state gets the same object."""
+        terms = _ensemble_terms(self.parsed(hypothesis), self._sites, self._friends)
+        held = self._held
+        for _, on in terms:
+            if on not in held:
+                held[on] = dephase(held[()], on)
+        return [(w, held[on]) for w, on in terms]
+
+
+class ProiettiScenario(HeldScenario):
     """Holds the full four-photon chain and its per-hypothesis endpoints.
 
     Alice's wing is the (a, alpha) pair and Bob's is (b, beta); inequality
     searches measure each wing jointly as a four-dimensional dichotomic
-    observable.
+    observable.  The wings are the collapse sites and (alpha, beta) the friends.
     """
-
-    alice_labels = ("a", "alpha")
-    bob_labels = ("b", "beta")
-    _sites = (alice_labels, bob_labels)
-    _friend_labels = ("alpha", "beta")
 
     def __init__(self) -> None:
         self.prepared = prepared_state()
         self.after_side_a = friend_interaction(self.prepared.state, "A")
         after_b = friend_interaction(self.after_side_a.state, "B")
         self.final = replace(after_b, stage="final")
+        wings = (("a", "alpha"), ("b", "beta"))
+        super().__init__(self.final.state.density(), *wings, sites=wings, friends=("alpha", "beta"))
 
     @property
     def herald_probabilities(self) -> tuple[float, float]:
@@ -264,23 +298,6 @@ class ProiettiScenario:
         """Probability that both heralds fire, raw printed convention."""
         a, b = self.herald_probabilities
         return a * b
-
-    @cached_property
-    def _held_densities(self) -> dict[tuple[str, ...], DensityOperator]:
-        """The unitary final density, keyed (), and each dephasing of it built so far, keyed
-        by its dephased labels; :meth:`held_terms` adds each on first use."""
-        return {(): self.final.state.density()}
-
-    def held_terms(self, hypothesis: CollapseHypothesis | str) -> list:
-        """A hypothesis's (weight, held density) terms: the rule of
-        :func:`~wfsim.measurement.exact_ensemble` with the wings (a, alpha) and (b, beta) as
-        collapse sites and (alpha, beta) as friends, each dephasing built once."""
-        terms = _ensemble_terms(hypothesis, self._sites, self._friend_labels)
-        held = self._held_densities
-        for _, on in terms:
-            if on not in held:
-                held[on] = dephase(held[()], on)
-        return [(w, held[on]) for w, on in terms]
 
     def exact_state_under(self, hypothesis: CollapseHypothesis | str) -> DensityOperator:
         """Exact pre-measurement density operator for a hypothesis: its held terms mixed."""
@@ -314,23 +331,19 @@ def counterexample_measurement() -> ProjectiveMeasurement:
     )
 
 
-def _counterexample_unitary(amplitudes: Sequence[complex]) -> PureState:
-    """The unitary state c_up |u u 0> + c_down |d d 0> on (A, B, C)."""
+def _counterexample(amplitudes: Sequence[complex], density: bool) -> HeldScenario:
+    """The counterexample's holder of c_up |u u 0> + c_down |d d 0> on (A, B, C), as a
+    density or not: the agents A | B, collapse site A, no friend.  ``amplitudes`` must
+    be two entries of squared norm 1, checked before any state is built."""
+    if len(amplitudes) != 2:
+        raise ShapeError(f"give two branch amplitudes (c_up, c_down), got {len(amplitudes)}")
     c_up, c_down = complex(amplitudes[0]), complex(amplitudes[1])
     total = abs(c_up) ** 2 + abs(c_down) ** 2
     if abs(total - 1.0) > 1e-10:
         raise InvalidState(f"branch amplitudes have squared norm {total!r}, not 1")
-    return PureState.from_mapping(_COUNTEREXAMPLE_SPACE, {"uu0": c_up, "dd0": c_down})
-
-
-def _counterexample_hypothesis(hypothesis: CollapseHypothesis | str) -> CollapseHypothesis:
-    hypothesis = CollapseHypothesis.parse(hypothesis)
-    if hypothesis.variant not in COUNTEREXAMPLE_HYPOTHESES:
-        raise ShapeError(
-            f"the counterexample protocol compares "
-            f"{' with '.join(COUNTEREXAMPLE_HYPOTHESES)}, not {hypothesis.name}"
-        )
-    return hypothesis
+    unitary = PureState.from_mapping(_COUNTEREXAMPLE_SPACE, {"uu0": c_up, "dd0": c_down})
+    return HeldScenario(unitary.density() if density else unitary, ("A",), ("B",),
+                        sites=(("A",),), variants=COUNTEREXAMPLE_HYPOTHESES)
 
 
 def counterexample_state_under(
@@ -346,10 +359,11 @@ def counterexample_state_under(
     Born distribution by ``measurement._draw``, the one draw every collapse
     uses.  The equal-amplitude case is the one the shipped protocol
     specifies; other amplitudes are supported but exercise the same
-    machinery without an external reference.
+    machinery without an external reference.  No density is built.
     """
-    hypothesis = _counterexample_hypothesis(hypothesis)
-    unitary = _counterexample_unitary(amplitudes)
+    scenario = _counterexample(amplitudes, density=False)
+    hypothesis = scenario.parsed(hypothesis)
+    ((_, unitary),) = scenario.held_terms(UNITARY_ONLY)
     if hypothesis.variant == "unitary_only":
         return ScenarioState(stage="final", state=unitary, hypothesis=hypothesis)
     _check_generator(rng, "subjective_collapse sampling")
@@ -358,22 +372,15 @@ def counterexample_state_under(
     return ScenarioState(stage="collapsed", state=state, hypothesis=hypothesis, branch=branch)
 
 
-def counterexample_density(
-    hypothesis: CollapseHypothesis | str,
-    amplitudes: Sequence[complex] = (1 / _SQRT2, 1 / _SQRT2),
-) -> DensityOperator:
-    """Exact ensemble density operator for either hypothesis: A is the collapse site."""
-    hypothesis = _counterexample_hypothesis(hypothesis)
-    return exact_ensemble(_counterexample_unitary(amplitudes).density(), hypothesis, (("A",),), ())
-
-
 def counterexample_probability(
     hypothesis: CollapseHypothesis | str,
     amplitudes: Sequence[complex] = (1 / _SQRT2, 1 / _SQRT2),
 ) -> float:
-    """Exact P(photon received by F) under a hypothesis."""
-    rho = counterexample_density(hypothesis, amplitudes)
-    return float(born_probabilities(rho, counterexample_measurement())[0])
+    """Exact P(photon received by F) under a hypothesis: the sum over its held terms of
+    weight times the Born probability of the photon outcome."""
+    meas = counterexample_measurement()
+    terms = _counterexample(amplitudes, density=True).held_terms(hypothesis)
+    return float(sum(w * born_probabilities(rho, meas)[0] for w, rho in terms))
 
 
 def counterexample_run(
@@ -420,19 +427,3 @@ def bell_singlet() -> PureState:
     """
     space = CompositeSpace.qubits(*SINGLET_ORDER)
     return PureState.from_mapping(space, {"ud": 1 / _SQRT2, "du": -1 / _SQRT2})
-
-
-class _SingletScenario:
-    """The singlet as a one-term scenario of :func:`~wfsim.chsh.hypothesis_comparison`:
-    the wings e1 | e2 and one :func:`bell_singlet` state, held under unitary_only only."""
-
-    alice_labels, bob_labels = SINGLET_ORDER[:1], SINGLET_ORDER[1:]
-
-    def __init__(self) -> None:
-        self.state = bell_singlet()
-
-    def held_terms(self, hypothesis: CollapseHypothesis | str) -> list:
-        hypothesis = CollapseHypothesis.parse(hypothesis)
-        if hypothesis != UNITARY_ONLY:
-            raise ShapeError(f"the singlet holds unitary_only only, not {hypothesis.name}")
-        return [(1.0, self.state)]

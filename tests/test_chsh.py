@@ -35,7 +35,7 @@ from wfsim import (
     ScenarioConfig,
     source_state,
 )
-from wfsim.scenarios import ProiettiScenario, _SingletScenario
+from wfsim.scenarios import ProiettiScenario
 
 from wfsim.measurement import _HYPOTHESIS_VARIANTS
 
@@ -840,9 +840,19 @@ class TestOnePath:
         assert calls.count("hypothesis_comparison") == 1
         assert calls.count("_wing_moments") == 3
 
-    def test_singlet_scenario_holds_unitary_only(self):
-        scenario = _SingletScenario()
-        assert scenario.held_terms("unitary_only") == [(1.0, scenario.state)]
+    def test_singlet_scenario_holds_unitary_only(self, monkeypatch):
+        """The singlet report compares a holder of the pure singlet under unitary_only only."""
+        held = []
+        compare = report.hypothesis_comparison
+        monkeypatch.setattr(report, "hypothesis_comparison",
+                            lambda scenario, *args, **kwargs:
+                            held.append(scenario) or compare(scenario, *args, **kwargs))
+        run(ScenarioConfig(scenario="bell_singlet"))
+        (scenario,) = held
+        ((weight, psi),) = scenario.held_terms("unitary_only")
+        assert weight == 1.0 and isinstance(psi, PureState)
+        assert psi.amplitudes.tobytes() == bell_singlet().amplitudes.tobytes()
+        assert (scenario.alice_labels, scenario.bob_labels) == (("e1",), ("e2",))
         for hypothesis in ("friend_dephasing", "stochastic_collapse(0)"):
             with pytest.raises(ShapeError, match="unitary_only only"):
                 hypothesis_comparison(scenario, [hypothesis])

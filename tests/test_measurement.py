@@ -31,7 +31,8 @@ from wfsim import (
     purity,
 )
 
-from wfsim.measurement import _clipped_distribution, _draw, exact_ensemble
+from wfsim.measurement import _clipped_distribution, _draw
+from wfsim.scenarios import HeldScenario
 
 from _oracles import random_density, random_pure
 
@@ -532,27 +533,31 @@ class TestProjectiveCollapse:
 
 
 class TestExactEnsemble:
-    """Every hypothesis: a distribution over dephased factor sets of the unitary density."""
+    """Every hypothesis: a distribution over dephased factor sets of the unitary density,
+    held by a HeldScenario with three collapse sites and friend w."""
 
     SITES = (("x",), ("y", "w"), ("z",))
 
-    def _rho(self):
+    def _held(self):
         rng = np.random.default_rng(16)
         space = CompositeSpace.qubits("x", "y", "w", "z")
-        return PureState(space, random_pure(rng, 16)).density()
+        rho = PureState(space, random_pure(rng, 16)).density()
+        return rho, HeldScenario(rho, ("x",), ("z",), sites=self.SITES, friends=("w",))
 
     def test_one_term_distributions_build_no_mixture(self):
-        rho = self._rho()
-        assert exact_ensemble(rho, UNITARY_ONLY, self.SITES, ("w",)) is rho
+        rho, scenario = self._held()
+        ((weight, held),) = scenario.held_terms(UNITARY_ONLY)
+        assert weight == 1.0 and held is rho
         for variant, on in (("friend_dephasing", ("w",)), ("friend_projective", ("w",)),
                             ("subjective_collapse", ("x", "y", "w", "z"))):
-            got = exact_ensemble(rho, variant, self.SITES, ("w",))
+            ((weight, got),) = scenario.held_terms(variant)
+            assert weight == 1.0
             assert np.array_equal(got.matrix, dephase(rho, on).matrix)
 
     def test_stochastic_terms_vary_the_first_site_fastest(self):
         """Three sites: eight terms none, x, yw, x+yw, z, x+z, yw+z, all; each weight is
         the product over sites, in site order, of p where the site fired and 1 - p not."""
-        rho, p = self._rho(), 0.3
+        (rho, scenario), p = self._held(), 0.3
         terms = []
         for fired in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0),
                       (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)):
@@ -561,8 +566,10 @@ class TestExactEnsemble:
             for f in fired:
                 weight *= p if f else 1 - p
             terms.append((weight, dephase(rho, on) if on else rho))
-        got = exact_ensemble(rho, CollapseHypothesis.stochastic(p), self.SITES, ("w",))
-        assert np.array_equal(got.matrix, DensityOperator.mixture(terms).matrix)
+        got = scenario.held_terms(CollapseHypothesis.stochastic(p))
+        assert [w for w, _ in got] == [w for w, _ in terms]
+        assert np.array_equal(DensityOperator.mixture(got).matrix,
+                              DensityOperator.mixture(terms).matrix)
 
 
 class TestCollapseHypothesis:

@@ -303,9 +303,9 @@ class TestRunCounterexample:
         """With shots, each hypothesis's exact photon probability is evaluated once,
         for both the exact value and the binomial draw."""
         evaluated = []
-        density = scenarios.counterexample_density
-        monkeypatch.setattr(scenarios, "counterexample_density",
-                            lambda *args: evaluated.append(args[0]) or density(*args))
+        held_terms = scenarios.HeldScenario.held_terms
+        monkeypatch.setattr(scenarios.HeldScenario, "held_terms",
+                            lambda self, h: evaluated.append(h) or held_terms(self, h))
         config = ScenarioConfig(scenario="counterexample", shots=1000, seed=8)
         run(config)
         assert [h.name for h in evaluated] == list(config.hypotheses)

@@ -59,7 +59,7 @@ from wfsim import (
 )
 from wfsim.chsh import _basis_triple, _wing_moments
 from wfsim.measurement import CollapseHypothesis
-from wfsim.scenarios import counterexample_density
+from wfsim.scenarios import SINGLET_ORDER, HeldScenario, ProiettiScenario, _counterexample
 
 from _oracles import random_pure
 
@@ -541,7 +541,8 @@ class TestCounterexample:
             assert ours.bit_generator.state == twin.bit_generator.state, seed
 
     def test_other_hypotheses_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^this scenario holds unitary_only and "
+                                             "subjective_collapse only, not friend_dephasing$"):
             counterexample_state_under(FRIEND_DEPHASING)
 
     def test_measurement_is_complete_binary(self):
@@ -580,8 +581,19 @@ class TestCounterexample:
     @pytest.mark.parametrize("amps", [(1 / math.sqrt(2),) * 2, (math.sqrt(0.8), math.sqrt(0.2))])
     def test_collapse_density_is_the_dephased_unitary_state(self, amps):
         unitary = counterexample_state_under(UNITARY_ONLY, amplitudes=amps).state.density()
-        rho = counterexample_density(SUBJECTIVE_COLLAPSE, amplitudes=amps)
+        ((weight, rho),) = _counterexample(amps, density=True).held_terms(SUBJECTIVE_COLLAPSE)
+        assert weight == 1.0
         assert np.array_equal(rho.matrix, dephase(unitary, ("A",)).matrix)
+
+    @pytest.mark.parametrize("amps", [(1, 0, 5), (1,), ()])
+    def test_amplitudes_other_than_two_are_rejected(self, amps):
+        """Only amplitudes[0] and [1] were read: (1, 0, 5) dropped the 5 and gave
+        P = 0.5 under unitary_only, and (1,) raised a bare IndexError."""
+        for hypothesis in ("unitary_only", "subjective_collapse"):
+            with pytest.raises(ShapeError, match=f"two branch amplitudes .*got {len(amps)}$"):
+                counterexample_probability(hypothesis, amplitudes=amps)
+            with pytest.raises(ShapeError, match=f"two branch amplitudes .*got {len(amps)}$"):
+                counterexample_state_under(hypothesis, np.random.default_rng(0), amps)
 
     @pytest.mark.parametrize("runs", [0, -1, 2**63, 1.5, True])
     def test_frequencies_reject_runs_outside_the_int64_range(self, runs):
@@ -592,12 +604,15 @@ class TestCounterexample:
     def test_unequal_amplitudes(self):
         """Hand-derived: under collapse P = w |<phi+|uu>|^2 + (1-w) |<phi+|dd>|^2
         = 1/2 for any branch weight w, while the unitary interference term
-        gives |c_up + c_down|^2 / 2 = 0.9 for weights (0.8, 0.2)."""
-        amps = (math.sqrt(0.8), math.sqrt(0.2))
-        p_col = counterexample_probability(SUBJECTIVE_COLLAPSE, amplitudes=amps)
-        assert p_col == pytest.approx(0.5, abs=1e-12)
-        p_uni = counterexample_probability(UNITARY_ONLY, amplitudes=amps)
-        assert p_uni == pytest.approx(0.9, abs=1e-12)
+        gives |c_up + c_down|^2 / 2 = 0.9 for weights (0.8, 0.2); complex phases
+        enter the unitary term only."""
+        for amps in ((math.sqrt(0.8), math.sqrt(0.2)),
+                     (math.sqrt(0.8), math.sqrt(0.2) * np.exp(1j * math.pi / 3)),
+                     (math.sqrt(0.3) * np.exp(0.4j), -math.sqrt(0.7) * np.exp(-1.1j))):
+            p_col = counterexample_probability(SUBJECTIVE_COLLAPSE, amplitudes=amps)
+            assert p_col == pytest.approx(0.5, abs=1e-12)
+            p_uni = counterexample_probability(UNITARY_ONLY, amplitudes=amps)
+            assert p_uni == pytest.approx(abs(amps[0] + amps[1]) ** 2 / 2, abs=1e-12)
 
     @pytest.mark.parametrize("hypothesis", ["unitary_only", "subjective_collapse"])
     @pytest.mark.parametrize("amps", [(1 / math.sqrt(2),) * 2, (math.sqrt(0.8), math.sqrt(0.2))])
@@ -614,6 +629,57 @@ class TestCounterexample:
         expected = reference.binomial(runs, p) / runs
         assert counterexample_frequencies(hypothesis, runs, drawn, amplitudes=amps) == expected
         np.testing.assert_equal(drawn.bit_generator.state, reference.bit_generator.state)
+
+
+class TestHeldScenario:
+    """One holder of the ensemble rule for every scenario that mixes dephasings."""
+
+    @staticmethod
+    def _instances():
+        singlet = HeldScenario(bell_singlet(), SINGLET_ORDER[:1], SINGLET_ORDER[1:],
+                               variants=("unitary_only",))
+        every = [UNITARY_ONLY, FRIEND_PROJECTIVE, FRIEND_DEPHASING, SUBJECTIVE_COLLAPSE,
+                 CollapseHypothesis.stochastic(0.3)]
+        return [
+            (ProiettiScenario(), every, 4),
+            (singlet, [UNITARY_ONLY], 0),
+            (_counterexample((1 / math.sqrt(2),) * 2, density=True),
+             [UNITARY_ONLY, SUBJECTIVE_COLLAPSE], 1),
+        ]
+
+    def test_each_dephasing_is_built_once_per_instance(self, monkeypatch):
+        """Every allowed hypothesis asked twice: one dephase call per distinct dephased set
+        (4 for the four-photon scenario, 0 for the singlet, 1 for the counterexample),
+        the same held object on each ask, and one held unitary state throughout."""
+        calls = []
+        monkeypatch.setattr(wfsim.scenarios, "dephase",
+                            lambda rho, on: calls.append(on) or dephase(rho, on))
+        for scenario, hypotheses, distinct in self._instances():
+            calls.clear()
+            ((_, unitary),) = scenario.held_terms(UNITARY_ONLY)
+            first = [[id(rho) for _, rho in scenario.held_terms(h)] for h in hypotheses]
+            second = [[id(rho) for _, rho in scenario.held_terms(h)] for h in hypotheses]
+            assert len(calls) == len(set(calls)) == distinct
+            assert first == second
+            assert scenario.held_terms(UNITARY_ONLY)[0][1] is unitary
+            for h, ids in zip(hypotheses, first):
+                if h.variant in ("unitary_only", "stochastic_collapse"):
+                    assert ids[0] == id(unitary)  # the term with no site fired
+
+    def test_counterexample_checks_build_no_density(self, monkeypatch):
+        """Checking a hypothesis per state or per run builds no density; only
+        counterexample_probability holds one."""
+        built = []
+        validate_density = DensityOperator.__post_init__
+        monkeypatch.setattr(DensityOperator, "__post_init__",
+                            lambda self: built.append(self) or validate_density(self))
+        rng = np.random.default_rng(4)
+        for hypothesis in (UNITARY_ONLY, SUBJECTIVE_COLLAPSE):
+            counterexample_state_under(hypothesis, rng)
+            counterexample_run(hypothesis, rng)
+        with pytest.raises(ShapeError, match="holds unitary_only and subjective_collapse only"):
+            counterexample_run(FRIEND_DEPHASING, rng)  # the variant rule builds no density
+        assert built == []
 
 
 class TestBellSinglet:

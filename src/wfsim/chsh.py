@@ -25,13 +25,14 @@ Moment table
 Every inequality number comes from a table M[m, n] = Tr(rho A_m (x) B_n)
 over stacks of Alice's and Bob's operators (``_wing_moments``).  Over each
 wing's (I, obs0, obs1) row 0 and column 0 are the marginals and the rest
-the correlators; over the basis triples M is K.  Tables are linear in rho,
-so ``hypothesis_comparison`` takes K and the settings' M once per held
-dephasing and mixes those with a hypothesis's weights, in term order
-(``_mixed``); it never mixes densities for them.  Its ``s_max`` values are
-the closed form below of the mixed Ks, all from one stacked SVD, and its
-grid cross-check scans those Ks in one pass (``_grid_gaps``).  An entry
-beyond 1 + 1e-10 in magnitude, held or mixed, raises InvariantViolation.
+the correlators; over the basis triples M is K.  Tables are linear in rho, so
+``hypothesis_comparison`` takes every held dephasing's K in one stacked
+``_wing_moments`` and every settings' M in another, and mixes them with each
+hypothesis's weights, in term order, as array operations; it never mixes
+densities for them.  Its ``s_max`` values are the closed form below of the
+mixed Ks, all from one stacked SVD, and its grid cross-check scans those Ks
+in one pass (``_grid_gaps``).  An entry beyond 1 + 1e-10 in magnitude, held
+or mixed, raises InvariantViolation.
 
 Settings search
 ---------------
@@ -209,8 +210,9 @@ class InequalityResult:
     is ``s_max`` minus S at the grid search's pick when a grid cross-check
     ran.  ``consistent_with_data`` is set by hypothesis comparisons:
     whether this hypothesis reproduces the unitary-model statistics that
-    stand in for the observed data.  An exact |S| or an ``s_max`` beyond
-    the quantum ceiling (plus TSIRELSON_TOL) raises InvariantViolation.
+    stand in for the observed data.  An exact |S| (``s_value`` of an exact
+    result, ``exact_s`` of a sampled one) or an ``s_max`` beyond the
+    quantum ceiling (plus TSIRELSON_TOL) raises InvariantViolation.
     """
 
     s_value: float
@@ -226,7 +228,8 @@ class InequalityResult:
     consistent_with_data: bool | None = None
 
     def __post_init__(self) -> None:
-        bounded = {"exact |S|": abs(self.s_value) if self.exact else None, "s_max": self.s_max}
+        exact_s = self.s_value if self.exact else self.exact_s
+        bounded = {"exact |S|": None if exact_s is None else abs(exact_s), "s_max": self.s_max}
         for name, value in bounded.items():
             if value is not None and not value <= TSIRELSON_BOUND + TSIRELSON_TOL:
                 raise InvariantViolation(f"{name} = {value!r} exceeds the quantum ceiling "
@@ -240,17 +243,19 @@ _SETTING_ORDER = ((1, 1), (1, 0), (0, 1), (0, 0))
 
 
 def _wing_moments(
-    state: State,
+    states: Sequence[State],
     alice_space: CompositeSpace,
     bob_space: CompositeSpace,
     alice_ops: np.ndarray,
     bob_ops: np.ndarray,
 ) -> np.ndarray:
-    """M[m, n] = Tr(rho A_m (x) B_n) for stacks of wing operators; see module docstring.
+    """M[h, m, n] = Tr(rho_h A_m (x) B_n) for a sequence of states and stacks of wing
+    operators; see module docstring.
 
-    rho, reduced to the wings' factors and reordered to (Alice, Bob), is
-    read as r[i, j, k, l] = <i j| rho |k l>, and
-    M[m, n] = sum r[i, j, k, l] A_m[k, i] B_n[l, j].
+    Each rho_h, reduced to the wings' factors and reordered to (Alice, Bob),
+    is read as r[h, i, j, k, l] = <i j| rho_h |k l>, and
+    M[h, m, n] = sum r[h, i, j, k, l] A_m[k, i] B_n[l, j], one einsum for
+    the stack whose tables are bitwise each state's alone.
     """
     overlap = set(alice_space.labels) & set(bob_space.labels)
     if overlap:
@@ -258,9 +263,11 @@ def _wing_moments(
     d_a, d_b = alice_space.dim, bob_space.dim
     if (alice_ops.shape[-1], bob_ops.shape[-1]) != (d_a, d_b):
         raise ShapeError(f"operator stacks do not fit wings of dimensions ({d_a}, {d_b})")
-    r = _reduced_matrix(state, alice_space.factors + bob_space.factors).reshape(d_a, d_b, d_a, d_b)
+    factors = alice_space.factors + bob_space.factors
+    r = np.stack([_reduced_matrix(state, factors) for state in states])
     # Contiguous: K @ v on a strided view of the same numbers can round differently.
-    moments = np.einsum("ijkl,mki,nlj->mn", r, alice_ops, bob_ops).real
+    moments = np.einsum("hijkl,mki,nlj->hmn", r.reshape(-1, d_a, d_b, d_a, d_b),
+                        alice_ops, bob_ops).real
     return _checked(np.ascontiguousarray(moments))
 
 
@@ -270,21 +277,16 @@ def _checked(moments: np.ndarray) -> np.ndarray:
     return moments
 
 
-def _mixed(terms: Sequence[tuple[float, np.ndarray]]) -> np.ndarray:
-    """The sum of w T over (weight, table) terms, added in their order and guarded like a table."""
-    return _checked(sum((w * table for w, table in terms[1:]), terms[0][0] * terms[0][1]))
-
-
-def _settings_moments(state: State, settings: MeasurementSettings) -> np.ndarray:
-    """The settings' table: ``_wing_moments`` over (I, obs0, obs1) on each wing."""
+def _settings_moments(states: Sequence[State], settings: MeasurementSettings) -> np.ndarray:
+    """Each state's settings table: ``_wing_moments`` over (I, obs0, obs1) on its wings."""
     wings = (settings.alice, settings.bob)
     stacks = [np.stack([np.eye(obs0.space.dim), obs0.matrix, obs1.matrix]) for obs0, obs1 in wings]
-    return _wing_moments(state, settings.alice[0].space, settings.bob[0].space, *stacks)
+    return _wing_moments(states, settings.alice[0].space, settings.bob[0].space, *stacks)
 
 
 def correlator(state: State, a: DichotomicObservable, b: DichotomicObservable) -> float:
     """E = <A tensor B> for observables on disjoint factors of the state."""
-    return float(_wing_moments(state, a.space, b.space, a.matrix[None], b.matrix[None])[0, 0])
+    return float(_wing_moments([state], a.space, b.space, a.matrix[None], b.matrix[None])[0, 0, 0])
 
 
 def chsh_value(
@@ -293,14 +295,14 @@ def chsh_value(
     hypothesis: CollapseHypothesis | None = None,
 ) -> InequalityResult:
     """Exact S for the given settings, with the quantum ceiling enforced."""
-    return _table_result(_settings_moments(state, settings), hypothesis)
+    s_value, correlators = _table_values(_settings_moments([state], settings)[0])
+    return InequalityResult(float(s_value), tuple(correlators.tolist()), hypothesis=hypothesis)
 
 
-def _table_result(m: np.ndarray, hypothesis: CollapseHypothesis | None = None) -> InequalityResult:
-    """S and the correlators read off a settings' table (see ``_settings_moments``)."""
-    correlators = tuple(float(m[i + 1, j + 1]) for i, j in _SETTING_ORDER)
-    e11, e10, e01, e00 = correlators
-    return InequalityResult(e11 + e10 + e01 - e00, correlators, hypothesis=hypothesis)
+def _table_values(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S and the correlators, in S order, read off a settings' table or a stack of them."""
+    e11, e10, e01, e00 = (m[..., i + 1, j + 1] for i, j in _SETTING_ORDER)
+    return e11 + e10 + e01 - e00, np.stack([e11, e10, e01, e00], axis=-1)
 
 
 def local_deterministic_bound() -> float:
@@ -318,7 +320,7 @@ def _correlation_kernel(
 ) -> np.ndarray:
     """K[m, n] = E(basis_m on Alice, basis_n on Bob); E(a,b) = a.K b."""
     a3, b3 = (_basis_triple(wing.nfactors) for wing in (alice_space, bob_space))
-    return _wing_moments(state, alice_space, bob_space, a3, b3)
+    return _wing_moments([state], alice_space, bob_space, a3, b3)[0]
 
 
 def _grid_shape(step: float) -> tuple[int, int]:
@@ -380,12 +382,12 @@ def _scan_directions(step: float) -> np.ndarray:
 
 
 def _row_values(w: np.ndarray, firsts, seconds) -> np.ndarray:
-    """S = |w_i + w_j| + |w_i - w_j| for rows w_i = K b_i: ``_grid_gap``'s formula, each norm
-    the sqrt of ``np.add.reduce`` over squares, bitwise what ``np.linalg.norm`` takes."""
+    """S = |w_i + w_j| + |w_i - w_j| for rows w_i = K b_i: ``_grid_gaps``' formula, each
+    norm the sqrt of three squares added in order, bitwise ``np.add.reduce``, not norm's."""
     a, b = w[firsts], w[seconds]
-    plus, minus = a + b, a - b
-    return np.sqrt(np.add.reduce(plus * plus, axis=-1)) + np.sqrt(
-        np.add.reduce(minus * minus, axis=-1))
+    plus, minus = (a + b) ** 2, (a - b) ** 2
+    return (np.sqrt(plus[..., 0] + plus[..., 1] + plus[..., 2])
+            + np.sqrt(minus[..., 0] + minus[..., 1] + minus[..., 2]))
 
 
 def _row_seed(w: np.ndarray, norms2: np.ndarray) -> np.ndarray:
@@ -632,21 +634,21 @@ def optimize_settings(
 
 
 def _grid_gaps(kernels: np.ndarray, s_max: Sequence[float], grid_step: float) -> list[float]:
-    """Each K's ``s_max`` minus |K(b1 + b0)| + |K(b1 - b0)| at its ``_grid_bob_pairs`` pick.
-    No grid point can beat the supremum, so a gap below -1e-9 raises InvariantViolation."""
+    """Each K's ``s_max`` minus |K(b1 + b0)| + |K(b1 - b0)| at its ``_grid_bob_pairs`` pick,
+    for the stack at once: a stacked matmul is a gemv per K v and a dot per |w|^2, bitwise
+    ``np.linalg.norm(kernel @ v)``.  No grid point can beat the supremum, so a gap below
+    -1e-9 raises InvariantViolation."""
+    b1, b0 = _grid_bob_pairs(kernels, grid_step).transpose(1, 0, 2)
+    w = np.matmul(kernels[:, None], np.stack([b1 + b0, b1 - b0], axis=1)[..., None])
+    norms = np.sqrt(np.matmul(w.transpose(0, 1, 3, 2), w))[..., 0, 0]
+    grid_values = (norms[:, 0] + norms[:, 1]).tolist()
     gaps = []
-    for kernel, top, (b1, b0) in zip(kernels, s_max, _grid_bob_pairs(kernels, grid_step)):
-        grid_value = float(np.linalg.norm(kernel @ (b1 + b0)) + np.linalg.norm(kernel @ (b1 - b0)))
-        gaps.append(top - grid_value)
+    for top, value in zip(s_max, grid_values):
+        gaps.append(top - value)
         if gaps[-1] < -1e-9:
             raise InvariantViolation(f"grid search at step {grid_step!r} found S = "
-                                     f"{grid_value!r}, above the exact maximum {top!r}")
+                                     f"{value!r}, above the exact maximum {top!r}")
     return gaps
-
-
-def _grid_gap(kernel: np.ndarray, s_max: float, grid_step: float) -> float:
-    """One kernel's ``_grid_gaps``."""
-    return _grid_gaps(kernel[None], [s_max], grid_step)[0]
 
 
 # Outcome signs (s_a, s_b) in the order ++, +-, -+, --.
@@ -676,7 +678,7 @@ def sample_inequality(
     """
     _check_count("shots", shots, 1)
     _check_generator(rng, "sample_inequality")
-    return _sample_table(_settings_moments(state, settings), shots, rng, hypothesis)
+    return _sample_table(_settings_moments([state], settings)[0], shots, rng, hypothesis)
 
 
 def _sample_table(
@@ -741,52 +743,45 @@ def hypothesis_comparison(
     if shots > 0:
         _check_generator(rng, "sampling a comparison")
     parsed = [CollapseHypothesis.parse(h) for h in hypotheses]
-    labels = (tuple(scenario.alice_labels), tuple(scenario.bob_labels))
-    ((_, rho_unitary),) = scenario.held_terms(UNITARY_ONLY)
-    spaces = tuple(rho_unitary.space.subspace(wing) for wing in labels)
-    kernel = _correlation_kernel(rho_unitary, *spaces)
+    terms = {hyp: scenario.held_terms(hyp) for hyp in (UNITARY_ONLY, *parsed)}
+    ((_, rho_unitary),) = terms[UNITARY_ONLY]
+    held = list({id(rho): rho for mix in terms.values() for _, rho in mix}.values())
+    slot = {id(rho): i for i, rho in enumerate(held)}  # first-use order, unitary_only's first
+    spaces = tuple(rho_unitary.space.subspace(wing)
+                   for wing in (scenario.alice_labels, scenario.bob_labels))
+    kernels = _wing_moments(held, *spaces, *(_basis_triple(wing.nfactors) for wing in spaces))
     if settings is None:
-        settings = _built_settings(spaces, _settings_angles(kernel), "exact")
-    # id of a held state -> its (K, M), both 3 x 3
-    tables = {id(rho_unitary): np.stack([kernel, _settings_moments(rho_unitary, settings)])}
-    entries: list[np.ndarray] = []  # distinct mixed (K, M)
-    which: dict[CollapseHypothesis, int] = {}  # hypothesis -> index into entries
-    # (K, M) bytes -> index into entries; adding 0.0 turns -0.0 into 0.0, so tables
-    # that compare equal entry by entry share a key
-    index_of: dict[bytes, int] = {}
-    for hyp in (UNITARY_ONLY, *parsed):
-        terms = scenario.held_terms(hyp)
-        for _, rho in terms:
-            if id(rho) not in tables:
-                kernel = _correlation_kernel(rho, *spaces)
-                tables[id(rho)] = np.stack([kernel, _settings_moments(rho, settings)])
-        mixed = _mixed([(w, tables[id(rho)]) for w, rho in terms])
-        which[hyp] = index_of.setdefault((mixed + 0.0).tobytes(), len(entries))
-        if which[hyp] == len(entries):
-            entries.append(mixed)
-
-    kernels = np.stack([table[0] for table in entries])
-    s_max = _s_max(kernels).tolist()
+        settings = _built_settings(spaces, _settings_angles(kernels[0]), "exact")
+    tables = np.stack([kernels, _settings_moments(held, settings)], axis=1)  # (K, M) per state
+    mixes = list(terms.values())
+    mixed = np.empty((len(mixes), *tables.shape[1:]))  # each hypothesis's sum of w (K, M)
+    for k in range(max(map(len, mixes))):  # every mix's k-th term, added in term order
+        rows = [r for r, mix in enumerate(mixes) if len(mix) > k]
+        weights = np.array([mixes[r][k][0] for r in rows])[:, None, None, None]
+        products = weights * tables[[slot[id(mixes[r][k][1])] for r in rows]]
+        mixed[rows] = mixed[rows] + products if k else products
+    _checked(mixed)
+    # hypothesis -> its first row of equal (K, M) bytes; adding 0.0 turns -0.0 into 0.0, so
+    # tables that compare equal entry by entry share a row
+    first: dict[bytes, int] = {}
+    which = {hyp: first.setdefault(table.tobytes(), r)
+             for r, (hyp, table) in enumerate(zip(terms, mixed + 0.0))}
+    entries = list(first.values())  # distinct tables, unitary_only's first
+    s_max = dict(zip(entries, _s_max(mixed[entries, 0]).tolist()))
     used = list(dict.fromkeys(which[hyp] for hyp in parsed))  # entries the hypotheses use
     grid_gap: dict[int, float] = {}
     if grid_step is not None and used:
-        grid_gap = dict(zip(used, _grid_gaps(kernels[used], [s_max[i] for i in used], grid_step)))
-    s_data = _table_result(entries[0][1]).s_value
+        grid_gap = dict(zip(used, _grid_gaps(mixed[used, 0], [s_max[r] for r in used], grid_step)))
+    s_values, correlators = (values.tolist() for values in _table_values(mixed[:, 1]))
     streams = rng.spawn(len(parsed)) if shots > 0 else None
     results: list[InequalityResult] = []
     for k, hyp in enumerate(parsed):
-        index = which[hyp]
-        moments = entries[index][1]
-        exact = _table_result(moments, hyp)
-        evaluated = _sample_table(moments, shots, streams[k], hyp) if shots > 0 else exact
+        r = which[hyp]
+        companions = dict(s_max=s_max[r], grid_gap=grid_gap.get(r), exact_s=s_values[r],
+                          exact_correlators=tuple(correlators[r]),
+                          consistent_with_data=abs(s_values[r] - s_values[0]) <= CONSISTENCY_TOL)
         results.append(
-            replace(
-                evaluated,
-                s_max=s_max[index],
-                grid_gap=grid_gap.get(index),
-                exact_s=exact.s_value,
-                exact_correlators=exact.correlators,
-                consistent_with_data=abs(exact.s_value - s_data) <= CONSISTENCY_TOL,
-            )
+            replace(_sample_table(mixed[r, 1], shots, streams[k], hyp), **companions) if shots > 0
+            else InequalityResult(s_values[r], tuple(correlators[r]), hyp, **companions)
         )
     return results

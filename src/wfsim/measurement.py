@@ -379,9 +379,13 @@ class CollapseHypothesis:
 
     @classmethod
     def parse(cls, text: "CollapseHypothesis | str") -> "CollapseHypothesis":
-        """Parse 'unitary_only', ..., or 'stochastic_collapse(0.3)'; a CollapseHypothesis passes."""
+        """Parse 'unitary_only', ..., or 'stochastic_collapse(0.3)'; a CollapseHypothesis passes,
+        and anything else raises InvalidState."""
         if isinstance(text, CollapseHypothesis):
             return text
+        if not isinstance(text, str):
+            raise InvalidState(
+                f"a hypothesis is a name or a CollapseHypothesis, not {type(text).__name__}")
         m = _STOCHASTIC_RE.match(text.strip())
         return cls.stochastic(float(m.group(1))) if m else cls(text.strip())
 

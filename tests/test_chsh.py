@@ -130,7 +130,7 @@ class TestCorrelator:
         e1, e2 = psi.space.subspace(("e1",)), psi.space.subspace(("e2",))
         nan_ops = np.full((1, 2, 2), math.nan, dtype=complex)
         with pytest.raises(InvariantViolation):
-            chsh._wing_moments(psi, e1, e2, nan_ops, np.eye(2)[None])
+            chsh._wing_moments([psi], e1, e2, nan_ops, np.eye(2)[None])
 
     def test_magnitude_bounded(self):
         rng = np.random.default_rng(63)
@@ -789,6 +789,20 @@ class TestHypothesisComparison:
         with pytest.raises(InvariantViolation, match="s_max"):
             hypothesis_comparison(proietti_scenario(), ["friend_dephasing"])
 
+    @pytest.mark.parametrize("shots", [0, 10])
+    def test_exact_s_above_the_ceiling_is_an_invariant_violation(self, shots, monkeypatch):
+        """A sampled result's exact companion is guarded like an exact S, so a comparison
+        raises on its exact S whether it samples or not."""
+        correlators = (0.5, 0.5, 0.5, -0.5)
+        with pytest.raises(InvariantViolation, match="exact"):
+            InequalityResult(2.0, correlators, exact=False, exact_s=TSIRELSON_BOUND + 2e-9)
+        values = chsh._table_values
+        monkeypatch.setattr(chsh, "_table_values",
+                            lambda m: (values(m)[0] + TSIRELSON_BOUND, values(m)[1]))
+        with pytest.raises(InvariantViolation, match="exact"):
+            hypothesis_comparison(proietti_scenario(), ["friend_dephasing"], shots=shots,
+                                  rng=np.random.default_rng(0))
+
     def test_stochastic_sweep_interpolates(self):
         """s_max decreases from the ceiling to the dephased value as the
         collapse probability rises."""
@@ -839,6 +853,15 @@ class TestOnePath:
         run(ScenarioConfig(scenario="bell_singlet", shots=shots, grid_step=PI / 16))
         assert calls.count("hypothesis_comparison") == 1
         assert calls.count("_wing_moments") == 3
+
+    def test_sweep_comparison_takes_two_table_passes(self, monkeypatch):
+        """The pi/16 sweep takes every held state's K in one stacked call and every settings
+        table in one more, where a K and an M per held state took 8 calls."""
+        calls = []
+        _counting(monkeypatch, chsh, "_wing_moments", calls)
+        sweep = [CollapseHypothesis.stochastic(k / 10) for k in range(11)]
+        hypothesis_comparison(proietti_scenario(), sweep, grid_step=PI / 16)
+        assert calls == ["_wing_moments", "_wing_moments"]
 
     def test_singlet_scenario_holds_unitary_only(self, monkeypatch):
         """The singlet report compares a holder of the pure singlet under unitary_only only."""

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import wfsim.chsh
 import wfsim.hilbert
+import wfsim.scenarios
 from wfsim import (
     InvariantViolation,
     CollapseHypothesis,
@@ -598,6 +600,21 @@ class TestCollapseHypothesis:
     def test_unknown_variant_rejected(self):
         with pytest.raises(InvalidState):
             CollapseHypothesis.parse("spontaneous_collapse")
+
+    @pytest.mark.parametrize("call, kind", [
+        (lambda: wfsim.scenarios.counterexample_probability(None), "NoneType"),
+        (lambda: wfsim.scenarios.counterexample_probability(3), "int"),
+        (lambda: wfsim.scenarios.proietti_scenario().held_terms(None), "NoneType"),
+        (lambda: wfsim.chsh.hypothesis_comparison(wfsim.scenarios.proietti_scenario(), [None]),
+         "NoneType"),
+    ], ids=["probability_none", "probability_int", "held_terms_none", "comparison_none"])
+    def test_hypothesis_of_another_type_is_invalid(self, call, kind, monkeypatch):
+        """Neither a name nor a CollapseHypothesis raised a bare AttributeError on strip();
+        it raises InvalidState naming the type, before any Born rule or table."""
+        monkeypatch.setattr(wfsim.scenarios, "born_probabilities", None)
+        monkeypatch.setattr(wfsim.chsh, "_wing_moments", None)
+        with pytest.raises(InvalidState, match=f"name or a CollapseHypothesis, not {kind}$"):
+            call()
 
     def test_probability_bounds(self):
         with pytest.raises(InvalidState):

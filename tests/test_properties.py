@@ -37,8 +37,9 @@ from wfsim.chsh import (
     _correlation_kernel,
     _grid_bob_pair,
     _grid_bob_pairs,
-    _grid_gap,
+    _grid_gaps,
     _row_seed,
+    _row_values,
     _s_max,
     _scan_directions,
     _wing_moments,
@@ -345,9 +346,36 @@ def test_wing_moments_match_brute_force(seed):
     mixed = DensityOperator(space, random_density(rng, space.dim))
     pure = PureState(space, random_pure(rng, space.dim))
     for state, matrix in ((mixed, mixed.matrix), (pure, pure.density().matrix)):
-        moments = _wing_moments(state, alice, bob, a_ops, b_ops)
+        (moments,) = _wing_moments([state], alice, bob, a_ops, b_ops)
         expected = brute_wing_moments(matrix, dims, *axes, a_ops, b_ops)
         assert moments.shape == (len(a_ops), len(b_ops))
+        assert np.max(np.abs(moments - expected)) < 1e-12
+
+
+@EXAMPLES
+@given(seed=SEEDS)
+def test_stacked_wing_moments_equal_each_state_alone(seed):
+    """One call over a stack of 1-5 pure and mixed states, repeats included, gives each
+    state's one-state table bitwise, and the brute partial trace's within 1e-12."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    dims = [int(d) for d in rng.integers(2, 4, size=n)]
+    labels = [f"q{k}" for k in range(n)]
+    space = CompositeSpace(tuple(zip(labels, dims)))
+    alice_labels, bob_labels = _random_wings(rng, labels)
+    alice, bob = space.subspace(alice_labels), space.subspace(bob_labels)
+    a_ops, b_ops = (np.stack([np.eye(wing.dim)] + [random_dichotomic(rng, wing.dim)
+                                                    for _ in range(2)]) for wing in (alice, bob))
+    axes = ([labels.index(l) for l in alice_labels], [labels.index(l) for l in bob_labels])
+    states = [DensityOperator(space, random_density(rng, space.dim)),
+              PureState(space, random_pure(rng, space.dim))]
+    states = [states[k] for k in rng.integers(0, 2, size=int(rng.integers(1, 6)))]
+    stacked = _wing_moments(states, alice, bob, a_ops, b_ops)
+    assert stacked.shape == (len(states), 3, 3)
+    for state, moments in zip(states, stacked):
+        assert np.array_equal(moments, _wing_moments([state], alice, bob, a_ops, b_ops)[0])
+        matrix = state.matrix if isinstance(state, DensityOperator) else state.density().matrix
+        expected = brute_wing_moments(matrix, dims, *axes, a_ops, b_ops)
         assert np.max(np.abs(moments - expected)) < 1e-12
 
 
@@ -404,7 +432,7 @@ def test_grid_pair_matches_full_table(seed, kind):
         b1, b0 = expected
         at_pick = np.linalg.norm(kernel @ (b1 + b0)) + np.linalg.norm(kernel @ (b1 - b0))
         assert abs(at_pick - full_table_maximum(kernel, step)) <= _TIE_EPS, (kind, step)
-        gap = _grid_gap(kernel, s_max, step)
+        (gap,) = _grid_gaps(kernel[None], [s_max], step)
         assert gap == s_max - at_pick and gap >= -1e-9, (kind, step)
 
 
@@ -422,6 +450,42 @@ def test_scan_seed_is_a_pair_of_the_full_table(seed, kind):
         table = brute_grid_table(kernel, step)[1]
         assert np.min(np.abs(table - value)) <= 1e-14, (kind, step)
         assert value <= table.max() + 1e-14, (kind, step)
+
+
+@EXAMPLES
+@given(seed=SEEDS)
+def test_row_values_sum_columns_like_add_reduce(seed):
+    """The scan's S sums each norm's three squares in order, bitwise np.add.reduce over
+    the last axis, on random, gathered and seed-shaped rows."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(3, 50, 3)) * np.exp(rng.normal(size=(3, 50, 3)) * 3)
+
+    def reduced(firsts, seconds):
+        a, b = w.reshape(-1, 3)[firsts], w.reshape(-1, 3)[seconds]
+        return (np.sqrt(np.add.reduce((a + b) ** 2, axis=-1))
+                + np.sqrt(np.add.reduce((a - b) ** 2, axis=-1)))
+
+    firsts, seconds = rng.integers(0, 150, size=(2, 400))
+    assert np.array_equal(_row_values(w.reshape(-1, 3), firsts, seconds),
+                          reduced(firsts, seconds))
+    rows = (np.arange(3)[:, None], rng.integers(0, 50, size=(3, 1)))
+    expected = reduced(rows[0] * 50 + rows[1], np.arange(150).reshape(3, 50))
+    assert np.array_equal(_row_values(w, rows, slice(None)), expected)
+
+
+@GRID_EXAMPLES
+@given(seed=SEEDS, kinds=st.lists(st.sampled_from(GRID_KERNELS), min_size=1, max_size=5))
+def test_grid_gaps_of_a_stack_equal_the_norm_route(seed, kinds):
+    """The stacked gaps are each kernel's s_max minus np.linalg.norm(K (b1 + b0)) +
+    np.linalg.norm(K (b1 - b0)) at its pick, bitwise."""
+    rng = np.random.default_rng(seed)
+    kernels = np.stack([_grid_kernel(rng, kind) for kind in kinds])
+    s_max = _s_max(kernels).tolist()
+    for step in (math.pi / 8, math.pi / 16):
+        picks = _grid_bob_pairs(kernels, step)
+        expected = [top - (np.linalg.norm(kernel @ (b1 + b0)) + np.linalg.norm(kernel @ (b1 - b0)))
+                    for kernel, top, (b1, b0) in zip(kernels, s_max, picks)]
+        assert _grid_gaps(kernels, s_max, step) == expected, (kinds, step)
 
 
 @settings(max_examples=30, deadline=None)

@@ -350,7 +350,7 @@ class TestProiettiScenario:
         wings = [states[0].space.subspace(w) for w in (scenario.alice_labels, scenario.bob_labels)]
         unit = np.array([1.0, 0.0, 0.0, 0.0])
         for state in states:
-            moments = _wing_moments(state, *wings, ops, ops)
+            (moments,) = _wing_moments([state], *wings, ops, ops)
             assert np.max(np.abs(moments[0] - unit)) < 1e-12
             assert np.max(np.abs(moments[:, 0] - unit)) < 1e-12
 

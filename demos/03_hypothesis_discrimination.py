@@ -11,7 +11,12 @@ the readings apart, only the joint correlation can.
 
 The collapse-probability sweep is checked against its closed form
 s_max(p) = sqrt2 (p^2 - 2p + 2); the demo exits non-zero if a point is
-off by more than 1e-12.
+off by more than 1e-12.  For each p > 0 it also prints the data's margin
+over stochastic_collapse(p) at N shots per setting, in plug-in standard
+errors of the data's S: z = (2 sqrt2 - s_max(p)) / sqrt(sum (1 - E^2) / N)
+with E the data's exact correlators at the witness settings.  Every |E|
+is 1/sqrt2 there, so z = p (2 - p) sqrt N, and the shots that refute p at
+5 sigma are N_5(p) = 25 / (p (2 - p))^2.
 """
 
 import math
@@ -23,6 +28,7 @@ from wfsim import (
     FRIEND_DEPHASING,
     FRIEND_PROJECTIVE,
     SUBJECTIVE_COLLAPSE,
+    TSIRELSON_BOUND,
     UNITARY_ONLY,
     chsh_value,
     exact_optimum,
@@ -34,11 +40,18 @@ from wfsim import (
 
 GRID = math.pi / 16  # grid cross-check of the exact optimum; pi/64 shrinks the gap
 CLOSED_FORM_TOL = 1e-12
+SHOTS = 100_000  # N for the printed margins, as in the README's sampled run
 
 
 def closed_form_s_max(p):
     """The exact optimum of stochastic_collapse(p): sqrt2 (p^2 - 2p + 2)."""
     return math.sqrt(2.0) * (p * p - 2.0 * p + 2.0)
+
+
+def margin_per_shot(data, result):
+    """z at one shot: (2 sqrt2 - s_max) / sqrt(sum (1 - E^2)), E the data's exact correlators."""
+    spread = sum(1.0 - e * e for e in data.exact_correlators)
+    return (TSIRELSON_BOUND - result.s_max) / math.sqrt(spread)
 
 
 def local_deviation(scenario, hypothesis):
@@ -64,6 +77,7 @@ def main():
         "stochastic_collapse(p=0.5)",
     ]
     results = hypothesis_comparison(scenario, hypotheses, grid_step=GRID)
+    data = results[0]  # unitary_only's exact statistics stand in for the data
 
     print(f"local-deterministic bound: {local_deterministic_bound()}")
     print("(local dev: largest change of any single-photon or wing density from unitary_only)")
@@ -93,6 +107,11 @@ def main():
         closed = closed_form_s_max(p)
         worst = max(worst, abs(s_max - closed))
         print(f"            closed form sqrt2 (p^2 - 2p + 2) = {closed:.6f}  off by {abs(s_max - closed):.1e}")
+        if p > 0:
+            margin = margin_per_shot(data, res)
+            z, n_5 = margin * math.sqrt(SHOTS), 25.0 / margin**2
+            print(f"            z = p(2 - p) sqrt N = {z:.1f} at N = {SHOTS}"
+                  f"; N_5(p) = 25 / (p(2 - p))^2 = {n_5:.1f} shots")
     p_star = 1.0 - math.sqrt(math.sqrt(2.0) - 1.0)
     print(f"  the violation vanishes at p* = 1 - sqrt(sqrt2 - 1) = {p_star:.6f}")
     if not worst <= CLOSED_FORM_TOL:

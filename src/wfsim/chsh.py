@@ -26,13 +26,14 @@ Every inequality number comes from a table M[m, n] = Tr(rho A_m (x) B_n)
 over stacks of Alice's and Bob's operators (``_wing_moments``).  Over each
 wing's (I, obs0, obs1) row 0 and column 0 are the marginals and the rest
 the correlators; over the basis triples M is K.  Tables are linear in rho, so
-``hypothesis_comparison`` takes every held dephasing's K in one stacked
-``_wing_moments`` and every settings' M in another, and mixes them with each
-hypothesis's weights, in term order, as array operations; it never mixes
-densities for them.  Its ``s_max`` values are the closed form below of the
-mixed Ks, all from one stacked SVD, and its grid cross-check scans those Ks
-in one pass (``_grid_gaps``).  An entry beyond 1 + 1e-10 in magnitude, held
-or mixed, raises InvariantViolation.
+``hypothesis_comparison`` reduces every held state once (``_reduced_stack``),
+takes all their Ks in one einsum and all their settings' Ms in another
+(``_stack_moments``), and mixes them with each hypothesis's weights, in term
+order, as array operations.  It mixes no density, and at default settings
+builds no observable.  Its ``s_max`` values are the closed form below of the
+mixed Ks, from one stacked SVD, and its grid cross-check scans those Ks in
+one pass (``_grid_gaps``).  A held or mixed entry beyond 1 + 1e-10 in
+magnitude raises InvariantViolation.
 
 Settings search
 ---------------
@@ -147,16 +148,13 @@ def _basis_triple(nfactors: int) -> np.ndarray:
     return _TRIPLES[nfactors]
 
 
-def observable_from_bloch(
-    theta: float, phi: float, space: CompositeSpace
-) -> DichotomicObservable:
+def observable_from_bloch(theta: float, phi: float, space: CompositeSpace) -> DichotomicObservable:
     """Member of the wing's observable family for a Bloch direction.
 
     One factor gives the ordinary n.sigma; a pair gives the blockwise
     version described in the module docstring.
     """
-    mat = _bloch_operator(theta, phi, _basis_triple(space.nfactors))
-    return DichotomicObservable(space, mat)
+    return DichotomicObservable(space, _bloch_operator(theta, phi, _basis_triple(space.nfactors)))
 
 
 @dataclass(frozen=True)
@@ -242,32 +240,32 @@ State = Union[PureState, DensityOperator]
 _SETTING_ORDER = ((1, 1), (1, 0), (0, 1), (0, 0))
 
 
-def _wing_moments(
-    states: Sequence[State],
-    alice_space: CompositeSpace,
-    bob_space: CompositeSpace,
-    alice_ops: np.ndarray,
-    bob_ops: np.ndarray,
-) -> np.ndarray:
+def _wing_moments(states: Sequence[State], alice_space: CompositeSpace, bob_space: CompositeSpace,
+                  alice_ops: np.ndarray, bob_ops: np.ndarray) -> np.ndarray:
     """M[h, m, n] = Tr(rho_h A_m (x) B_n) for a sequence of states and stacks of wing
-    operators; see module docstring.
+    operators: the ``_stack_moments`` of their ``_reduced_stack``; see module docstring."""
+    return _stack_moments(_reduced_stack(states, alice_space, bob_space), alice_ops, bob_ops)
 
-    Each rho_h, reduced to the wings' factors and reordered to (Alice, Bob),
-    is read as r[h, i, j, k, l] = <i j| rho_h |k l>, and
-    M[h, m, n] = sum r[h, i, j, k, l] A_m[k, i] B_n[l, j], one einsum for
-    the stack whose tables are bitwise each state's alone.
-    """
+
+def _reduced_stack(states: Sequence[State], alice_space: CompositeSpace,
+                   bob_space: CompositeSpace) -> np.ndarray:
+    """r[h, i, j, k, l] = <i j| rho_h |k l>, each rho_h reduced to the wings' factors."""
     overlap = set(alice_space.labels) & set(bob_space.labels)
     if overlap:
         raise ShapeError(f"observables overlap on factors {sorted(overlap)}")
-    d_a, d_b = alice_space.dim, bob_space.dim
+    r = np.stack([_reduced_matrix(state, alice_space.factors + bob_space.factors)
+                  for state in states])
+    return r.reshape(-1, alice_space.dim, bob_space.dim, alice_space.dim, bob_space.dim)
+
+
+def _stack_moments(r: np.ndarray, alice_ops: np.ndarray, bob_ops: np.ndarray) -> np.ndarray:
+    """M[h, m, n] = sum r[h, i, j, k, l] A_m[k, i] B_n[l, j] over a ``_reduced_stack``, one
+    einsum for the stack whose tables are bitwise each state's alone."""
+    d_a, d_b = r.shape[1:3]
     if (alice_ops.shape[-1], bob_ops.shape[-1]) != (d_a, d_b):
         raise ShapeError(f"operator stacks do not fit wings of dimensions ({d_a}, {d_b})")
-    factors = alice_space.factors + bob_space.factors
-    r = np.stack([_reduced_matrix(state, factors) for state in states])
     # Contiguous: K @ v on a strided view of the same numbers can round differently.
-    moments = np.einsum("hijkl,mki,nlj->hmn", r.reshape(-1, d_a, d_b, d_a, d_b),
-                        alice_ops, bob_ops).real
+    moments = np.einsum("hijkl,mki,nlj->hmn", r, alice_ops, bob_ops).real
     return _checked(np.ascontiguousarray(moments))
 
 
@@ -277,11 +275,15 @@ def _checked(moments: np.ndarray) -> np.ndarray:
     return moments
 
 
-def _settings_moments(states: Sequence[State], settings: MeasurementSettings) -> np.ndarray:
-    """Each state's settings table: ``_wing_moments`` over (I, obs0, obs1) on its wings."""
-    wings = (settings.alice, settings.bob)
-    stacks = [np.stack([np.eye(obs0.space.dim), obs0.matrix, obs1.matrix]) for obs0, obs1 in wings]
-    return _wing_moments(states, settings.alice[0].space, settings.bob[0].space, *stacks)
+def _wing_stack(op0: np.ndarray, op1: np.ndarray) -> np.ndarray:
+    """A wing's (I, obs0, obs1), whose table holds the marginals in row and column 0."""
+    return np.stack([np.eye(len(op0)), op0, op1])
+
+
+def _settings_wings(settings: MeasurementSettings) -> tuple:
+    """The settings' wing spaces and (I, obs0, obs1) stacks: ``_wing_moments``' arguments."""
+    (a0, a1), (b0, b1) = settings.alice, settings.bob
+    return a0.space, b0.space, _wing_stack(a0.matrix, a1.matrix), _wing_stack(b0.matrix, b1.matrix)
 
 
 def correlator(state: State, a: DichotomicObservable, b: DichotomicObservable) -> float:
@@ -289,13 +291,10 @@ def correlator(state: State, a: DichotomicObservable, b: DichotomicObservable) -
     return float(_wing_moments([state], a.space, b.space, a.matrix[None], b.matrix[None])[0, 0, 0])
 
 
-def chsh_value(
-    state: State,
-    settings: MeasurementSettings,
-    hypothesis: CollapseHypothesis | None = None,
-) -> InequalityResult:
+def chsh_value(state: State, settings: MeasurementSettings,
+               hypothesis: CollapseHypothesis | None = None) -> InequalityResult:
     """Exact S for the given settings, with the quantum ceiling enforced."""
-    s_value, correlators = _table_values(_settings_moments([state], settings)[0])
+    s_value, correlators = _table_values(_wing_moments([state], *_settings_wings(settings))[0])
     return InequalityResult(float(s_value), tuple(correlators.tolist()), hypothesis=hypothesis)
 
 
@@ -655,13 +654,9 @@ def _grid_gaps(kernels: np.ndarray, s_max: Sequence[float], grid_step: float) ->
 _SIGNS_A, _SIGNS_B = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
 
 
-def sample_inequality(
-    state: State,
-    settings: MeasurementSettings,
-    shots: int,
-    rng: np.random.Generator,
-    hypothesis: CollapseHypothesis | None = None,
-) -> InequalityResult:
+def sample_inequality(state: State, settings: MeasurementSettings, shots: int,
+                      rng: np.random.Generator,
+                      hypothesis: CollapseHypothesis | None = None) -> InequalityResult:
     """Estimate S from finite per-setting counts.
 
     Each of the four setting pairs, in the fixed order (A1,B1), (A1,B0),
@@ -678,7 +673,8 @@ def sample_inequality(
     """
     _check_count("shots", shots, 1)
     _check_generator(rng, "sample_inequality")
-    return _sample_table(_settings_moments([state], settings)[0], shots, rng, hypothesis)
+    m = _wing_moments([state], *_settings_wings(settings))[0]
+    return _sample_table(m, shots, rng, hypothesis)
 
 
 def _sample_table(
@@ -747,12 +743,16 @@ def hypothesis_comparison(
     ((_, rho_unitary),) = terms[UNITARY_ONLY]
     held = list({id(rho): rho for mix in terms.values() for _, rho in mix}.values())
     slot = {id(rho): i for i, rho in enumerate(held)}  # first-use order, unitary_only's first
-    spaces = tuple(rho_unitary.space.subspace(wing)
-                   for wing in (scenario.alice_labels, scenario.bob_labels))
-    kernels = _wing_moments(held, *spaces, *(_basis_triple(wing.nfactors) for wing in spaces))
-    if settings is None:
-        settings = _built_settings(spaces, _settings_angles(kernels[0]), "exact")
-    tables = np.stack([kernels, _settings_moments(held, settings)], axis=1)  # (K, M) per state
+    spaces = tuple(map(rho_unitary.space.subspace, (scenario.alice_labels, scenario.bob_labels)))
+    reduced = _reduced_stack(held, *spaces)  # once, for every K and every M on these wings
+    kernels = _stack_moments(reduced, *(_basis_triple(wing.nfactors) for wing in spaces))
+    if settings is None:  # the unitary optimum's bare operators, bitwise its observables'
+        ops = [_wing_stack(*(_bloch_operator(t, p, _basis_triple(space.nfactors)) for t, p in wing))
+               for space, wing in zip(spaces, _settings_angles(kernels[0]))]
+    else:
+        alice, bob, *ops = _settings_wings(settings)  # reduced again only onto other wings
+        reduced = reduced if (alice, bob) == spaces else _reduced_stack(held, alice, bob)
+    tables = np.stack([kernels, _stack_moments(reduced, *ops)], axis=1)  # (K, M) per state
     mixes = list(terms.values())
     mixed = np.empty((len(mixes), *tables.shape[1:]))  # each hypothesis's sum of w (K, M)
     for k in range(max(map(len, mixes))):  # every mix's k-th term, added in term order

@@ -339,8 +339,8 @@ _STOCHASTIC_RE = re.compile(r"^stochastic_collapse\(\s*(?:p\s*=\s*)?([0-9.eE+-]+
 class CollapseHypothesis:
     """Which story is told about the friend interactions.
 
-    Each is a distribution over sets of dephased factors of the unitary state, and
-    :func:`_ensemble_terms` is the one rule that turns it into the exact ensemble, the
+    Each is a distribution over sets of dephased factors of the unitary state:
+    :func:`_ensemble_terms` is the one rule for its terms, and the exact ensemble is the
     weighted mixture of those dephasings (held by :class:`~wfsim.scenarios.HeldScenario`):
 
     * ``unitary_only``, {none: 1}: nothing but unitary evolution ever happens.
@@ -407,20 +407,21 @@ FRIEND_DEPHASING = CollapseHypothesis("friend_dephasing")
 SUBJECTIVE_COLLAPSE = CollapseHypothesis("subjective_collapse")
 
 
-def _ensemble_terms(hypothesis: CollapseHypothesis, sites: Sequence[Sequence[str]],
-                    friends: Sequence[str]) -> list[tuple[float, tuple[str, ...]]]:
-    """The hypothesis's distribution as (weight, dephased labels) terms; the labels of no
+def _ensemble_terms(sites: Sequence[Sequence[str]], friends: Sequence[str]) -> dict:
+    """Each variant's distribution as (fired sites, dephased labels) terms; the labels of no
     dephasing are ().  ``sites`` are the collapse sites, one label tuple each, and ``friends``
-    the friend labels.  Stochastic terms vary the first site fastest (none, A, B, AB for two
-    sites) and multiply weights in site order."""
-    variant, p = hypothesis.variant, hypothesis.probability
-    if variant == "stochastic_collapse":
-        fired = [bits[::-1] for bits in itertools.product((False, True), repeat=len(sites))]
-        terms = [(math.prod(p if f else 1 - p for f in fs), [s for f, s in zip(fs, sites) if f])
-                 for fs in fired]
-    else:
-        terms = [(1.0, {"unitary_only": [], "subjective_collapse": sites}.get(variant, [friends]))]
-    return [(w, tuple(itertools.chain(*group))) for w, group in terms]
+    the friend labels.  A stochastic_collapse(p) term weighs the product, in site order, of
+    p for each site it fires and 1 - p for each it does not; the terms vary the first site
+    fastest (none, A, B, AB for two sites).  Every other variant is one term of weight 1.0,
+    which fires no site."""
+    flat = itertools.chain.from_iterable
+    fired = [bits[::-1] for bits in itertools.product((False, True), repeat=len(sites))]
+    terms = {variant: [((), tuple(friends))] for variant in _HYPOTHESIS_VARIANTS}
+    terms["unitary_only"] = [((), ())]
+    terms["subjective_collapse"] = [((), tuple(flat(sites)))]
+    terms["stochastic_collapse"] = [(fs, tuple(flat(s for f, s in zip(fs, sites) if f)))
+                                    for fs in fired]
+    return terms
 
 
 def _mix(ensemble: list[tuple[float, DensityOperator]]) -> DensityOperator:

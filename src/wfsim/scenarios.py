@@ -237,16 +237,19 @@ class HeldScenario:
 
     ``alice_labels`` and ``bob_labels`` name the wings an inequality search measures;
     ``sites`` are the collapse sites, one label tuple each, and ``friends`` the friend
-    labels, from which :func:`~wfsim.measurement._ensemble_terms` turns a hypothesis into
-    its weighted dephasings.  ``variants`` are the hypothesis variants the scenario holds.
-    The unitary state is held as given, a density wherever there is a site to dephase.
+    labels, from which :func:`~wfsim.measurement._ensemble_terms` derives each variant's
+    dephased label sets once.  ``variants`` are the variants the scenario holds.  The
+    unitary state is held as given, a density wherever there is a site to dephase.
+    ``hypothesis_comparison`` reduces each held state once, takes every K and every
+    settings table off that one reduction in two einsums, and builds no observable at
+    default settings.
     """
 
     def __init__(self, unitary: Union[PureState, DensityOperator], alice_labels: Sequence[str],
                  bob_labels: Sequence[str], sites: Sequence[Sequence[str]] = (),
                  friends: Sequence[str] = (), variants: Sequence[str] = _HYPOTHESIS_VARIANTS):
         self.alice_labels, self.bob_labels = tuple(alice_labels), tuple(bob_labels)
-        self._sites, self._friends, self._variants = sites, friends, tuple(variants)
+        self._variants, self._terms = tuple(variants), _ensemble_terms(sites, friends)
         self._held = {(): unitary}  # dephased labels -> held state; () is the unitary state
 
     def parsed(self, hypothesis: CollapseHypothesis | str) -> CollapseHypothesis:
@@ -260,13 +263,16 @@ class HeldScenario:
 
     def held_terms(self, hypothesis: CollapseHypothesis | str) -> list:
         """A hypothesis's (weight, held state) terms, each dephasing built on first use and
-        then held, so every hypothesis that uses a state gets the same object."""
-        terms = _ensemble_terms(self.parsed(hypothesis), self._sites, self._friends)
-        held = self._held
-        for _, on in terms:
+        then held, so every hypothesis that uses a state gets the same object.  A stochastic
+        weight is ``math.prod``, in site order, of p per fired site and 1 - p per other."""
+        hypothesis = self.parsed(hypothesis)
+        p, held, terms = hypothesis.probability, self._held, []
+        for fired, on in self._terms[hypothesis.variant]:  # (fired sites, dephased labels)
             if on not in held:
                 held[on] = dephase(held[()], on)
-        return [(w, held[on]) for w, on in terms]
+            terms.append((1.0 if p is None else math.prod(p if f else 1 - p for f in fired),
+                          held[on]))
+        return terms
 
 
 class ProiettiScenario(HeldScenario):

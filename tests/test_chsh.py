@@ -35,7 +35,7 @@ from wfsim import (
     ScenarioConfig,
     source_state,
 )
-from wfsim.scenarios import ProiettiScenario
+from wfsim.scenarios import HeldScenario, ProiettiScenario
 
 from wfsim.measurement import _HYPOTHESIS_VARIANTS
 
@@ -277,6 +277,7 @@ class TestOptimizeSettings:
             kernels[name] = chsh._correlation_kernel(rho, *wings)
         return kernels
 
+    @pytest.mark.one_blas_thread
     def test_grid_picks_are_pinned(self):
         kernels = self._pinned_kernels()
         for name, picks in self.PINNED_PICKS.items():
@@ -286,6 +287,7 @@ class TestOptimizeSettings:
                 assert np.array_equal(b1, vectors[i1]), (name, div)
                 assert np.array_equal(b0, vectors[i0]), (name, div)
 
+    @pytest.mark.one_blas_thread
     def test_grid_picks_do_not_depend_on_the_seed(self, monkeypatch):
         """The seed only sets how much the scan's screen prunes: seeded from the row of the
         least |K b| instead of the largest, the scan still makes the pinned picks."""
@@ -306,6 +308,7 @@ class TestOptimizeSettings:
                 assert np.array_equal(b0, vectors[i0]), (name, div)
         assert len(seeded) == sum(map(len, self.PINNED_PICKS.values()))
 
+    @pytest.mark.one_blas_thread
     @pytest.mark.parametrize("block_pairs", [1 << 15, 1 << 10, 1])
     def test_grid_picks_do_not_depend_on_the_block_size(self, monkeypatch, block_pairs):
         """The blocks bound the screen's memory only: with 2^15 (the default), 2^10 or one
@@ -319,6 +322,7 @@ class TestOptimizeSettings:
                 assert np.array_equal(b1, vectors[i1]), (name, div, block_pairs)
                 assert np.array_equal(b0, vectors[i0]), (name, div, block_pairs)
 
+    @pytest.mark.one_blas_thread
     @pytest.mark.parametrize("block_pairs", [1 << 15, 1 << 10, 1])
     def test_stacked_picks_do_not_depend_on_the_block_size(self, monkeypatch, block_pairs):
         """One scan over the pinned kernels and the zero kernel, whose every pair survives,
@@ -338,6 +342,7 @@ class TestOptimizeSettings:
                 assert np.array_equal(b1, vectors[picks[name][0]]), (name, div, block_pairs)
                 assert np.array_equal(b0, vectors[picks[name][1]]), (name, div, block_pairs)
 
+    @pytest.mark.one_blas_thread
     def test_grid_picks_do_not_depend_on_the_antipodal_halving(self, monkeypatch):
         """Scanning every direction instead of one of each antipodal pair makes the pinned
         picks too: a pair and its sign variants tie up to rounding, and the tie rule takes
@@ -377,6 +382,7 @@ class TestOptimizeSettings:
         chsh._grid_bob_pair(-np.eye(3), PI / 16)
         assert calls == []
 
+    @pytest.mark.one_blas_thread
     def test_scan_takes_no_svd(self, monkeypatch):
         """A scan takes no SVD, and the pi/16 sweep comparison takes 2: one stacked _s_max
         over its 11 distinct tables (p = 0 shares unitary_only's) and one canonical pair for
@@ -690,6 +696,38 @@ class TestHypothesisComparison:
             hypothesis_comparison(scenario, ["unitary_only"], shots=10, grid_step=PI / 16)
         assert calls == []
 
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_sampled_refutation_margin_is_near_its_closed_form(self, seed):
+        """With the data sampled at N = 100000 shots per setting, its margin over
+        stochastic_collapse(p), z = (S_hat - s_max(p)) / S_hat's standard error, lies within
+        5 of p (2 - p) sqrt N: S_hat strays from 2 sqrt2 by about one standard error, and
+        the plug-in error from sqrt(2 / N) by about 1 / sqrt N of itself."""
+        shots = 100_000
+        hypotheses = ["unitary_only", *map(CollapseHypothesis.stochastic, (0.01, 0.3, 1.0))]
+        data, *results = hypothesis_comparison(proietti_scenario(), hypotheses, shots=shots,
+                                               rng=np.random.default_rng(seed))
+        for result in results:
+            p = result.hypothesis.probability
+            z = (data.s_value - result.s_max) / data.std_error
+            assert abs(z - p * (2.0 - p) * math.sqrt(shots)) < 5.0, (seed, p, z)
+
+    @pytest.mark.one_blas_thread
+    @pytest.mark.parametrize("which", ["proietti", "bell_singlet"])
+    def test_default_settings_equal_chsh_value_at_the_exact_optimum(self, which):
+        """At default settings the comparison builds no observable, yet unitary_only's S and
+        correlators are bitwise ``chsh_value``'s at ``exact_optimum``'s validated settings."""
+        if which == "proietti":
+            scenario = proietti_scenario()
+            state = scenario.exact_state_under("unitary_only")
+        else:
+            state = bell_singlet()
+            scenario = HeldScenario(state, ("e1",), ("e2",), variants=("unitary_only",))
+        optimum, _ = exact_optimum(state, scenario.alice_labels, scenario.bob_labels)
+        expected = chsh_value(state, optimum)
+        (result,) = hypothesis_comparison(scenario, ["unitary_only"])
+        assert (np.array([result.s_value, *result.correlators]).tobytes()
+                == np.array([expected.s_value, *expected.correlators]).tobytes())
+
     def test_unitary_s_max_is_its_own_search(self):
         """s_max is the closed form of the unitary kernel, bitwise, and the exact
         optimum's value to rounding; grid_gap is s_max minus |K(b1 + b0)| + |K(b1 - b0)| at
@@ -845,23 +883,43 @@ class TestOnePath:
 
     @pytest.mark.parametrize("shots", [0, 1000])
     def test_singlet_report_runs_one_comparison(self, shots, monkeypatch):
-        """One comparison, and three tables in all: the sigma_z sigma_z correlator, then
-        the singlet's K and its settings' table, each taken once, sampled or not."""
+        """One comparison, and three tables in all: the sigma_z sigma_z correlator through
+        ``_wing_moments``, then the singlet's K and its settings' table off the comparison's
+        one reduction, each taken once, sampled or not."""
         calls = []
         _counting(monkeypatch, report, "hypothesis_comparison", calls)
-        _counting(monkeypatch, chsh, "_wing_moments", calls)
+        for name in ("_wing_moments", "_reduced_stack", "_stack_moments"):
+            _counting(monkeypatch, chsh, name, calls)
         run(ScenarioConfig(scenario="bell_singlet", shots=shots, grid_step=PI / 16))
         assert calls.count("hypothesis_comparison") == 1
-        assert calls.count("_wing_moments") == 3
+        assert calls.count("_wing_moments") == 1
+        assert calls.count("_reduced_stack") == 2
+        assert calls.count("_stack_moments") == 3
 
     def test_sweep_comparison_takes_two_table_passes(self, monkeypatch):
-        """The pi/16 sweep takes every held state's K in one stacked call and every settings
-        table in one more, where a K and an M per held state took 8 calls."""
+        """The pi/16 sweep reduces its held states in one stacked call and takes every K in
+        one einsum and every settings table in one more, where a K and an M per held state
+        took 8 calls, each reducing its state anew."""
         calls = []
-        _counting(monkeypatch, chsh, "_wing_moments", calls)
+        for name in ("_wing_moments", "_reduced_stack", "_stack_moments"):
+            _counting(monkeypatch, chsh, name, calls)
         sweep = [CollapseHypothesis.stochastic(k / 10) for k in range(11)]
         hypothesis_comparison(proietti_scenario(), sweep, grid_step=PI / 16)
-        assert calls == ["_wing_moments", "_wing_moments"]
+        assert calls == ["_reduced_stack", "_stack_moments", "_stack_moments"]
+
+    def test_each_held_state_is_reduced_once(self, monkeypatch):
+        """The 11-point sweep reduces each of its 4 held states once, for its K and its
+        settings table alike, not once for each, and the singlet comparison its one state once."""
+        sweep = [CollapseHypothesis.stochastic(k / 10) for k in range(11)]
+        hypothesis_comparison(proietti_scenario(), sweep)  # holds every dephasing the sweep needs
+        calls = []
+        _counting(monkeypatch, chsh, "_reduced_matrix", calls)
+        hypothesis_comparison(proietti_scenario(), sweep, grid_step=PI / 16)
+        assert len(calls) == 4
+        singlet = HeldScenario(bell_singlet(), ("e1",), ("e2",), variants=("unitary_only",))
+        calls.clear()
+        hypothesis_comparison(singlet, ["unitary_only"], grid_step=PI / 16)
+        assert len(calls) == 1
 
     def test_singlet_scenario_holds_unitary_only(self, monkeypatch):
         """The singlet report compares a holder of the pure singlet under unitary_only only."""
@@ -880,6 +938,7 @@ class TestOnePath:
             with pytest.raises(ShapeError, match="unitary_only only"):
                 hypothesis_comparison(scenario, [hypothesis])
 
+    @pytest.mark.one_blas_thread
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("shots", [1, 1000])
     def test_singlet_rows_match_the_public_api(self, seed, shots):

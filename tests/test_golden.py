@@ -29,6 +29,9 @@ SCENARIO_NAMES = ("proietti", "counterexample", "pointer_basic", "bell_singlet")
 SHOTS = (1000, 0)
 FORMATS = ("csv", "json")
 
+# Report bytes must not depend on the BLAS thread count, so CI also runs these at one thread.
+pytestmark = pytest.mark.one_blas_thread
+
 _WALL_TIME_LINE = re.compile(r',\n  "wall_time_s": [^\n]*')
 
 

@@ -300,6 +300,7 @@ class TestBornProbabilities:
         probs = born_probabilities(psi, DichotomicObservable.pauli("x", "q"))
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-13)
 
+    @pytest.mark.one_blas_thread
     def test_labels_born_equals_computational_frame(self):
         """Labels give bitwise the distribution of the explicit computational measurement."""
         for space, measured, rng in labelled_cases(61, 200):
@@ -325,6 +326,7 @@ class TestProjectiveCollapse:
             with pytest.raises(InvalidState, match=f"Generator, got {type(rng).__name__}$"):
                 projective_collapse(psi, on=("q",), rng=rng)
 
+    @pytest.mark.one_blas_thread
     def test_draw_equals_choice(self):
         """One uniform against the cumulative distribution gives rng.choice's outcome and
         leaves the generator where choice leaves it, zero entries at either end included."""
@@ -342,6 +344,7 @@ class TestProjectiveCollapse:
                 assert _draw(probs, ours) == twin.choice(probs.size, p=probs)
             assert ours.bit_generator.state == twin.bit_generator.state
 
+    @pytest.mark.one_blas_thread
     def test_labels_collapse_equals_computational_frame(self):
         """On twin generators, labels and the explicit computational measurement give the
         same outcome and equal amplitudes."""

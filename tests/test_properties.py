@@ -8,6 +8,7 @@ failing example is reproduced by its seed alone.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from wfsim import (
     exact_optimum,
     expectation,
     friend_interaction,
+    hypothesis_comparison,
     optimize_settings,
     partial_trace,
     projective_collapse,
@@ -33,7 +35,9 @@ from wfsim import (
 from wfsim.chsh import (
     _SETTING_ORDER,
     _TIE_EPS,
+    TSIRELSON_BOUND,
     MeasurementSettings,
+    _basis_triple,
     _correlation_kernel,
     _grid_bob_pair,
     _grid_bob_pairs,
@@ -46,6 +50,8 @@ from wfsim.chsh import (
     observable_from_bloch,
     sample_inequality,
 )
+from wfsim.hilbert import _bloch_operator
+from wfsim.scenarios import HeldScenario
 
 from wfsim.measurement import _HYPOTHESIS_VARIANTS
 
@@ -352,6 +358,7 @@ def test_wing_moments_match_brute_force(seed):
         assert np.max(np.abs(moments - expected)) < 1e-12
 
 
+@pytest.mark.one_blas_thread
 @EXAMPLES
 @given(seed=SEEDS)
 def test_stacked_wing_moments_equal_each_state_alone(seed):
@@ -377,6 +384,59 @@ def test_stacked_wing_moments_equal_each_state_alone(seed):
         matrix = state.matrix if isinstance(state, DensityOperator) else state.density().matrix
         expected = brute_wing_moments(matrix, dims, *axes, a_ops, b_ops)
         assert np.max(np.abs(moments - expected)) < 1e-12
+
+
+@pytest.mark.one_blas_thread
+@EXAMPLES
+@given(seed=SEEDS)
+def test_bloch_operator_is_the_observables_matrix(seed):
+    """A default-settings comparison takes its operators bare: on one and two factors,
+    ``_bloch_operator`` over the family's triple is bitwise the validated observable's
+    matrix, at the defaults' angles and at drawn ones."""
+    rng = np.random.default_rng(seed)
+    drawn = zip(rng.uniform(0.0, math.pi, 4).tolist(), rng.uniform(0.0, 2 * math.pi, 4).tolist())
+    for n in (1, 2):
+        space = CompositeSpace.qubits(*(f"q{k}" for k in range(n)))
+        for theta, phi in [(0.0, 0.0), (math.pi / 2, 0.0), *drawn]:
+            bare = _bloch_operator(theta, phi, _basis_triple(n))
+            matrix = observable_from_bloch(theta, phi, space).matrix
+            assert (bare.dtype, bare.shape) == (matrix.dtype, matrix.shape)
+            assert bare.tobytes() == matrix.tobytes()
+
+
+_THREE_SITES = (("x",), ("y", "w"), ("z",))
+
+
+@pytest.mark.one_blas_thread
+@EXAMPLES
+@given(p=st.floats(min_value=0.0, max_value=1.0))
+def test_held_term_weights_are_site_order_products(p):
+    """Every stochastic ``held_terms`` weight is bitwise ``math.prod``, in site order, of p
+    where the term fires the site and 1 - p where not, the first site varying fastest: on
+    the Proietti scenario's two sites and on three sites."""
+    rho = DensityOperator(CompositeSpace.qubits("x", "y", "w", "z"), np.eye(16) / 16)
+    three = HeldScenario(rho, ("x",), ("z",), sites=_THREE_SITES, friends=("w",))
+    for scenario, sites in ((proietti_scenario(), 2), (three, 3)):
+        weights = [w for w, _ in scenario.held_terms(CollapseHypothesis.stochastic(p))]
+        expected = [math.prod(p if k >> s & 1 else 1 - p for s in range(sites))
+                    for k in range(2**sites)]
+        assert [w.hex() for w in weights] == [w.hex() for w in expected]
+
+
+@EXAMPLES
+@given(p=st.floats(min_value=1e-3, max_value=1.0))
+def test_refutation_margin_has_its_closed_form(p):
+    """The data's margin over stochastic_collapse(p) at N shots, in plug-in standard
+    errors, (2 sqrt2 - s_max(p)) / sqrt(sum (1 - E^2) / N) with E the unitary data's
+    exact correlators at the witness settings, is p (2 - p) sqrt N within 1e-12 relative:
+    every |E| is 1/sqrt2, so the standard error is sqrt(2 / N)."""
+    shots = 100_000
+    unitary, result = hypothesis_comparison(proietti_scenario(),
+                                            ["unitary_only", CollapseHypothesis.stochastic(p)])
+    spread = sum(1.0 - e * e for e in unitary.exact_correlators)
+    z = (TSIRELSON_BOUND - result.s_max) / math.sqrt(spread / shots)
+    closed = p * (2.0 - p) * math.sqrt(shots)
+    assert abs(z - closed) <= 1e-12 * closed
 
 
 GRID_KERNELS = ["random", "quarters", "diagonal", "rank_one", "rank_two", "rotation", "zero"]
@@ -417,6 +477,7 @@ def _grid_kernel(rng: np.random.Generator, kind: str) -> np.ndarray:
     return kernel
 
 
+@pytest.mark.one_blas_thread
 @GRID_EXAMPLES
 @given(seed=SEEDS, kind=st.sampled_from(GRID_KERNELS))
 def test_grid_pair_matches_full_table(seed, kind):
@@ -452,6 +513,7 @@ def test_scan_seed_is_a_pair_of_the_full_table(seed, kind):
         assert value <= table.max() + 1e-14, (kind, step)
 
 
+@pytest.mark.one_blas_thread
 @EXAMPLES
 @given(seed=SEEDS)
 def test_row_values_sum_columns_like_add_reduce(seed):
@@ -473,6 +535,7 @@ def test_row_values_sum_columns_like_add_reduce(seed):
     assert np.array_equal(_row_values(w, rows, slice(None)), expected)
 
 
+@pytest.mark.one_blas_thread
 @GRID_EXAMPLES
 @given(seed=SEEDS, kinds=st.lists(st.sampled_from(GRID_KERNELS), min_size=1, max_size=5))
 def test_grid_gaps_of_a_stack_equal_the_norm_route(seed, kinds):
@@ -488,6 +551,7 @@ def test_grid_gaps_of_a_stack_equal_the_norm_route(seed, kinds):
         assert _grid_gaps(kernels, s_max, step) == expected, (kinds, step)
 
 
+@pytest.mark.one_blas_thread
 @settings(max_examples=30, deadline=None)
 @given(
     seed=SEEDS,
@@ -509,6 +573,7 @@ def test_grid_picks_do_not_depend_on_the_stack(seed, kinds, order):
             assert all(np.array_equal(a, b) for a, b in zip(pair, expected[i])), (kinds[i], step)
 
 
+@pytest.mark.one_blas_thread
 @GRID_EXAMPLES
 @given(seed=SEEDS, kind=st.sampled_from(GRID_KERNELS))
 @example(seed=248, kind="rank_one")
@@ -530,6 +595,7 @@ def test_grid_pair_matches_full_table_on_uneven_steps(seed, kind):
         assert all(np.array_equal(a, b) for a, b in zip(picked, expected)), (kind, step)
 
 
+@pytest.mark.one_blas_thread
 @EXAMPLES
 @given(seed=SEEDS, side=st.sampled_from(["A", "B"]))
 def test_friend_interaction_matches_brute_force(seed, side):

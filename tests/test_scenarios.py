@@ -57,7 +57,7 @@ from wfsim import (
     source_state,
     validate,
 )
-from wfsim.chsh import _basis_triple, _wing_moments
+from wfsim.chsh import MeasurementSettings, _basis_triple, _wing_moments
 from wfsim.measurement import CollapseHypothesis
 from wfsim.scenarios import SINGLET_ORDER, HeldScenario, ProiettiScenario, _counterexample
 
@@ -154,6 +154,7 @@ class TestFriendInteraction:
         assert final.space.labels == reference.space.labels
         assert float(np.max(np.abs(final.amplitudes - reference.amplitudes))) < 1e-12
 
+    @pytest.mark.one_blas_thread
     def test_heralded_bytes_are_pinned(self):
         """The sha256 of the raw and renormalized output amplitudes over eight seeded
         states per side: the states of the brute-force property, each side's photons
@@ -300,11 +301,12 @@ class TestProiettiScenario:
 
     def test_sweep_without_a_grid_builds_no_mixture(self, monkeypatch):
         """Without a grid the 11-point comparison on a warm scenario mixes tables only: no
-        DensityOperator is built, and no DichotomicObservable beyond the shared settings' four."""
+        DensityOperator is built, and neither a DichotomicObservable nor a MeasurementSettings:
+        the default settings' operators are taken bare, not as four validated observables."""
         scenario = proietti_scenario()
         sweep = [CollapseHypothesis.stochastic(k / 10) for k in range(11)]
         hypothesis_comparison(scenario, sweep)  # holds every dephasing the sweep needs
-        calls = {DensityOperator: 0, DichotomicObservable: 0}
+        calls = {DensityOperator: 0, DichotomicObservable: 0, MeasurementSettings: 0}
         for cls in calls:
             validate = cls.__post_init__
 
@@ -315,7 +317,7 @@ class TestProiettiScenario:
             monkeypatch.setattr(cls, "__post_init__", counted)
         results = hypothesis_comparison(scenario, sweep)
         assert len(results) == 11
-        assert calls == {DensityOperator: 0, DichotomicObservable: 4}
+        assert calls == {DensityOperator: 0, DichotomicObservable: 0, MeasurementSettings: 0}
 
     def test_stochastic_intermediate_is_valid(self):
         rho = proietti_scenario().exact_state_under("stochastic_collapse(0.35)")
@@ -384,6 +386,7 @@ class TestClaimedBranchCollapse:
             ensemble.matrix, dephase(unitary, ("a", "alpha")).matrix, atol=1e-12
         )
 
+    @pytest.mark.one_blas_thread
     def test_seeded_chains_are_pinned(self):
         """16 seeded A -> B chains: their branches and the sha256 of both
         stages' amplitude bytes, frozen from the pointer-coupling route."""

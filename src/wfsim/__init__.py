@@ -8,6 +8,8 @@ sampling so every estimate can be checked against a closed-form value.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigError,
     HeraldImpossible,
@@ -89,74 +91,6 @@ from .report import (
     run,
 )
 
-__all__ = [
-    "__version__",
-    "WfsimError",
-    "LabelCollision",
-    "UnknownSubsystem",
-    "ShapeError",
-    "InvalidState",
-    "PointerNotReady",
-    "HeraldImpossible",
-    "InvariantViolation",
-    "ConfigError",
-    "CompositeSpace",
-    "PureState",
-    "DensityOperator",
-    "DichotomicObservable",
-    "ValidityReport",
-    "bloch_vector",
-    "tensor",
-    "partial_trace",
-    "purity",
-    "coherence_norm",
-    "embed",
-    "expectation",
-    "validate",
-    "PointerCoupling",
-    "couple_pointer",
-    "improper_mixture",
-    "dephase",
-    "ProjectiveMeasurement",
-    "born_probabilities",
-    "projective_collapse",
-    "CollapseHypothesis",
-    "UNITARY_ONLY",
-    "FRIEND_PROJECTIVE",
-    "FRIEND_DEPHASING",
-    "SUBJECTIVE_COLLAPSE",
-    "ScenarioState",
-    "source_state",
-    "friend_pair_state",
-    "prepared_state",
-    "friend_interaction",
-    "claimed_branch_collapse",
-    "expected_final_state",
-    "ProiettiScenario",
-    "proietti_scenario",
-    "counterexample_measurement",
-    "counterexample_state_under",
-    "counterexample_probability",
-    "counterexample_run",
-    "counterexample_frequencies",
-    "bell_singlet",
-    "CLASSICAL_BOUND",
-    "TSIRELSON_BOUND",
-    "MeasurementSettings",
-    "InequalityResult",
-    "observable_from_bloch",
-    "correlator",
-    "chsh_value",
-    "local_deterministic_bound",
-    "exact_optimum",
-    "optimize_settings",
-    "sample_inequality",
-    "hypothesis_comparison",
-    "ScenarioConfig",
-    "ReportRow",
-    "RunReport",
-    "run",
-    "emit",
-    "render_csv",
-    "render_json",
-]
+# Every public name imported above, and no submodule.
+__all__ = ["__version__"] + [name for name, value in globals().items()
+                             if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -6,86 +6,37 @@ The inequality combination used throughout is
 
 with classical (locally definite) bound 2 and quantum ceiling 2*sqrt(2).
 
-Observable families
--------------------
-Each wing measures either one factor or a two-factor pair:
+Each wing measures either one factor, with the Bloch family n(theta, phi) . sigma, or
+a pair of factors, with the same Bloch pattern applied blockwise on the anti-correlated
+span {|01>, |10>} and the correlated span {|00>, |11>}, so the two defaults of
+``MeasurementSettings.defaults`` are members of one continuously parameterized family.
+Both families satisfy the Pauli algebra observable-by-observable, so the correlator is
+exactly bilinear in the two Bloch vectors through a real 3x3 kernel K:  E(a, b) = a . K b.
 
-* single factor: the Bloch family n(theta, phi) . sigma;
-* pair of factors: the same Bloch pattern applied blockwise on the
-  anti-correlated span {|01>, |10>} and the correlated span {|00>, |11>},
-  so the two defaults of ``MeasurementSettings.defaults`` are members of
-  one continuously parameterized family.
+Every inequality number comes from a table M[m, n] = Tr(rho A_m (x) B_n) over stacks of
+the wings' operators (``_wing_moments``).  Over each wing's (I, obs0, obs1) row 0 and
+column 0 are the marginals and the rest the correlators; over the basis triples M is K.
+The comparison and both searches take K and M off one reduction of each state
+(``_tables``).  Tables are linear in rho, so a comparison mixes tables, not densities.
+A held or mixed entry beyond 1 + 1e-10 in magnitude raises InvariantViolation.
 
-Both families satisfy the Pauli algebra observable-by-observable, so the
-correlator is exactly bilinear in the two Bloch vectors through a real
-3x3 kernel K:  E(a, b) = a . K b.
-
-Moment table
-------------
-Every inequality number comes from a table M[m, n] = Tr(rho A_m (x) B_n)
-over stacks of Alice's and Bob's operators (``_wing_moments``).  Over each
-wing's (I, obs0, obs1) row 0 and column 0 are the marginals and the rest
-the correlators; over the basis triples M is K.  Tables are linear in rho, so
-``hypothesis_comparison`` reduces every held state once (``_reduced_stack``),
-takes all their Ks in one einsum and all their settings' Ms in another
-(``_stack_moments``), and mixes them with each hypothesis's weights, in term
-order, as array operations.  It mixes no density, and at default settings
-builds no observable.  Its ``s_max`` values are the closed form below of the
-mixed Ks, from one stacked SVD, and its grid cross-check scans those Ks in
-one pass (``_grid_gaps``).  A held or mixed entry beyond 1 + 1e-10 in
-magnitude raises InvariantViolation.
-
-Settings search
----------------
-For fixed Bob directions (b1, b0) Alice's best unit vectors are along
-K(b1 + b0) and K(b1 - b0), giving
+For fixed Bob directions (b1, b0) Alice's best unit vectors are along K(b1 + b0) and
+K(b1 - b0), giving
 
     S(b1, b0) = |K(b1 + b0)| + |K(b1 - b0)|.
 
-``exact_optimum`` maximizes this in closed form (R., P. & M. Horodecki,
-Phys. Lett. A 200, 340 (1995)): with mu1 >= mu2 the two largest
-eigenvalues of K^T K and v1, v2 their eigenvectors, the supremum
-2 sqrt(mu1 + mu2) (``_s_max``, from K's singular values) is attained at
+``exact_optimum`` maximizes this in closed form (R., P. & M. Horodecki, Phys. Lett. A
+200, 340 (1995)): with mu1 >= mu2 the two largest eigenvalues of K^T K and v1, v2 their
+eigenvectors, the supremum 2 sqrt(mu1 + mu2) (``_s_max``) is attained at
 
-    b1, b0 = cos(t) v1 +/- sin(t) v2,   tan(t) = sqrt(mu2) / sqrt(mu1).
+    b1, b0 = cos(t) v1 +/- sin(t) v2,   tan(t) = sqrt(mu2) / sqrt(mu1),
 
-Eigenvectors are fixed by one canonical rule, so degenerate spectra give
-reproducible settings: eigenvalues that agree within
-1e-12 * max(1, mu1) form one group, and each group's eigenvectors are
-replaced by the Gram-Schmidt of the z, x and y axes, in that order,
-projected onto the group's eigenspace (a remainder shorter than 1e-9
-counts as zero and is skipped).  That fixes every sign and gives the
-textbook b1, b0 = (z +/- x)/sqrt(2) for the singlet.
-
-``optimize_settings`` is the exhaustive reference: it scans Bob's two
-directions over the full (theta, phi) product grid with Alice exact, so
-halving grid_step produces a superset of Bob grid points and the
-maximum can only grow, up to the exact value.  It picks the first pair in
-row-major grid order (the lexicographically smallest (theta_b1, phi_b1,
-theta_b0, phi_b0)) whose S lies within _TIE_EPS = 1e-12 of the grid
-maximum, so rounding never decides between exact ties.  S is symmetric in
-(b1, b0) and even in each, and every phi of the theta = 0 row is the same
-z, so the scan evaluates only the triangle i <= j of ``_scan_directions``:
-one z and, when pi / grid_step is an integer, the first of each antipodal
-pair.  It walks the triangle in row blocks of a fixed number of pairs,
-each from its own first row on, so its memory grows with the number of
-directions, not of pairs.  S is read off the rows w = K b of a pair's
-directions as |w1 + w0| + |w1 - w0|, whatever the blocking or the BLAS.
-One scan takes a stack of Ks, which share its set-up and flushes but no
-t, best or pick: the grid cross-check (``_grid_gaps``) scans every entry's
-mixed K at once and reads S at each pick by the formula above, building no
-observable, where both searches return ``chsh_value`` at their settings.
-
-The walk is screened.  Before it starts, the scan takes each K's best S in
-one row of its own table, that of the direction with the largest |K b|
-(the seed, ``_row_seed``): a grid pair's S, so never above the grid
-maximum, and found without an SVD.  A threshold t, a relative 1e-6 and
-then _TIE_EPS below the best S known so far, screens each block with one
-matmul that tests a proven necessary condition for S >= t (derived above
-``_SCREEN_MARGIN``).  Only the pairs that pass are queued, and every pair
-dropped lies more than _TIE_EPS below the grid maximum.  A flush reads S
-at every K's queued pairs and tightens its t.  So the pick is the
-unscreened scan's; the seed and the flushes change only what is pruned.
+with the eigenvectors fixed by the canonical rule of ``_exact_bob_pair``.
+``optimize_settings`` is the exhaustive reference: it scans Bob's two directions over
+the (theta, phi) product grid with Alice exact (``_grid_bob_pairs``).  The scan's rules
+are stated next to their code: its directions at ``_scan_directions``, its tie rule at
+``_TIE_EPS``, its blocks at ``_BLOCK_PAIRS``, its seed at ``_row_seed`` and its screen at
+``_SCREEN_MARGIN``.
 """
 
 from __future__ import annotations
@@ -314,14 +265,6 @@ def local_deterministic_bound() -> float:
     return float(max(a1 * b1 + a1 * b0 + a0 * b1 - a0 * b0 for a1, a0, b1, b0 in signs))
 
 
-def _correlation_kernel(
-    state: State, alice_space: CompositeSpace, bob_space: CompositeSpace
-) -> np.ndarray:
-    """K[m, n] = E(basis_m on Alice, basis_n on Bob); E(a,b) = a.K b."""
-    a3, b3 = (_basis_triple(wing.nfactors) for wing in (alice_space, bob_space))
-    return _wing_moments([state], alice_space, bob_space, a3, b3)[0]
-
-
 def _grid_shape(step: float) -> tuple[int, int]:
     """(n_theta, n_phi): multiples of step in [0, pi] and in [0, 2 pi)."""
     n_theta = int(math.floor(math.pi / step + 1e-9)) + 1
@@ -368,7 +311,9 @@ def _angles_of(vector: np.ndarray) -> tuple[float, float]:
 @lru_cache(maxsize=4)
 def _scan_directions(step: float) -> np.ndarray:
     """``_sphere_grid``'s directions, read-only, with one z and, when pi / step is an integer k,
-    the first of each antipodal pair (theta_a, phi_b), (theta_(k-a), phi_(b+k mod 2k)) only."""
+    the first of each antipodal pair (theta_a, phi_b), (theta_(k-a), phi_(b+k mod 2k)) only.
+    S is symmetric in (b1, b0) and even in each, and every phi of the theta = 0 row is the
+    same z, so the scan evaluates only the triangle i <= j over these directions."""
     if not grid_step_in_range(step):
         raise ShapeError(f"grid_step {step!r} outside [pi/128, pi/8]")
     thetas, phis, vectors = _sphere_grid(step)
@@ -397,13 +342,17 @@ def _row_seed(w: np.ndarray, norms2: np.ndarray) -> np.ndarray:
 
 
 # Pairs per screen block (whole rows of the triangle, each from the block's first row on),
-# survivors queued before a flush and rows of w in one stack.  It bounds memory only: S at
-# a survivor is read off its two rows, whatever the blocking, flushes, stack, BLAS or t.
+# survivors queued before a flush and rows of w in one stack, so a scan's memory grows with
+# its directions, not its pairs.  It bounds memory only: S at a survivor is read off its
+# two rows, whatever the blocking, flushes, stack, BLAS or t.
 _BLOCK_PAIRS = 1 << 15
 
-# The tie rule's tolerance.  On the pinned and property-drawn kernels, S of pairs tied
-# exactly to the grid maximum spread at most 1.8e-15, and the best pair not tied to it
-# lay at least 9.9e-9 below: rounding cannot move a pair across this line.
+# The tie rule's tolerance.  A scan picks the first pair in row-major grid order (the
+# lexicographically smallest (theta_b1, phi_b1, theta_b0, phi_b0)) whose S lies within it
+# of the grid maximum, so rounding never decides between exact ties.  On the pinned and
+# property-drawn kernels, S of pairs tied exactly to the grid maximum spread at most
+# 1.8e-15, and the best pair not tied to it lay at least 9.9e-9 below: rounding cannot
+# move a pair across this line.
 _TIE_EPS = 1e-12
 
 # The screen.  With w_i = K b_i, n_i = |w_i|^2, P = n_i + n_j, G = 2 w_i . w_j
@@ -425,14 +374,16 @@ _TIE_EPS = 1e-12
 # ties (p = 0.1 ... 0.9).  Near t^2 = 2P, once
 # the first test fails, the second's slack is at least about (m t^2)^2, and
 # must outlast Q's rounding, a few eps t^4: m = 1e-6 leaves a factor of
-# several hundred, while m = 1e-9 changed picks on rank-one kernels.
+# several hundred, while m = 1e-9 changed picks on rank-one kernels.  So the pick is the
+# unscreened scan's; the seed and the flushes change only what is pruned.
 _SCREEN_MARGIN = 1e-6
 _PRODUCTS = ([0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2])  # a and b of c's w_a w_b
 
 
 def _grid_bob_pairs(kernels: np.ndarray, grid_step: float) -> np.ndarray:
     """Bob's (b1, b0) for each K of a (k, 3, 3) stack, as a (k, 2, 3) array: each K's first
-    grid pair in row-major order within _TIE_EPS of its own maximum.
+    grid pair in row-major order within _TIE_EPS of its own maximum.  The Ks share the
+    scan's set-up and flushes but no t, best or pick.
 
     The screen runs K by K and block by block and queues survivors, ascending, as indices
     (c n + i) k n + c n + j of pairs of w's k n rows.  A flush (``_kept``) reads S at each
@@ -515,10 +466,16 @@ _CANONICAL_AXES = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 def _exact_bob_pair(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bob's (b1, b0) attaining 2 sqrt(mu1 + mu2); see module docstring.
 
-    The singular values sigma of K are the square roots of the
-    eigenvalues mu of K^T K and its right singular vectors are their
-    eigenvectors; working from the SVD keeps tan(t) = sigma2 / sigma1
-    accurate when mu2 is tiny or zero.
+    Eigenvectors are fixed by one canonical rule, so degenerate spectra give reproducible
+    settings: eigenvalues that agree within 1e-12 * max(1, mu1) form one group, and each
+    group's eigenvectors are replaced by the Gram-Schmidt of the z, x and y axes, in that
+    order, projected onto the group's eigenspace (a remainder shorter than 1e-9 counts as
+    zero and is skipped).  That fixes every sign and gives the textbook
+    b1, b0 = (z +/- x)/sqrt(2) for the singlet.
+
+    The singular values sigma of K are the square roots of the eigenvalues mu of K^T K and
+    its right singular vectors are their eigenvectors; working from the SVD keeps
+    tan(t) = sigma2 / sigma1 accurate when mu2 is tiny or zero.
     """
     _, sigma, vt = np.linalg.svd(kernel)
     mu = sigma * sigma
@@ -577,6 +534,25 @@ def _s_max(kernels: np.ndarray) -> np.ndarray:
     return 2.0 * np.sqrt(sigma[..., 0] ** 2 + sigma[..., 1] ** 2)
 
 
+def _tables(held: Sequence[State], spaces: tuple, settings: MeasurementSettings | None = None,
+            grid_step: float | None = None) -> tuple[np.ndarray, tuple | None]:
+    """Each held state's (K, M) on the wing ``spaces``, as an (h, 2, 3, 3) stack off one
+    ``_reduced_stack``, and the angles M was taken at.  M is at ``settings``, reduced again
+    only onto other wings (angles None), or else at the first K's ``_settings_angles`` at
+    ``grid_step``, from the bare ``_bloch_operator`` stacks, bitwise the observables'."""
+    reduced = _reduced_stack(held, *spaces)
+    kernels = _stack_moments(reduced, *(_basis_triple(wing.nfactors) for wing in spaces))
+    angles = None
+    if settings is None:
+        angles = _settings_angles(kernels[0], grid_step)
+        ops = [_wing_stack(*(_bloch_operator(t, p, _basis_triple(space.nfactors)) for t, p in wing))
+               for space, wing in zip(spaces, angles)]
+    else:
+        alice, bob, *ops = _settings_wings(settings)
+        reduced = reduced if (alice, bob) == spaces else _reduced_stack(held, alice, bob)
+    return np.stack([kernels, _stack_moments(reduced, *ops)], axis=1), angles
+
+
 def _searched(
     state: State,
     alice_labels: Sequence[str] | None,
@@ -585,7 +561,7 @@ def _searched(
     origin: str,
 ) -> tuple[MeasurementSettings, float]:
     """Shared body of both searches, exact or on a grid: the settings at the
-    ``_settings_angles`` of the state's K on the wings, and ``chsh_value`` there."""
+    ``_settings_angles`` of the state's K on the wings, and S there, both off ``_tables``."""
     if alice_labels is None and bob_labels is None and state.space.nfactors == 2:
         alice_labels, bob_labels = state.space.labels[:1], state.space.labels[1:]
     if alice_labels is None or bob_labels is None:
@@ -594,9 +570,10 @@ def _searched(
             "bob_labels to say which wing measures what"
         )
     spaces = (state.space.subspace(alice_labels), state.space.subspace(bob_labels))
-    angles = _settings_angles(_correlation_kernel(state, *spaces), grid_step)
-    settings = _built_settings(spaces, angles, origin)
-    return settings, chsh_value(state, settings).s_value
+    tables, angles = _tables([state], spaces, grid_step=grid_step)
+    s_value, correlators = _table_values(tables[0, 1])
+    result = InequalityResult(float(s_value), tuple(correlators.tolist()))  # the ceiling's guard
+    return _built_settings(spaces, angles, origin), result.s_value
 
 
 def exact_optimum(
@@ -744,15 +721,7 @@ def hypothesis_comparison(
     held = list({id(rho): rho for mix in terms.values() for _, rho in mix}.values())
     slot = {id(rho): i for i, rho in enumerate(held)}  # first-use order, unitary_only's first
     spaces = tuple(map(rho_unitary.space.subspace, (scenario.alice_labels, scenario.bob_labels)))
-    reduced = _reduced_stack(held, *spaces)  # once, for every K and every M on these wings
-    kernels = _stack_moments(reduced, *(_basis_triple(wing.nfactors) for wing in spaces))
-    if settings is None:  # the unitary optimum's bare operators, bitwise its observables'
-        ops = [_wing_stack(*(_bloch_operator(t, p, _basis_triple(space.nfactors)) for t, p in wing))
-               for space, wing in zip(spaces, _settings_angles(kernels[0]))]
-    else:
-        alice, bob, *ops = _settings_wings(settings)  # reduced again only onto other wings
-        reduced = reduced if (alice, bob) == spaces else _reduced_stack(held, alice, bob)
-    tables = np.stack([kernels, _stack_moments(reduced, *ops)], axis=1)  # (K, M) per state
+    tables, _ = _tables(held, spaces, settings)  # (K, M) per state, unitary_only's first
     mixes = list(terms.values())
     mixed = np.empty((len(mixes), *tables.shape[1:]))  # each hypothesis's sum of w (K, M)
     for k in range(max(map(len, mixes))):  # every mix's k-th term, added in term order

@@ -17,15 +17,11 @@ Conventions
 * ``VALIDITY_TOL`` (1e-10) guards constructor invariants.
   ``ALGEBRA_TOL`` (1e-12) is the headroom claimed for algebraic
   identities at these dimensions.
-* Every subsystem operation (reordering, partial trace, expectation, and
-  the Born rule and collapse in ``measurement``) moves the named factors
-  to the front with one private primitive, ``_factors_first``, and acts
-  on the small matrix or reduced state it yields; no operator is lifted
-  to the full space.  ``_front_order`` alone builds axis permutations and
-  checks factor dimensions; a collapse takes its branch back through
-  ``_factors_back`` with the one permutation ``_factors_first`` returned,
-  and the friend interaction (``scenarios``) applies its heralded map as a
-  constant 4 x 8 matrix.  :func:`embed` is kept as a public utility.
+* Subsystem operations act on the named factors moved to the front
+  (``_factors_first``); no operator is lifted to the full space.
+  :func:`embed`, which lifts one, stays here as a public reference route:
+  the benchmark's tracer (``perfbench/tracing.py``) wraps
+  ``wfsim.hilbert.embed`` by that name.
 
 All values are immutable after construction (arrays are marked
 read-only), so they are safe to share between threads.
@@ -137,9 +133,11 @@ class CompositeSpace:
         return self.dims[self.axis(label)]
 
     def axes(self, labels: Sequence[str]) -> tuple[int, ...]:
+        """Positions of the labeled factors, the one label rule: a string is one label."""
+        labels = (labels,) if isinstance(labels, str) else tuple(labels)
         found = tuple(self.axis(l) for l in labels)
         if len(set(found)) != len(found):
-            raise ShapeError(f"repeated labels in {tuple(labels)}")
+            raise ShapeError(f"repeated labels in {labels}")
         return found
 
     def subspace(self, labels: Sequence[str]) -> "CompositeSpace":
@@ -262,11 +260,11 @@ class PureState:
 
     def reorder(self, labels: Sequence[str]) -> "PureState":
         """The same state with factors permuted into the given label order."""
-        if sorted(labels) != sorted(self.space.labels):
-            raise ShapeError(
-                f"reorder needs a permutation of {self.space.labels}, got {tuple(labels)}"
-            )
         sub = self.space.subspace(labels)
+        if sub.nfactors != self.space.nfactors:
+            raise ShapeError(
+                f"reorder needs a permutation of {self.space.labels}, got {sub.labels}"
+            )
         return PureState(sub, _factors_first(self, sub.factors)[0].reshape(-1), self.normalized)
 
 
@@ -458,6 +456,7 @@ def _front_order(space: CompositeSpace, factors: Sequence[tuple[str, int]]) -> t
 
     The remaining factors follow in their original order.  A factor whose
     dimension in ``factors`` differs from the one in ``space`` raises ShapeError.
+    This is the one place that builds axis permutations and checks factor dimensions.
     """
     front = space.axes([lbl for lbl, _ in factors])
     for (lbl, dim), a in zip(factors, front):
@@ -473,7 +472,10 @@ def _factors_first(
     """The state with the (label, dim) ``factors`` moved to the front, and the permutation
     that did it (from ``_front_order``; ``_factors_back`` undoes it).  A PureState gives the
     (d_sub, d_rest) matrix M[i, r] = <i r|psi>; a DensityOperator gives the
-    (d_sub, d_rest, d_sub, d_rest) tensor <i r|rho|j s>."""
+    (d_sub, d_rest, d_sub, d_rest) tensor <i r|rho|j s>.  Every subsystem operation
+    (reordering, partial trace, expectation, the Born rule and collapse in ``measurement``)
+    goes through this one primitive and acts on what it yields; a collapse takes its
+    branch back with the one permutation returned here."""
     space = state.space
     perm = _front_order(space, factors)
     d_sub = math.prod(dim for _, dim in factors)
@@ -521,10 +523,10 @@ def partial_trace(
     big-endian indexing convention, and the result is validated as a
     DensityOperator.  Accepts a normalized PureState too.
     """
-    keep = tuple(keep)
-    if not keep:
+    kept = sorted(rho.space.axes(keep))
+    if not kept:
         raise ShapeError("keep must name at least one factor")
-    sub = rho.space.subspace(sorted(keep, key=rho.space.axis))
+    sub = CompositeSpace(tuple(rho.space.factors[a] for a in kept))
     return DensityOperator(sub, _reduced_matrix(rho, sub.factors))
 
 

@@ -136,6 +136,8 @@ def dephase(rho: DensityOperator, on: Sequence[str]) -> DensityOperator:
     result is the proper-mixture description in which the targeted
     factors have a definite but unknown basis value.
     """
+    if not isinstance(rho, DensityOperator):
+        raise InvalidState(f"dephase needs a DensityOperator, got {type(rho).__name__}")
     if not on:
         raise ShapeError("dephase needs at least one target factor")
     return DensityOperator(rho.space, np.where(_differs_on(rho.space, on), 0.0, rho.matrix))
@@ -233,10 +235,10 @@ def _resolved(space: CompositeSpace, basis, labels) -> tuple[ProjectiveMeasureme
     meas = basis.measurement if isinstance(basis, DichotomicObservable) else basis
     if isinstance(meas, ProjectiveMeasurement):
         return meas, meas.space.factors
-    labels = (labels,) if isinstance(labels, str) else labels
-    if labels is None or len(labels) == 0:
+    axes = () if labels is None else space.axes(labels)
+    if not axes:
         raise ShapeError("give either measured labels or an explicit basis")
-    return None, tuple(space.factors[a] for a in space.axes(labels))
+    return None, tuple(space.factors[a] for a in axes)
 
 
 def born_probabilities(
@@ -307,11 +309,10 @@ def projective_collapse(
     if basis is not None and not isinstance(basis, (ProjectiveMeasurement, DichotomicObservable)):
         raise ShapeError(f"give either measured labels or an explicit basis; a "
                          f"{type(basis).__name__} is neither a measurement nor an observable")
-    if isinstance(on, str):
-        on = (on,)
     meas, factors = _resolved(state.space, basis, on)
-    if meas is not None and on is not None and tuple(on) != meas.space.labels:
-        raise ShapeError(f"labels {tuple(on)} disagree with the measurement's {meas.space.labels}")
+    axes = state.space.axes
+    if meas is not None and on is not None and axes(on) != axes(meas.space.labels):
+        raise ShapeError(f"labels {on!r} disagree with the measurement's {meas.space.labels}")
     front, perm = _factors_first(state, factors)
     if not state.normalized:
         raise InvalidState("a sub-normalized state has no reduced state; normalize() it first")
@@ -380,14 +381,20 @@ class CollapseHypothesis:
     @classmethod
     def parse(cls, text: "CollapseHypothesis | str") -> "CollapseHypothesis":
         """Parse 'unitary_only', ..., or 'stochastic_collapse(0.3)'; a CollapseHypothesis passes,
-        and anything else raises InvalidState."""
+        and anything else, a probability that is no number included, raises InvalidState."""
         if isinstance(text, CollapseHypothesis):
             return text
         if not isinstance(text, str):
             raise InvalidState(
                 f"a hypothesis is a name or a CollapseHypothesis, not {type(text).__name__}")
         m = _STOCHASTIC_RE.match(text.strip())
-        return cls.stochastic(float(m.group(1))) if m else cls(text.strip())
+        if not m:
+            return cls(text.strip())
+        try:
+            p = float(m.group(1))
+        except ValueError:
+            raise InvalidState(f"no collapse probability in {text!r}") from None
+        return cls.stochastic(p)
 
     @property
     def name(self) -> str:

@@ -128,7 +128,7 @@ class ScenarioConfig:
                 raise ConfigError(f"bad hypotheses entry {text!r}: not a name")
             try:
                 hyp = CollapseHypothesis.parse(text)
-            except (InvalidState, ValueError) as exc:
+            except InvalidState as exc:
                 raise ConfigError(f"bad hypotheses entry {text!r}: {exc}") from exc
             if hyp.name in seen:
                 raise ConfigError(f"hypotheses list names {hyp.name!r} twice")

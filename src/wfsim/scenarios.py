@@ -240,9 +240,6 @@ class HeldScenario:
     labels, from which :func:`~wfsim.measurement._ensemble_terms` derives each variant's
     dephased label sets once.  ``variants`` are the variants the scenario holds.  The
     unitary state is held as given, a density wherever there is a site to dephase.
-    ``hypothesis_comparison`` reduces each held state once, takes every K and every
-    settings table off that one reduction in two einsums, and builds no observable at
-    default settings.
     """
 
     def __init__(self, unitary: Union[PureState, DensityOperator], alice_labels: Sequence[str],

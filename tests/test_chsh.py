@@ -274,7 +274,7 @@ class TestOptimizeSettings:
             rho = scenario.exact_state_under(name)
             wings = (rho.space.subspace(scenario.alice_labels),
                      rho.space.subspace(scenario.bob_labels))
-            kernels[name] = chsh._correlation_kernel(rho, *wings)
+            kernels[name] = chsh._tables([rho], wings)[0][0, 0]
         return kernels
 
     @pytest.mark.one_blas_thread
@@ -395,8 +395,8 @@ class TestOptimizeSettings:
             calls.append(args[0])
             return svd(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
         kernels = self._pinned_kernels()
+        monkeypatch.setattr(np.linalg, "svd", counted)
         for name, picks in self.PINNED_PICKS.items():
             for div, (i1, i0) in picks.items():
                 _, _, vectors = chsh._sphere_grid(PI / div)
@@ -465,9 +465,9 @@ class TestExactOptimum:
 
     def test_degenerate_choice_is_stable_under_tiny_perturbations(self):
         _, rho, labels = self._unitary_and_labels()
-        unitary_kernel = chsh._correlation_kernel(
-            rho, rho.space.subspace(labels[0]), rho.space.subspace(labels[1])
-        )
+        unitary_kernel = chsh._tables(
+            [rho], (rho.space.subspace(labels[0]), rho.space.subspace(labels[1]))
+        )[0][0, 0]
         rng = np.random.default_rng(67)
         for kernel in (-np.eye(3), unitary_kernel):
             b1, b0 = chsh._exact_bob_pair(kernel)
@@ -737,7 +737,7 @@ class TestHypothesisComparison:
         labels = (scenario.alice_labels, scenario.bob_labels)
         optimum, s_own = exact_optimum(rho, *labels)
         _, s_grid = optimize_settings(rho, PI / 16, *labels)
-        kernel = chsh._correlation_kernel(rho, *(rho.space.subspace(wing) for wing in labels))
+        kernel = chsh._tables([rho], tuple(map(rho.space.subspace, labels)))[0][0, 0]
         sigma = np.linalg.svd(kernel, compute_uv=False)
         closed = 2.0 * math.sqrt(sigma[0] ** 2 + sigma[1] ** 2)
         b1, b0 = chsh._grid_bob_pair(kernel, PI / 16)
@@ -868,18 +868,35 @@ def _counting(monkeypatch, module, name, calls):
 
 
 class TestOnePath:
-    """Each report quantity has one code path: the searches read S through ``chsh_value``,
-    and the singlet's inequality rows come from ``hypothesis_comparison``."""
+    """Each report quantity has one code path: the comparison and both searches take their
+    tables through ``_tables``, and the singlet's inequality rows come from
+    ``hypothesis_comparison``."""
 
     def test_searches_return_chsh_value_at_their_settings(self, monkeypatch):
+        """The searches read S off their own table, calling no ``chsh_value``, and that S is
+        ``chsh_value``'s at the settings they return, bitwise."""
         calls = []
         _counting(monkeypatch, chsh, "chsh_value", calls)
         for search in (exact_optimum, lambda psi: optimize_settings(psi, PI / 16)):
             calls.clear()
             settings, value = search(bell_singlet())
-            assert calls == ["chsh_value"]
+            assert calls == []
             assert value == chsh_value(bell_singlet(), settings).s_value
         assert not hasattr(chsh, "_search")
+        assert not hasattr(chsh, "_correlation_kernel")
+
+    def test_searches_reduce_their_state_once(self, monkeypatch):
+        """``exact_optimum`` and ``optimize_settings`` on the Proietti unitary density each
+        reduce it once, for K and for S at their pick (twice when S came from ``chsh_value``)."""
+        scenario = proietti_scenario()
+        rho = scenario.exact_state_under("unitary_only")
+        labels = (scenario.alice_labels, scenario.bob_labels)
+        calls = []
+        _counting(monkeypatch, chsh, "_reduced_matrix", calls)
+        for search in (exact_optimum, lambda *args: optimize_settings(args[0], PI / 16, *args[1:])):
+            calls.clear()
+            search(rho, *labels)
+            assert calls == ["_reduced_matrix"]
 
     @pytest.mark.parametrize("shots", [0, 1000])
     def test_singlet_report_runs_one_comparison(self, shots, monkeypatch):

@@ -14,10 +14,13 @@ from wfsim import (
     PureState,
     ShapeError,
     UnknownSubsystem,
+    ProjectiveMeasurement,
     bloch_vector,
     born_probabilities,
     coherence_norm,
+    dephase,
     embed,
+    exact_optimum,
     expectation,
     partial_trace,
     projective_collapse,
@@ -94,6 +97,41 @@ class TestCompositeSpace:
         """'²'.isdigit() is True but int('²') fails; it is an unknown character."""
         with pytest.raises(ShapeError, match="unknown basis character"):
             CompositeSpace.qubits("x").basis_index("²")
+
+
+class TestStringLabels:
+    """One label rule, in ``CompositeSpace.axes``: wherever labels are taken, a string is one
+    label.  Born and collapse took it so; partial trace, dephasing, coherence and the searches
+    split it into characters."""
+
+    def test_a_string_is_one_label(self):
+        space = CompositeSpace.qubits("e1", "e2")
+        psi = PureState.from_mapping(space, {"01": 1 / SQRT2, "10": -1 / SQRT2})
+        rho = psi.density()
+        assert space.axes("e2") == (1,)
+        assert np.array_equal(partial_trace(rho, "e1").matrix, partial_trace(rho, ("e1",)).matrix)
+        assert np.array_equal(dephase(rho, "e1").matrix, dephase(rho, ("e1",)).matrix)
+        assert coherence_norm(rho, "e1") == coherence_norm(rho, ("e1",))
+        assert np.array_equal(born_probabilities(rho, "e1"), born_probabilities(rho, ("e1",)))
+        assert exact_optimum(rho, "e1", "e2")[1] == exact_optimum(rho, ("e1",), ("e2",))[1]
+        meas = ProjectiveMeasurement.computational(space.subspace("e1"))
+        for basis in (None, meas):
+            by_string = projective_collapse(psi, "e1", basis, np.random.default_rng(3))
+            by_tuple = projective_collapse(psi, ("e1",), basis, np.random.default_rng(3))
+            assert by_string[0] == by_tuple[0]
+            assert np.array_equal(by_string[1].amplitudes, by_tuple[1].amplitudes)
+        with pytest.raises(ShapeError, match="disagree"):
+            projective_collapse(psi, "e2", meas, np.random.default_rng(3))
+
+    def test_a_string_never_names_its_characters(self):
+        """On factors (a, b), "ab" names no factor: it dephased or kept both."""
+        psi = PureState(CompositeSpace.qubits("a", "b"), np.full(4, 0.5))
+        rho = psi.density()
+        for call in (lambda: partial_trace(rho, "ab"), lambda: dephase(rho, "ab"),
+                     lambda: coherence_norm(rho, "ab"), lambda: born_probabilities(rho, "ab"),
+                     lambda: psi.reorder("ab")):
+            with pytest.raises(UnknownSubsystem, match="'ab'"):
+                call()
 
 
 class TestPureState:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import wfsim.scenarios
 from wfsim import (
     InvariantViolation,
     CollapseHypothesis,
+    ConfigError,
     CompositeSpace,
     DensityOperator,
     DichotomicObservable,
@@ -21,6 +23,7 @@ from wfsim import (
     PointerNotReady,
     ProjectiveMeasurement,
     PureState,
+    ScenarioConfig,
     ShapeError,
     UNITARY_ONLY,
     born_probabilities,
@@ -121,6 +124,20 @@ class TestMixtures:
             partial_trace(psi.density(), ("s",)).matrix,
             atol=1e-15,
         )
+
+    def test_dephase_of_anything_but_a_density_is_invalid(self):
+        """A PureState died on ``.matrix`` with an AttributeError, also inside a holder's held
+        terms and a comparison; dephase raises InvalidState naming the type up front."""
+        psi = PureState(CompositeSpace.qubits("a", "b"), np.full(4, 0.5))
+        for state, kind in ((psi, "PureState"), (psi.density().matrix, "ndarray")):
+            with pytest.raises(InvalidState, match=f"dephase needs a DensityOperator, got {kind}$"):
+                dephase(state, ("a",))
+        holder = HeldScenario(psi, ("a",), ("b",), sites=(("a",),), friends=("a",))
+        for hypothesis in ("friend_dephasing", "subjective_collapse", "stochastic_collapse(0.5)"):
+            with pytest.raises(InvalidState, match="got PureState$"):
+                holder.held_terms(hypothesis)
+            with pytest.raises(InvalidState, match="got PureState$"):
+                wfsim.chsh.hypothesis_comparison(holder, [hypothesis])
 
     def test_dephase_erases_targeted_coherence(self):
         space = CompositeSpace.qubits("s", "p")
@@ -618,6 +635,21 @@ class TestCollapseHypothesis:
         monkeypatch.setattr(wfsim.chsh, "_wing_moments", None)
         with pytest.raises(InvalidState, match=f"name or a CollapseHypothesis, not {kind}$"):
             call()
+
+    @pytest.mark.parametrize("text", ["stochastic_collapse(.)", "stochastic_collapse(1e)",
+                                      "stochastic_collapse(--1)"])
+    def test_probability_that_is_no_number_is_invalid(self, text):
+        """A probability the pattern admits but ``float`` rejects raised a bare ValueError; it
+        raises InvalidState naming the text, through every caller, and a config entry's
+        ConfigError keeps its message."""
+        scenario, quoted = wfsim.scenarios.proietti_scenario(), re.escape(repr(text))
+        for call in (CollapseHypothesis.parse, wfsim.scenarios.counterexample_probability,
+                     scenario.held_terms,
+                     lambda h: wfsim.chsh.hypothesis_comparison(scenario, [h])):
+            with pytest.raises(InvalidState, match=f"no collapse probability in {quoted}$"):
+                call(text)
+        with pytest.raises(ConfigError, match=f"^bad hypotheses entry {quoted}: no"):
+            ScenarioConfig(hypotheses=(text,))
 
     def test_probability_bounds(self):
         with pytest.raises(InvalidState):

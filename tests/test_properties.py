@@ -38,7 +38,6 @@ from wfsim.chsh import (
     TSIRELSON_BOUND,
     MeasurementSettings,
     _basis_triple,
-    _correlation_kernel,
     _grid_bob_pair,
     _grid_bob_pairs,
     _grid_gaps,
@@ -46,6 +45,7 @@ from wfsim.chsh import (
     _row_values,
     _s_max,
     _scan_directions,
+    _tables,
     _wing_moments,
     observable_from_bloch,
     sample_inequality,
@@ -175,7 +175,7 @@ def test_correlation_kernel_matches_brute_force(seed):
     mixed = DensityOperator(space, random_density(rng, space.dim))
     pure = PureState(space, random_pure(rng, space.dim))
     for state, matrix in ((mixed, mixed.matrix), (pure, pure.density().matrix)):
-        kernel = _correlation_kernel(state, *wings)
+        kernel = _tables([state], wings)[0][0, 0]
         expected = brute_correlation_kernel(matrix, list(space.dims), alice, bob)
         assert kernel.flags.c_contiguous
         assert np.max(np.abs(kernel - expected)) < 1e-12
@@ -670,3 +670,24 @@ def test_a_local_bit_flip_moves_a_wing_density():
         flipped = DensityOperator(space, x @ unitary.matrix @ x)
         assert _local_deviation(flipped, unitary, ()) == 0.0, label
         assert _local_deviation(flipped, unitary, wings) >= 0.49, label
+
+
+@EXAMPLES
+@given(seed=SEEDS, variant=st.sampled_from(_HYPOTHESIS_VARIANTS), p=st.floats(0.0, 1.0))
+def test_searches_return_chsh_value_at_their_settings(seed, variant, p):
+    """Both searches read S off their own table; it is ``chsh_value``'s at the settings they
+    return, bitwise: on a drawn hypothesis's Proietti density on the pair wings, and on a
+    random pure and a random mixed two-qubit state, exactly and at pi/16."""
+    scenario = proietti_scenario()
+    hypothesis = CollapseHypothesis.stochastic(p) if variant == "stochastic_collapse" else variant
+    rng = np.random.default_rng(seed)
+    space = CompositeSpace.qubits("x", "y")
+    cases = [
+        (scenario.exact_state_under(hypothesis), (scenario.alice_labels, scenario.bob_labels)),
+        (PureState(space, random_pure(rng, 4)), (("x",), ("y",))),
+        (DensityOperator(space, random_density(rng, 4)), (("x",), ("y",))),
+    ]
+    for state, wings in cases:
+        for settings, value in (exact_optimum(state, *wings),
+                                optimize_settings(state, math.pi / 16, *wings)):
+            assert value == chsh_value(state, settings).s_value, (settings.origin, wings)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import wfsim.cli as cli
 import wfsim.scenarios as scenarios
 from wfsim import ConfigError, InvariantViolation, ScenarioConfig, bell_singlet, emit, run
-from wfsim.chsh import _GRID_PAIR_BUDGET, _correlation_kernel, _s_max, _scan_pairs
+from wfsim.chsh import _GRID_PAIR_BUDGET, _s_max, _scan_pairs, _tables
 from wfsim.errors import ShapeError, _check_count
 from wfsim.report import (
     CSV_COLUMNS,
@@ -230,7 +230,7 @@ class TestRunBellSinglet:
     def test_s_max_is_the_closed_form_of_the_kernel(self):
         """The row holds ``_s_max`` of the singlet's K bitwise, as in ``hypothesis_comparison``."""
         psi = bell_singlet()
-        kernel = _correlation_kernel(psi, *(psi.space.subspace((label,)) for label in ("e1", "e2")))
+        kernel = _tables([psi], (psi.space.subspace(("e1",)), psi.space.subspace(("e2",))))[0][0, 0]
         for grid_step in (None, math.pi / 16):
             config = ScenarioConfig(scenario="bell_singlet", grid_step=grid_step)
             assert _rows_by_quantity(run(config))[("", "s_max")].exact_value == _s_max(kernel)
@@ -581,3 +581,41 @@ class TestCliDeterminism:
         body_a.pop("wall_time_s")
         body_b.pop("wall_time_s")
         assert body_a == body_b
+
+
+# The package's public names: a star import must give exactly these.
+PUBLIC_NAMES = {
+    "CLASSICAL_BOUND", "CollapseHypothesis", "CompositeSpace", "ConfigError",
+    "DensityOperator", "DichotomicObservable", "FRIEND_DEPHASING", "FRIEND_PROJECTIVE",
+    "HeraldImpossible", "InequalityResult", "InvalidState", "InvariantViolation",
+    "LabelCollision", "MeasurementSettings", "PointerCoupling", "PointerNotReady",
+    "ProiettiScenario", "ProjectiveMeasurement", "PureState", "ReportRow", "RunReport",
+    "SUBJECTIVE_COLLAPSE", "ScenarioConfig", "ScenarioState", "ShapeError",
+    "TSIRELSON_BOUND", "UNITARY_ONLY", "UnknownSubsystem", "ValidityReport",
+    "WfsimError", "__version__", "bell_singlet", "bloch_vector", "born_probabilities",
+    "chsh_value", "claimed_branch_collapse", "coherence_norm", "correlator",
+    "counterexample_frequencies", "counterexample_measurement",
+    "counterexample_probability", "counterexample_run", "counterexample_state_under",
+    "couple_pointer", "dephase", "embed", "emit", "exact_optimum", "expectation",
+    "expected_final_state", "friend_interaction", "friend_pair_state",
+    "hypothesis_comparison", "improper_mixture", "local_deterministic_bound",
+    "observable_from_bloch", "optimize_settings", "partial_trace", "prepared_state",
+    "proietti_scenario", "projective_collapse", "purity", "render_csv", "render_json",
+    "run", "sample_inequality", "source_state", "tensor", "validate",
+}
+
+
+def test_star_import_gives_the_public_names_and_no_module():
+    """``__all__``, derived from the package's imports, holds the 69 public names once each,
+    and a star import binds exactly those: no submodule, and not the private ModuleType."""
+    import types
+
+    import wfsim
+
+    assert len(PUBLIC_NAMES) == 69
+    assert sorted(wfsim.__all__) == sorted(PUBLIC_NAMES)
+    namespace: dict = {}
+    exec("from wfsim import *", namespace)
+    namespace.pop("__builtins__")
+    assert set(namespace) == PUBLIC_NAMES
+    assert not any(isinstance(value, types.ModuleType) for value in namespace.values())

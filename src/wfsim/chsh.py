@@ -18,7 +18,7 @@ the wings' operators (``_wing_moments``).  Over each wing's (I, obs0, obs1) row 
 column 0 are the marginals and the rest the correlators; over the basis triples M is K.
 The comparison and both searches take K and M off one reduction of each state
 (``_tables``).  Tables are linear in rho, so a comparison mixes tables, not densities.
-A held or mixed entry beyond 1 + 1e-10 in magnitude raises InvariantViolation.
+A held or mixed entry beyond 1 + VALIDITY_TOL in magnitude raises InvariantViolation.
 
 For fixed Bob directions (b1, b0) Alice's best unit vectors are along K(b1 + b0) and
 K(b1 - b0), giving
@@ -55,6 +55,7 @@ from .hilbert import (
     DensityOperator,
     DichotomicObservable,
     PureState,
+    VALIDITY_TOL,
     _PAULI_TRIPLE,
     _bloch_operator,
     _reduced_matrix,
@@ -221,7 +222,7 @@ def _stack_moments(r: np.ndarray, alice_ops: np.ndarray, bob_ops: np.ndarray) ->
 
 
 def _checked(moments: np.ndarray) -> np.ndarray:
-    if not np.max(np.abs(moments)) <= 1.0 + 1e-10:
+    if not np.max(np.abs(moments)) <= 1.0 + VALIDITY_TOL:
         raise InvariantViolation(f"wing moment outside [-1, 1]: {moments!r}")
     return moments
 
@@ -242,11 +243,10 @@ def correlator(state: State, a: DichotomicObservable, b: DichotomicObservable) -
     return float(_wing_moments([state], a.space, b.space, a.matrix[None], b.matrix[None])[0, 0, 0])
 
 
-def chsh_value(state: State, settings: MeasurementSettings,
-               hypothesis: CollapseHypothesis | None = None) -> InequalityResult:
+def chsh_value(state: State, settings: MeasurementSettings) -> InequalityResult:
     """Exact S for the given settings, with the quantum ceiling enforced."""
     s_value, correlators = _table_values(_wing_moments([state], *_settings_wings(settings))[0])
-    return InequalityResult(float(s_value), tuple(correlators.tolist()), hypothesis=hypothesis)
+    return InequalityResult(float(s_value), tuple(correlators.tolist()))
 
 
 def _table_values(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -534,22 +534,16 @@ def _s_max(kernels: np.ndarray) -> np.ndarray:
     return 2.0 * np.sqrt(sigma[..., 0] ** 2 + sigma[..., 1] ** 2)
 
 
-def _tables(held: Sequence[State], spaces: tuple, settings: MeasurementSettings | None = None,
-            grid_step: float | None = None) -> tuple[np.ndarray, tuple | None]:
+def _tables(held: Sequence[State], spaces: tuple,
+            grid_step: float | None = None) -> tuple[np.ndarray, tuple]:
     """Each held state's (K, M) on the wing ``spaces``, as an (h, 2, 3, 3) stack off one
-    ``_reduced_stack``, and the angles M was taken at.  M is at ``settings``, reduced again
-    only onto other wings (angles None), or else at the first K's ``_settings_angles`` at
+    ``_reduced_stack``, and the angles M was taken at: the first K's ``_settings_angles`` at
     ``grid_step``, from the bare ``_bloch_operator`` stacks, bitwise the observables'."""
     reduced = _reduced_stack(held, *spaces)
     kernels = _stack_moments(reduced, *(_basis_triple(wing.nfactors) for wing in spaces))
-    angles = None
-    if settings is None:
-        angles = _settings_angles(kernels[0], grid_step)
-        ops = [_wing_stack(*(_bloch_operator(t, p, _basis_triple(space.nfactors)) for t, p in wing))
-               for space, wing in zip(spaces, angles)]
-    else:
-        alice, bob, *ops = _settings_wings(settings)
-        reduced = reduced if (alice, bob) == spaces else _reduced_stack(held, alice, bob)
+    angles = _settings_angles(kernels[0], grid_step)
+    ops = [_wing_stack(*(_bloch_operator(t, p, _basis_triple(space.nfactors)) for t, p in wing))
+           for space, wing in zip(spaces, angles)]
     return np.stack([kernels, _stack_moments(reduced, *ops)], axis=1), angles
 
 
@@ -570,7 +564,7 @@ def _searched(
             "bob_labels to say which wing measures what"
         )
     spaces = (state.space.subspace(alice_labels), state.space.subspace(bob_labels))
-    tables, angles = _tables([state], spaces, grid_step=grid_step)
+    tables, angles = _tables([state], spaces, grid_step)
     s_value, correlators = _table_values(tables[0, 1])
     result = InequalityResult(float(s_value), tuple(correlators.tolist()))  # the ceiling's guard
     return _built_settings(spaces, angles, origin), result.s_value
@@ -632,8 +626,7 @@ _SIGNS_A, _SIGNS_B = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
 
 
 def sample_inequality(state: State, settings: MeasurementSettings, shots: int,
-                      rng: np.random.Generator,
-                      hypothesis: CollapseHypothesis | None = None) -> InequalityResult:
+                      rng: np.random.Generator) -> InequalityResult:
     """Estimate S from finite per-setting counts.
 
     Each of the four setting pairs, in the fixed order (A1,B1), (A1,B0),
@@ -643,7 +636,7 @@ def sample_inequality(state: State, settings: MeasurementSettings, shots: int,
     p(s_a, s_b) = (1 + s_a <A> + s_b <B> + s_a s_b E) / 4 on
     (++, +-, -+, --), which holds for any two +/-1 observables on disjoint
     factors; <A>, <B> and E come from the settings' moment table.  An
-    entry below -1e-10 raises InvariantViolation; the rest are clipped
+    entry below -VALIDITY_TOL raises InvariantViolation; the rest are clipped
     and renormalized as in ``born_probabilities``.  The standard error is
     the plug-in estimate sqrt(sum (1 - E_k^2) / shots), which must be an
     integer in [1, 2**63), and ``rng`` a numpy Generator (else InvalidState).
@@ -651,18 +644,16 @@ def sample_inequality(state: State, settings: MeasurementSettings, shots: int,
     _check_count("shots", shots, 1)
     _check_generator(rng, "sample_inequality")
     m = _wing_moments([state], *_settings_wings(settings))[0]
-    return _sample_table(m, shots, rng, hypothesis)
+    return _sample_table(m, shots, rng)
 
 
-def _sample_table(
-    m: np.ndarray, shots: int, rng: np.random.Generator, hypothesis: CollapseHypothesis | None
-) -> InequalityResult:
+def _sample_table(m: np.ndarray, shots: int, rng: np.random.Generator) -> InequalityResult:
     """``sample_inequality`` from a settings' table ``m``, in the same spawn and draw order."""
     counts = []
     for stream, (i, j) in zip(rng.spawn(len(_SETTING_ORDER)), _SETTING_ORDER):
         a, b, e = m[i + 1, 0], m[0, j + 1], m[i + 1, j + 1]
         probs = (1.0 + _SIGNS_A * a + _SIGNS_B * b + _SIGNS_A * _SIGNS_B * e) / 4.0
-        if probs.min() < -1e-10:
+        if probs.min() < -VALIDITY_TOL:
             raise InvariantViolation(f"joint distribution {probs!r} has a negative entry")
         counts.append(stream.multinomial(shots, _clipped_distribution(probs)))
 
@@ -673,7 +664,6 @@ def _sample_table(
     return InequalityResult(
         s_value=s_hat,
         correlators=tuple(estimates),
-        hypothesis=hypothesis,
         exact=False,
         shots=shots,
         std_error=math.sqrt(sum(variances)),
@@ -683,7 +673,6 @@ def _sample_table(
 def hypothesis_comparison(
     scenario,
     hypotheses: Sequence[Union[CollapseHypothesis, str]],
-    settings: MeasurementSettings | None = None,
     shots: int = 0,
     rng: np.random.Generator | None = None,
     grid_step: float | None = None,
@@ -694,8 +683,8 @@ def hypothesis_comparison(
     wings as ``alice_labels`` and ``bob_labels``, and
     ``scenario.held_terms(hypothesis)`` gives a hypothesis's (weight, held
     state) terms, a state held for several being one object.  The
-    unitary-only exact state stands in for "the data": settings default
-    to its exact optimum, and every hypothesis is evaluated exactly at
+    unitary-only exact state stands in for "the data": the settings are
+    its exact optimum, and every hypothesis is evaluated exactly at
     those shared settings.  A hypothesis is flagged inconsistent when its
     exact S at the shared settings differs from the unitary value by more
     than ``CONSISTENCY_TOL``.  Each result also carries the exact maximum
@@ -721,7 +710,7 @@ def hypothesis_comparison(
     held = list({id(rho): rho for mix in terms.values() for _, rho in mix}.values())
     slot = {id(rho): i for i, rho in enumerate(held)}  # first-use order, unitary_only's first
     spaces = tuple(map(rho_unitary.space.subspace, (scenario.alice_labels, scenario.bob_labels)))
-    tables, _ = _tables(held, spaces, settings)  # (K, M) per state, unitary_only's first
+    tables, _ = _tables(held, spaces)  # (K, M) per state, unitary_only's first
     mixes = list(terms.values())
     mixed = np.empty((len(mixes), *tables.shape[1:]))  # each hypothesis's sum of w (K, M)
     for k in range(max(map(len, mixes))):  # every mix's k-th term, added in term order
@@ -746,11 +735,11 @@ def hypothesis_comparison(
     results: list[InequalityResult] = []
     for k, hyp in enumerate(parsed):
         r = which[hyp]
-        companions = dict(s_max=s_max[r], grid_gap=grid_gap.get(r), exact_s=s_values[r],
-                          exact_correlators=tuple(correlators[r]),
+        companions = dict(hypothesis=hyp, s_max=s_max[r], grid_gap=grid_gap.get(r),
+                          exact_s=s_values[r], exact_correlators=tuple(correlators[r]),
                           consistent_with_data=abs(s_values[r] - s_values[0]) <= CONSISTENCY_TOL)
         results.append(
-            replace(_sample_table(mixed[r, 1], shots, streams[k], hyp), **companions) if shots > 0
-            else InequalityResult(s_values[r], tuple(correlators[r]), hyp, **companions)
+            replace(_sample_table(mixed[r, 1], shots, streams[k]), **companions) if shots > 0
+            else InequalityResult(s_values[r], tuple(correlators[r]), **companions)
         )
     return results

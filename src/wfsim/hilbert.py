@@ -286,7 +286,7 @@ class DensityOperator:
     """A hermitian, unit-trace, positive-semidefinite matrix over a space.
 
     Construction validates all three invariants within ``VALIDITY_TOL``
-    (positivity allows eigenvalues down to -1e-10 for roundoff).
+    (positivity allows eigenvalues down to -VALIDITY_TOL for roundoff).
     """
 
     space: CompositeSpace
@@ -374,16 +374,6 @@ class DichotomicObservable:
             _freeze((eye + self.matrix) / 2.0),
             _freeze((eye - self.matrix) / 2.0),
         )
-
-    def retarget(self, labels: Sequence[str]) -> "DichotomicObservable":
-        """The same matrix acting on differently labeled factors."""
-        labels = tuple(labels)
-        if len(labels) != self.space.nfactors:
-            raise ShapeError(
-                f"retarget needs {self.space.nfactors} labels, got {len(labels)}"
-            )
-        space = CompositeSpace(tuple(zip(labels, self.space.dims)))
-        return DichotomicObservable(space, self.matrix)
 
     @cached_property
     def measurement(self):
@@ -580,22 +570,14 @@ def embed(
     return tens.reshape(space.dim, space.dim)
 
 
-def expectation(
-    state: Union[PureState, DensityOperator],
-    obs: DichotomicObservable,
-    on: Sequence[str] | None = None,
-) -> float:
-    """<O> for an observable on some factors (identity elsewhere), by label.
+def expectation(state: Union[PureState, DensityOperator], obs: DichotomicObservable) -> float:
+    """<O> for an observable on its own labeled factors (identity elsewhere).
 
-    ``on`` retargets the observable onto the named factors of the state's
-    space; by default the observable's own labels are used.  Pure or
-    mixed, the value is Tr(O rho_sub) on the reduced state from
+    Pure or mixed, the value is Tr(O rho_sub) on the reduced state from
     ``_reduced_matrix``, so a sub-normalized PureState raises
     InvalidState.  For a dichotomic observable the result lies in
     [-1, 1] up to tolerance.
     """
-    if on is not None:
-        obs = obs.retarget(on)
     value = np.einsum("ij,ji->", _reduced_matrix(state, obs.space.factors), obs.matrix)
     return float(value.real)
 

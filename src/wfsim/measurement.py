@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -368,7 +369,7 @@ class CollapseHypothesis:
             raise InvalidState(f"unknown hypothesis {self.variant!r}; known: {known}")
         if self.variant == "stochastic_collapse":
             p = self.probability
-            if p is None or not 0.0 <= float(p) <= 1.0:
+            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
                 raise InvalidState("stochastic_collapse needs a collapse probability in [0, 1]")
             object.__setattr__(self, "probability", float(p))
         elif self.probability is not None:

@@ -38,6 +38,7 @@ from .hilbert import (
     CompositeSpace,
     DensityOperator,
     PureState,
+    VALIDITY_TOL,
     _factors_back,
     _factors_first,
     _freeze,
@@ -336,13 +337,13 @@ def counterexample_measurement() -> ProjectiveMeasurement:
 
 def _counterexample(amplitudes: Sequence[complex], density: bool) -> HeldScenario:
     """The counterexample's holder of c_up |u u 0> + c_down |d d 0> on (A, B, C), as a
-    density or not: the agents A | B, collapse site A, no friend.  ``amplitudes`` must
-    be two entries of squared norm 1, checked before any state is built."""
+    density or not: the agents A | B, collapse site A, no friend.  ``amplitudes`` must be
+    two entries of squared norm 1 within VALIDITY_TOL, checked before any state is built."""
     if len(amplitudes) != 2:
         raise ShapeError(f"give two branch amplitudes (c_up, c_down), got {len(amplitudes)}")
     c_up, c_down = complex(amplitudes[0]), complex(amplitudes[1])
     total = abs(c_up) ** 2 + abs(c_down) ** 2
-    if abs(total - 1.0) > 1e-10:
+    if abs(total - 1.0) > VALIDITY_TOL:
         raise InvalidState(f"branch amplitudes have squared norm {total!r}, not 1")
     unitary = PureState.from_mapping(_COUNTEREXAMPLE_SPACE, {"uu0": c_up, "dd0": c_down})
     return HeldScenario(unitary.density() if density else unitary, ("A",), ("B",),

@@ -69,14 +69,12 @@ def brute_horodecki_value(matrix: np.ndarray) -> float:
     """Maximum S of a two-qubit density matrix by the Horodecki criterion.
 
     T[m, n] = Tr(rho sigma_m (x) sigma_n), each entry by the double loop
-    of ``brute_expectation``; the maximum is 2 sqrt(mu1 + mu2) over the
-    two largest eigenvalues of T^T T.
+    of ``brute_expectation``; the maximum is ``horodecki_maximum`` of T.
     """
     t = np.array(
         [[brute_expectation(matrix, np.kron(sm, sn)) for sn in _PAULIS] for sm in _PAULIS]
     )
-    mu = np.sort(np.linalg.eigvalsh(t.T @ t))[::-1]
-    return float(2.0 * np.sqrt(max(0.0, mu[0] + mu[1])))
+    return horodecki_maximum(t)
 
 
 def gather_index(dims: list[int], order: list[int]) -> np.ndarray:
@@ -242,3 +240,133 @@ def random_dims(rng: np.random.Generator, max_total: int = 64) -> list[int]:
     if not dims:
         dims = [2]
     return dims
+
+
+def _digits(dims: list[int]) -> list[tuple[int, ...]]:
+    """Every flat index's per-factor digits, in flat order (the last factor fastest)."""
+    return list(itertools.product(*[range(d) for d in dims]))
+
+
+def brute_dephased(matrix: np.ndarray, dims: list[int], axes) -> np.ndarray:
+    """rho with every entry between basis states that differ on any of ``axes`` zeroed."""
+    digits = _digits(dims)
+    keep = np.array([[all(row[a] == col[a] for a in axes) for col in digits] for row in digits])
+    return np.where(keep, matrix, 0.0)
+
+
+def brute_full_operator(dims: list[int], alice: list[int], bob: list[int],
+                        a_op: np.ndarray, b_op: np.ndarray) -> np.ndarray:
+    """A (x) B on the full space, identity elsewhere, entry by entry: <i|A (x) B|j> is
+    A's entry at the two indices' digits on ``alice`` (in wing order) times B's on ``bob``,
+    and zero unless i and j agree on every other factor."""
+    digits = _digits(dims)
+    rest = [a for a in range(len(dims)) if a not in alice and a not in bob]
+
+    def flat(digit, axes):
+        return sum(digit[a] * s for a, s in zip(axes, strides_for([dims[a] for a in axes])))
+
+    full = np.zeros((len(digits), len(digits)), dtype=complex)
+    for i, row in enumerate(digits):
+        for j, col in enumerate(digits):
+            if all(row[a] == col[a] for a in rest):
+                full[i, j] = (a_op[flat(row, alice), flat(col, alice)]
+                              * b_op[flat(row, bob), flat(col, bob)])
+    return full
+
+
+def horodecki_maximum(kernel: np.ndarray) -> float:
+    """2 sqrt(mu1 + mu2) over the two largest eigenvalues of K^T K."""
+    mu = np.sort(np.linalg.eigvalsh(kernel.T @ kernel))[::-1]
+    return float(2.0 * np.sqrt(max(0.0, mu[0] + mu[1])))
+
+
+def _hypothesis_terms(variant: str, p, sites, friends) -> list[tuple[float, tuple]]:
+    """(weight, dephased axes) terms of one hypothesis: as the ``CollapseHypothesis``
+    docstring states them, with stochastic weights the product over sites of p or 1 - p."""
+    if variant == "unitary_only":
+        return [(1.0, ())]
+    if variant in ("friend_projective", "friend_dephasing"):
+        return [(1.0, tuple(friends))]
+    if variant == "subjective_collapse":
+        return [(1.0, tuple(a for site in sites for a in site))]
+    terms = []
+    for fired in itertools.product((False, True), repeat=len(sites)):
+        weight = float(np.prod([p if f else 1.0 - p for f in fired]))
+        terms.append((weight, tuple(a for f, site in zip(fired, sites) if f for a in site)))
+    return terms
+
+
+def _bloch_matrix(theta: float, phi: float, nfactors: int) -> np.ndarray:
+    triple = {1: _PAULIS, 2: _PAIR_PAULIS}[nfactors]
+    n = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
+    return sum(c * op for c, op in zip(n, triple))
+
+
+# (Alice, Bob) setting indices in S order, E11, E10, E01, E00, and outcome signs ++, +-, -+, --.
+_ORDER = ((1, 1), (1, 0), (0, 1), (0, 0))
+_OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def brute_comparison(unitary: np.ndarray, dims: list[int], alice: list[int], bob: list[int],
+                     witness: tuple, hypotheses, sites=(), friends=(), shots: int = 0,
+                     seed: int = 0, grid_step: float | None = None) -> list[dict]:
+    """``hypothesis_comparison``'s fields for each (variant, p) in ``hypotheses``, rebuilt
+    from the unitary density ``unitary``.  ``alice``, ``bob``, ``friends`` and each site
+    hold axis positions; ``witness`` is the settings' ((Alice's angles), (Bob's angles)),
+    each ((theta0, phi0), (theta1, phi1)), which must attain the unitary state's s_max.
+
+    A hypothesis's density is its weighted dephasings, each by an index mask.  Correlators
+    and the joint distributions are full-space traces of A (x) B; K is
+    ``brute_correlation_kernel``'s and s_max ``horodecki_maximum``'s; a grid gap is s_max
+    minus S at ``brute_grid_pair``.  With shots, hypothesis k's stream is child k of one
+    spawn from ``default_rng(seed)``; it spawns one child per setting pair in S order, and
+    each draws its counts from the clipped, renormalized joint distribution."""
+    from wfsim.chsh import CONSISTENCY_TOL
+
+    wing_ops = [[_bloch_matrix(t, p, len(wing)) for t, p in angles]
+                for wing, angles in zip((alice, bob), witness)]
+    eye_a, eye_b = (np.eye(int(np.prod([dims[a] for a in wing]))) for wing in (alice, bob))
+    joint = {}
+    for i, j in _ORDER:
+        a, b = wing_ops[0][i], wing_ops[1][j]
+        joint[i, j] = [brute_full_operator(dims, alice, bob, (eye_a + sa * a) / 2.0,
+                                           (eye_b + sb * b) / 2.0) for sa, sb in _OUTCOMES]
+    streams = np.random.default_rng(seed).spawn(len(hypotheses)) if shots else None
+
+    def exact_values(matrix):
+        probabilities = np.array([[brute_expectation(matrix, op) for op in joint[ij]]
+                                  for ij in _ORDER])
+        correlators = probabilities @ np.array([1.0, -1.0, -1.0, 1.0])
+        return probabilities, correlators, correlators @ np.array([1.0, 1.0, 1.0, -1.0])
+
+    _, _, s_data = exact_values(unitary)
+    s_top = horodecki_maximum(brute_correlation_kernel(unitary, dims, alice, bob))
+    assert abs(s_data - s_top) <= 1e-12, "the witness settings miss the unitary s_max"
+    results = []
+    for k, (variant, p) in enumerate(hypotheses):
+        matrix = sum(w * brute_dephased(unitary, dims, axes)
+                     for w, axes in _hypothesis_terms(variant, p, sites, friends))
+        probabilities, correlators, s_exact = exact_values(matrix)
+        kernel = brute_correlation_kernel(matrix, dims, alice, bob)
+        s_max = horodecki_maximum(kernel)
+        grid_gap = None
+        if grid_step is not None:
+            b1, b0 = brute_grid_pair(kernel, grid_step)
+            grid_gap = s_max - float(np.linalg.norm(kernel @ (b1 + b0))
+                                     + np.linalg.norm(kernel @ (b1 - b0)))
+        result = dict(s_value=s_exact, correlators=correlators, exact=True, shots=None,
+                      std_error=None, s_max=s_max, grid_gap=grid_gap, exact_s=s_exact,
+                      exact_correlators=correlators,
+                      consistent_with_data=abs(s_exact - s_data) <= CONSISTENCY_TOL)
+        if shots:
+            estimates = []
+            for child, probs in zip(streams[k].spawn(len(_ORDER)), probabilities):
+                clipped = np.maximum(probs, 0.0)
+                n = child.multinomial(shots, clipped / clipped.sum())
+                estimates.append(float(n[0] - n[1] - n[2] + n[3]) / shots)
+            variance = sum(max(0.0, 1.0 - e * e) for e in estimates) / shots
+            result.update(s_value=estimates[0] + estimates[1] + estimates[2] - estimates[3],
+                          correlators=np.array(estimates), exact=False, shots=shots,
+                          std_error=float(np.sqrt(variance)))
+        results.append(result)
+    return results

@@ -35,6 +35,7 @@ from wfsim import (
     ScenarioConfig,
     source_state,
 )
+from wfsim.hilbert import VALIDITY_TOL
 from wfsim.scenarios import HeldScenario, ProiettiScenario
 
 from wfsim.measurement import _HYPOTHESIS_VARIANTS
@@ -131,6 +132,20 @@ class TestCorrelator:
         nan_ops = np.full((1, 2, 2), math.nan, dtype=complex)
         with pytest.raises(InvariantViolation):
             chsh._wing_moments([psi], e1, e2, nan_ops, np.eye(2)[None])
+
+    def test_moment_guards_sit_at_the_validity_tolerance(self):
+        """A table entry may exceed 1 in magnitude by VALIDITY_TOL: half of it over passes and
+        twice it raises.  The sampler's negative-entry guard sits at -VALIDITY_TOL likewise."""
+        for sign in (1.0, -1.0):
+            chsh._checked(np.array([sign * (1.0 + VALIDITY_TOL / 2)]))
+            with pytest.raises(InvariantViolation, match="outside"):
+                chsh._checked(np.array([sign * (1.0 + 2 * VALIDITY_TOL)]))
+        table = np.zeros((3, 3))
+        table[1:, 1:] = 1.0 + VALIDITY_TOL  # the +- and -+ entries are -VALIDITY_TOL / 4
+        assert chsh._sample_table(table, 10, np.random.default_rng(0)).correlators == (1.0,) * 4
+        table[1:, 1:] = 1.0 + 8 * VALIDITY_TOL
+        with pytest.raises(InvariantViolation, match="negative entry"):
+            chsh._sample_table(table, 10, np.random.default_rng(0))
 
     def test_magnitude_bounded(self):
         rng = np.random.default_rng(63)
@@ -748,15 +763,6 @@ class TestHypothesisComparison:
         assert abs(result.s_max - s_own) <= 1e-15
         assert result.grid_gap == result.s_max - at_pick
         assert result.s_value == chsh_value(rho, optimum).s_value
-        defaults = MeasurementSettings.defaults(
-            rho.space.subspace(labels[0]), rho.space.subspace(labels[1])
-        )
-        (at_defaults,) = hypothesis_comparison(
-            scenario, ["unitary_only"], settings=defaults, grid_step=PI / 16
-        )
-        assert at_defaults.s_max == closed
-        assert at_defaults.grid_gap == closed - at_pick
-        assert at_defaults.s_value == chsh_value(rho, defaults).s_value
 
     def test_grid_above_the_exact_maximum_is_an_invariant_violation(self, monkeypatch):
         """S is homogeneous in Bob's pick, so a pick scaled by 1 + 1e-6 reads S above s_max,
@@ -774,26 +780,20 @@ class TestHypothesisComparison:
         with pytest.raises(InvariantViolation, match="above the exact maximum"):
             run(ScenarioConfig(scenario="bell_singlet", grid_step=PI / 16))
 
-    @pytest.mark.parametrize("at_defaults", [False, True])
-    def test_table_route_equals_density_route(self, at_defaults):
+    def test_table_route_equals_density_route(self):
         """Mixed tables give the numbers of the mixed density: within 1e-12 for every
         hypothesis, and bit for bit (witness S, correlators and sampled counts) for the
-        one-term ones, at the comparison's own settings and at the defaults."""
+        one-term ones, at the comparison's own settings."""
         scenario = proietti_scenario()
         labels = (scenario.alice_labels, scenario.bob_labels)
-        rho_unitary = scenario.exact_state_under("unitary_only")
-        defaults = MeasurementSettings.defaults(
-            *(rho_unitary.space.subspace(wing) for wing in labels)
-        )
-        settings = defaults if at_defaults else exact_optimum(rho_unitary, *labels)[0]
-        given = defaults if at_defaults else None
+        settings = exact_optimum(scenario.exact_state_under("unitary_only"), *labels)[0]
         probabilities = [0.0, 0.1234567, 0.35, 1.0, *np.random.default_rng(17).uniform(size=4)]
         named = [v for v in _HYPOTHESIS_VARIANTS if v != "stochastic_collapse"]
         hypotheses = [CollapseHypothesis.parse(v) for v in named]
         hypotheses += [CollapseHypothesis.stochastic(float(p)) for p in probabilities]
-        exact = hypothesis_comparison(scenario, hypotheses, settings=given)
+        exact = hypothesis_comparison(scenario, hypotheses)
         sampled = hypothesis_comparison(
-            scenario, hypotheses, settings=given, shots=700, rng=np.random.default_rng(31)
+            scenario, hypotheses, shots=700, rng=np.random.default_rng(31)
         )
         streams = np.random.default_rng(31).spawn(len(hypotheses))
         one_term = 0
@@ -810,7 +810,7 @@ class TestHypothesisComparison:
                     density.s_value,
                     density.correlators,
                 )
-                counted = sample_inequality(rho, settings, 700, stream, hyp)
+                counted = sample_inequality(rho, settings, 700, stream)
                 assert estimate.correlators == counted.correlators, hyp
                 assert estimate.s_value == counted.s_value
         assert one_term == 4

@@ -418,12 +418,6 @@ class TestObservables:
             bloch_vector(math.pi / 2, math.pi / 2), [0, 1, 0], atol=1e-15
         )
 
-    def test_retarget_changes_labels_only(self):
-        obs = DichotomicObservable.pauli("z", "q")
-        moved = obs.retarget(("r",))
-        assert moved.space.labels == ("r",)
-        np.testing.assert_allclose(moved.matrix, obs.matrix)
-
 
 class TestEmbedAndExpectation:
     def test_embed_identity_elsewhere(self):
@@ -446,12 +440,11 @@ class TestEmbedAndExpectation:
         assert expectation(up, z) == pytest.approx(1.0)
         assert expectation(up, x) == pytest.approx(0.0, abs=1e-14)
 
-    def test_expectation_retargets_with_on(self):
+    def test_expectation_reads_the_observables_own_factors(self):
         space = CompositeSpace.qubits("a", "b")
         psi = PureState.from_mapping(space, {"01": 1.0})
-        z = DichotomicObservable.pauli("z", "q")
-        assert expectation(psi, z, on=("a",)) == pytest.approx(1.0)
-        assert expectation(psi, z, on=("b",)) == pytest.approx(-1.0)
+        assert expectation(psi, DichotomicObservable.pauli("z", "a")) == pytest.approx(1.0)
+        assert expectation(psi, DichotomicObservable.pauli("z", "b")) == pytest.approx(-1.0)
 
     def test_expectation_against_oracle(self):
         rng = np.random.default_rng(42)

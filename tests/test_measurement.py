@@ -1,5 +1,6 @@
 """Tests for pointer coupling, mixtures, dephasing, and Born sampling."""
 
+import fractions
 import math
 import random
 import re
@@ -656,6 +657,16 @@ class TestCollapseHypothesis:
             CollapseHypothesis.stochastic(1.5)
         with pytest.raises(InvalidState):
             CollapseHypothesis.stochastic(-0.1)
+
+    @pytest.mark.parametrize("p", ["abc", "0.5", 1j, [0.5], True, False, None])
+    def test_probability_that_is_no_real_number_is_invalid(self, p):
+        """Only a real number that is not a bool is a collapse probability: "abc" raised a
+        bare ValueError, 1j and [0.5] a bare TypeError, and "0.5" and True were taken as 0.5
+        and 1.  Integers, numpy scalars and fractions are real numbers and stay accepted."""
+        with pytest.raises(InvalidState, match=r"needs a collapse probability in \[0, 1\]$"):
+            CollapseHypothesis.stochastic(p)
+        for real in (1, np.float64(0.25), fractions.Fraction(1, 4)):
+            assert CollapseHypothesis.stochastic(real).probability == float(real)
 
     def test_probability_only_for_stochastic(self):
         with pytest.raises(InvalidState):

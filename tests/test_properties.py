@@ -19,6 +19,7 @@ from wfsim import (
     DichotomicObservable,
     ProjectiveMeasurement,
     PureState,
+    bell_singlet,
     born_probabilities,
     chsh_value,
     dephase,
@@ -56,6 +57,7 @@ from wfsim.scenarios import HeldScenario
 from wfsim.measurement import _HYPOTHESIS_VARIANTS
 
 from _oracles import (
+    brute_comparison,
     brute_correlation_kernel,
     brute_expectation,
     brute_friend_interaction,
@@ -691,3 +693,74 @@ def test_searches_return_chsh_value_at_their_settings(seed, variant, p):
         for settings, value in (exact_optimum(state, *wings),
                                 optimize_settings(state, math.pi / 16, *wings)):
             assert value == chsh_value(state, settings).s_value, (settings.origin, wings)
+
+
+_NAMED = [v for v in _HYPOTHESIS_VARIANTS if v != "stochastic_collapse"]
+_PROBABILITIES = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+_PROIETTI_HYPOTHESES = st.one_of(st.sampled_from(_NAMED).map(lambda v: (v, None)),
+                                 _PROBABILITIES.map(lambda p: ("stochastic_collapse", p)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    holder=st.sampled_from(["proietti", "singlet"]),
+    hypotheses=st.lists(_PROIETTI_HYPOTHESES, min_size=1, max_size=6),
+    shots=st.one_of(st.just(0), st.integers(1, 500)),
+    seed=SEEDS,
+    grid_step=st.sampled_from([None, math.pi / 8, 0.37]),
+)
+@example(holder="proietti", shots=0, seed=0, grid_step=math.pi / 8,
+         hypotheses=[("stochastic_collapse", 0.0), ("unitary_only", None),
+                     ("friend_projective", None), ("stochastic_collapse", 0.3),
+                     ("friend_dephasing", None), ("stochastic_collapse", 0.6)])
+@example(holder="proietti", shots=0, seed=0, grid_step=None,
+         hypotheses=[("stochastic_collapse", 0.3), ("stochastic_collapse", 0.3 + 1e-9)])
+def test_comparison_matches_the_brute_comparison(holder, hypotheses, shots, seed, grid_step):
+    """Every field of a comparison against ``brute_comparison``, which takes only the
+    unitary state and its witness angles from wfsim: exact fields within 1e-12, sampled
+    correlators equal to the replay of the documented spawn order.  Drawn lists hold
+    hypotheses with equal tables (p = 0 beside unitary_only, the friend variants beside
+    subjective_collapse and p = 1), which the comparison merges into one entry, and the
+    second example tables 1e-9 apart, which it must not merge.  The singlet holds
+    unitary_only only, so its lists are that variant repeated."""
+    if holder == "proietti":
+        scenario = proietti_scenario()
+        unitary = scenario.exact_state_under("unitary_only")
+        matrix = unitary.matrix
+    else:
+        unitary = bell_singlet()
+        scenario = HeldScenario(unitary, ("e1",), ("e2",), variants=("unitary_only",))
+        matrix = np.outer(unitary.amplitudes, unitary.amplitudes.conj())
+        hypotheses = [("unitary_only", None)] * len(hypotheses)
+    space = unitary.space
+    alice, bob = (list(space.axes(wing)) for wing in (scenario.alice_labels, scenario.bob_labels))
+    sites = [alice, bob] if holder == "proietti" else []
+    friends = list(space.axes(("alpha", "beta"))) if holder == "proietti" else []
+    witness, _ = exact_optimum(unitary, scenario.alice_labels, scenario.bob_labels)
+    parsed = [CollapseHypothesis(v, p) for v, p in hypotheses]
+    results = hypothesis_comparison(scenario, parsed, shots=shots,
+                                    rng=np.random.default_rng(seed), grid_step=grid_step)
+    expected = brute_comparison(matrix, list(space.dims), alice, bob,
+                                (witness.alice_angles, witness.bob_angles), hypotheses,
+                                sites, friends, shots, seed, grid_step)
+    assert len(results) == len(expected)
+    for hyp, result, brute in zip(parsed, results, expected):
+        assert result.hypothesis == hyp
+        assert (result.exact, result.shots, result.consistent_with_data) == (
+            brute["exact"], brute["shots"], brute["consistent_with_data"]), hyp
+        for name in ("s_max", "grid_gap", "exact_s"):
+            value, reference = getattr(result, name), brute[name]
+            assert (value is None) == (reference is None), (hyp, name)
+            assert reference is None or abs(value - reference) <= 1e-12, (hyp, name)
+        gaps = np.subtract(result.exact_correlators, brute["exact_correlators"])
+        assert np.max(np.abs(gaps)) <= 1e-12, hyp
+        if shots:
+            gap = float(np.max(np.abs(gaps))) / 4.0  # dp/dE is 1/4 for every outcome
+            assert result.correlators == tuple(brute["correlators"].tolist()), (
+                f"{hyp}: sampled counts differ from the replay; probability gap {gap:.3e}")
+            assert result.s_value == brute["s_value"], hyp
+            assert abs(result.std_error - brute["std_error"]) <= 1e-12, hyp
+        else:
+            assert abs(result.s_value - brute["s_value"]) <= 1e-12, hyp
+            assert np.max(np.abs(np.subtract(result.correlators, brute["correlators"]))) <= 1e-12
+            assert result.std_error is None

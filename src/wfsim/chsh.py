@@ -672,7 +672,7 @@ def _sample_table(m: np.ndarray, shots: int, rng: np.random.Generator) -> Inequa
 
 def hypothesis_comparison(
     scenario,
-    hypotheses: Sequence[Union[CollapseHypothesis, str]],
+    hypotheses: Union[CollapseHypothesis, str, Sequence[Union[CollapseHypothesis, str]]],
     shots: int = 0,
     rng: np.random.Generator | None = None,
     grid_step: float | None = None,
@@ -682,7 +682,8 @@ def hypothesis_comparison(
     ``scenario`` is a :class:`~wfsim.scenarios.HeldScenario`: it names its
     wings as ``alice_labels`` and ``bob_labels``, and
     ``scenario.held_terms(hypothesis)`` gives a hypothesis's (weight, held
-    state) terms, a state held for several being one object.  The
+    state) terms, a state held for several being one object.  A string or a
+    lone CollapseHypothesis is one hypothesis, as a string is one label.  The
     unitary-only exact state stands in for "the data": the settings are
     its exact optimum, and every hypothesis is evaluated exactly at
     those shared settings.  A hypothesis is flagged inconsistent when its
@@ -704,6 +705,8 @@ def hypothesis_comparison(
         _scan_directions(grid_step)  # the scan's check of the step, before any table
     if shots > 0:
         _check_generator(rng, "sampling a comparison")
+    if isinstance(hypotheses, (str, CollapseHypothesis)):
+        hypotheses = (hypotheses,)
     parsed = [CollapseHypothesis.parse(h) for h in hypotheses]
     terms = {hyp: scenario.held_terms(hyp) for hyp in (UNITARY_ONLY, *parsed)}
     ((_, rho_unitary),) = terms[UNITARY_ONLY]

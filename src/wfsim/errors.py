@@ -1,4 +1,8 @@
-"""Exception types shared across the package, and the checks of a draw count and a generator."""
+"""Exception types shared across the package, and the checks of a draw count, a whole
+number and a generator."""
+
+import math
+import numbers
 
 import numpy as np
 
@@ -47,6 +51,17 @@ def _check_count(name: str, value, low: int) -> None:
     int64 draws would truncate a float, count True as 1 and overflow from 2**63 on."""
     if isinstance(value, bool) or not isinstance(value, int) or not low <= value < 2**63:
         raise ShapeError(f"{name} must be an integer in [{low}, 2**63), got {value!r}")
+
+
+def _whole(value, what: str) -> int:
+    """``value`` as an int: an integer (numpy's too) or an integral real such as 2.0; a bool,
+    a string or any other value raises ShapeError instead of being truncated."""
+    if type(value) is int:  # the common case, ahead of the slower abstract-class checks
+        return value
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value))):
+        raise ShapeError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _check_generator(rng, user: str) -> None:

@@ -31,17 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    InvalidState,
-    LabelCollision,
-    ShapeError,
-    UnknownSubsystem,
-)
+from .errors import InvalidState, LabelCollision, ShapeError, UnknownSubsystem, _whole
 
 VALIDITY_TOL = 1e-10
 ALGEBRA_TOL = 1e-12
@@ -65,6 +60,12 @@ def _require_finite(a: np.ndarray, what: str) -> None:
     """InvalidState if any entry is NaN or infinite (NaN would slip past a ``> tol`` guard)."""
     if not np.isfinite(a).all():
         raise InvalidState(f"{what} has non-finite entries")
+
+
+def _require_density(rho, user: str) -> None:
+    """InvalidState naming the type when ``rho`` is no DensityOperator, before any use of it."""
+    if not isinstance(rho, DensityOperator):
+        raise InvalidState(f"{user} needs a DensityOperator, got {type(rho).__name__}")
 
 
 def _square_matrix(matrix: np.ndarray, space: CompositeSpace) -> np.ndarray:
@@ -93,7 +94,8 @@ class CompositeSpace:
     factors: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        factors = tuple((str(lbl), int(dim)) for lbl, dim in self.factors)
+        factors = tuple((str(lbl), _whole(dim, f"the dimension of factor {lbl!r}"))
+                        for lbl, dim in self.factors)
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise ShapeError("a composite space needs at least one factor")
@@ -134,7 +136,10 @@ class CompositeSpace:
 
     def axes(self, labels: Sequence[str]) -> tuple[int, ...]:
         """Positions of the labeled factors, the one label rule: a string is one label."""
-        labels = (labels,) if isinstance(labels, str) else tuple(labels)
+        try:
+            labels = (labels,) if isinstance(labels, str) else tuple(labels)
+        except TypeError:
+            raise UnknownSubsystem(f"{labels!r} names no factor of {self.labels}") from None
         found = tuple(self.axis(l) for l in labels)
         if len(set(found)) != len(found):
             raise ShapeError(f"repeated labels in {labels}")
@@ -148,7 +153,7 @@ class CompositeSpace:
         """Flat basis index for a per-factor assignment.
 
         ``which`` is either a string with one character per factor (see
-        ``BASIS_CHARS``; plain digits also work) or a sequence of integer
+        ``BASIS_CHARS``; plain digits also work) or a sequence of whole-number
         indices, ordered like the factors.
         """
         if isinstance(which, str):
@@ -166,7 +171,7 @@ class CompositeSpace:
                 else:
                     raise ShapeError(f"unknown basis character {ch!r}")
         else:
-            digits = [int(i) for i in which]
+            digits = [_whole(i, "a basis index") for i in which]
             if len(digits) != self.nfactors:
                 raise ShapeError(
                     f"assignment has {len(digits)} entries, space has "
@@ -223,16 +228,17 @@ class PureState:
         return cls(space, amps)
 
     @classmethod
-    def from_mapping(
-        cls,
-        space: CompositeSpace,
-        entries: dict,
-        normalized: bool = True,
-    ) -> "PureState":
-        """State with the given {basis string: amplitude} entries."""
+    def from_mapping(cls, space: CompositeSpace, entries: dict,
+                     normalized: bool = True) -> "PureState":
+        """State with the given {basis string: amplitude} entries; two keys that name the
+        same basis state ("h" and "0", say) raise ShapeError."""
         amps = np.zeros(space.dim, dtype=complex)
+        keys: dict[int, str] = {}  # basis index -> the key that named it
         for which, value in entries.items():
-            amps[space.basis_index(which)] = value
+            index = space.basis_index(which)
+            if keys.setdefault(index, which) != which:
+                raise ShapeError(f"keys {keys[index]!r} and {which!r} name the same basis state")
+            amps[index] = value
         return cls(space, amps, normalized=normalized)
 
     def amplitude(self, which: Union[str, Sequence[int]]) -> complex:
@@ -304,13 +310,13 @@ class DensityOperator:
         object.__setattr__(self, "matrix", _freeze(mat))
 
     @classmethod
-    def mixture(
-        cls, weighted: Iterable[tuple[float, "DensityOperator"]]
-    ) -> "DensityOperator":
+    def mixture(cls, weighted: Iterable[tuple[float, "DensityOperator"]]) -> "DensityOperator":
         """Convex mixture sum(w_k rho_k); weights must be a distribution."""
         weighted = list(weighted)
         if not weighted:
             raise ShapeError("mixture of nothing")
+        for _, rho in weighted:
+            _require_density(rho, "a mixture")
         space = weighted[0][1].space
         total = 0.0
         mat = np.zeros((space.dim, space.dim), dtype=complex)
@@ -362,11 +368,6 @@ class DichotomicObservable:
             raise ShapeError(f"unknown Pauli axis {axis!r}")
         return cls(CompositeSpace.qubits(label), _PAULI[axis].copy())
 
-    @classmethod
-    def bloch(cls, theta: float, phi: float, label: str) -> "DichotomicObservable":
-        """Single-qubit observable n.sigma for the Bloch direction (theta, phi)."""
-        return cls(CompositeSpace.qubits(label), _bloch_operator(theta, phi))
-
     def projectors(self) -> tuple[np.ndarray, np.ndarray]:
         """Projectors onto the (+1, -1) eigenspaces, in that order."""
         eye = np.eye(self.space.dim)
@@ -405,10 +406,8 @@ def bloch_vector(theta: float, phi: float) -> np.ndarray:
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
 
 
-def _bloch_operator(
-    theta: float, phi: float, triple: Sequence[np.ndarray] = _PAULI_TRIPLE
-) -> np.ndarray:
-    """n(theta, phi) . triple; for the default Pauli triple that is n.sigma."""
+def _bloch_operator(theta: float, phi: float, triple: Sequence[np.ndarray]) -> np.ndarray:
+    """n(theta, phi) . triple; for the Pauli triple that is n.sigma."""
     n = bloch_vector(theta, phi)
     return n[0] * triple[0] + n[1] * triple[1] + n[2] * triple[2]
 
@@ -416,29 +415,16 @@ def _bloch_operator(
 def tensor(*states: PureState) -> PureState:
     """Kronecker product of pure states; factors concatenate in argument order.
 
-    Raises LabelCollision when two arguments share a factor label.  The
-    result is flagged normalized only when every input is.
+    A factor label shared by two arguments raises the result space's LabelCollision.
+    The result is flagged normalized only when every input is.
     """
     if len(states) == 1 and isinstance(states[0], (list, tuple)):
         states = tuple(states[0])
     if not states:
         raise ShapeError("tensor of nothing")
-    seen: list[str] = []
-    for st in states:
-        seen.extend(st.space.labels)
-    if len(set(seen)) != len(seen):
-        dupes = sorted({l for l in seen if seen.count(l) > 1})
-        raise LabelCollision(f"factor labels appear twice in tensor: {dupes}")
-    amps = states[0].amplitudes
-    factors = list(states[0].space.factors)
-    for st in states[1:]:
-        amps = np.kron(amps, st.amplitudes)
-        factors.extend(st.space.factors)
-    return PureState(
-        CompositeSpace(tuple(factors)),
-        amps,
-        normalized=all(st.normalized for st in states),
-    )
+    space = CompositeSpace(tuple(f for st in states for f in st.space.factors))
+    amps = reduce(np.kron, (st.amplitudes for st in states))
+    return PureState(space, amps, normalized=all(st.normalized for st in states))
 
 
 def _front_order(space: CompositeSpace, factors: Sequence[tuple[str, int]]) -> tuple[int, ...]:
@@ -513,10 +499,7 @@ def partial_trace(
     big-endian indexing convention, and the result is validated as a
     DensityOperator.  Accepts a normalized PureState too.
     """
-    kept = sorted(rho.space.axes(keep))
-    if not kept:
-        raise ShapeError("keep must name at least one factor")
-    sub = CompositeSpace(tuple(rho.space.factors[a] for a in kept))
+    sub = CompositeSpace(tuple(rho.space.factors[a] for a in sorted(rho.space.axes(keep))))
     return DensityOperator(sub, _reduced_matrix(rho, sub.factors))
 
 
@@ -525,6 +508,7 @@ def purity(rho: DensityOperator) -> float:
 
     Uses the hermitian identity Tr(rho^2) = sum |rho_ij|^2.
     """
+    _require_density(rho, "purity")
     return float(np.vdot(rho.matrix, rho.matrix).real)
 
 

@@ -10,13 +10,16 @@ apart:
   Born distribution with a caller-owned seeded generator and returns the
   renormalized projected state.
 
-A :class:`ProjectiveMeasurement` is a read-only unitary frame W = [V_1 ... V_k],
-P_i = V_i V_i^dag, validated once by one Gram check W^dag W = I.  Born (p_i sums
-block i of diag(W^dag rho W)) and collapse (V_i V_i^dag M) resolve it one way.
-An observable builds and checks its frame once and holds it.  Labels build neither
-a frame nor a space, in Born or collapse: their basis is W = I, so Born reads the
-diagonal of the reduced state and collapse keeps one row of M.  Each one-shot
-outcome or branch is one :func:`_draw` from a Born distribution.
+:func:`born_probabilities` and :func:`projective_collapse` take the thing measured
+as one argument, ``basis``, classified by one rule (:func:`_resolved`): measured
+labels (one string, or a tuple or list of them), a DichotomicObservable or a
+:class:`ProjectiveMeasurement`, the read-only unitary frame W = [V_1 ... V_k],
+P_i = V_i V_i^dag, validated once by one Gram check W^dag W = I.  Born sums block
+i of diag(W^dag rho W) and collapse keeps V_i V_i^dag M.  An observable builds and
+checks its frame once and holds it.  Labels build neither a frame nor a space:
+their basis is W = I, so Born reads the diagonal of the reduced state and collapse
+keeps one row of M.  Each one-shot outcome or branch is one :func:`_draw` from a
+Born distribution.
 
 Randomness everywhere in the package comes from ``numpy.random.Generator``
 (PCG64 via ``numpy.random.default_rng``).  A run owns its generator; when
@@ -36,7 +39,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidState, InvariantViolation, PointerNotReady, ShapeError, _check_generator
+from .errors import (InvalidState, InvariantViolation, PointerNotReady, ShapeError,
+                     _check_generator, _whole)
 from .hilbert import (
     ALGEBRA_TOL,
     VALIDITY_TOL,
@@ -49,6 +53,7 @@ from .hilbert import (
     _factors_first,
     _freeze,
     _reduced_matrix,
+    _require_density,
     _require_finite,
     partial_trace,
     tensor,
@@ -71,7 +76,9 @@ class PointerCoupling:
     pointer_ready_index: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "copy_basis", tuple(int(i) for i in self.copy_basis))
+        ready = _whole(self.pointer_ready_index, "the pointer's ready index")
+        vars(self).update(copy_basis=tuple(_whole(i, "a copy map index") for i in self.copy_basis),
+                          pointer_ready_index=ready)
         if len(set(self.copy_basis)) != len(self.copy_basis):
             raise InvalidState(
                 f"copy map {self.copy_basis} is not injective; distinct system "
@@ -137,8 +144,7 @@ def dephase(rho: DensityOperator, on: Sequence[str]) -> DensityOperator:
     result is the proper-mixture description in which the targeted
     factors have a definite but unknown basis value.
     """
-    if not isinstance(rho, DensityOperator):
-        raise InvalidState(f"dephase needs a DensityOperator, got {type(rho).__name__}")
+    _require_density(rho, "dephase")
     if not on:
         raise ShapeError("dephase needs at least one target factor")
     return DensityOperator(rho.space, np.where(_differs_on(rho.space, on), 0.0, rho.matrix))
@@ -225,35 +231,36 @@ class ProjectiveMeasurement:
         return cls(space, (projector, np.eye(space.dim) - projector), outcomes)
 
 
-MeasurementLike = Union[ProjectiveMeasurement, DichotomicObservable, Sequence[str]]
+MeasurementLike = Union[ProjectiveMeasurement, DichotomicObservable, str, Sequence[str]]
 
 
-def _resolved(space: CompositeSpace, basis, labels) -> tuple[ProjectiveMeasurement | None, tuple]:
-    """The frame and the measured (label, dim) pairs, one rule for Born and collapse.  A
-    ``basis`` that is a ProjectiveMeasurement, or an observable holding one, gives its own;
-    otherwise ``labels``, a tuple or one string, give None (their basis is W = I) and read
-    their pairs off ``space``."""
+def _resolved(space: CompositeSpace, basis: MeasurementLike) -> tuple:
+    """The frame and measured (label, dim) pairs of a Born or collapse ``basis``: a measurement,
+    or an observable holding one, gives its own; labels (one string, a tuple or a list) give
+    None, their basis being W = I, and pairs off ``space``; anything else raises ShapeError."""
     meas = basis.measurement if isinstance(basis, DichotomicObservable) else basis
     if isinstance(meas, ProjectiveMeasurement):
         return meas, meas.space.factors
-    axes = () if labels is None else space.axes(labels)
+    if not isinstance(basis, (str, tuple, list)):
+        raise ShapeError(f"give either measured labels or an explicit basis; a "
+                         f"{type(basis).__name__} is no labels, measurement or observable")
+    axes = space.axes(basis)
     if not axes:
         raise ShapeError("give either measured labels or an explicit basis")
     return None, tuple(space.factors[a] for a in axes)
 
 
-def born_probabilities(
-    state: Union[PureState, DensityOperator], basis_or_obs: MeasurementLike
-) -> np.ndarray:
+def born_probabilities(state: Union[PureState, DensityOperator],
+                       basis: MeasurementLike) -> np.ndarray:
     """Born-rule outcome distribution for a measurement on a state.
 
-    ``basis_or_obs`` may be a sequence of factor labels (computational
-    basis of those factors, indexed big-endian in the order given), a
-    DichotomicObservable (outcomes ordered +1, -1), or an explicit
+    ``basis`` is what ``projective_collapse`` takes: factor labels (the
+    computational basis of those factors, indexed big-endian in the order
+    given), a DichotomicObservable (outcomes ordered +1, -1), or an explicit
     ProjectiveMeasurement.  Entries are clipped at zero and renormalized;
     a total deviating from 1 beyond tolerance raises InvariantViolation.
     """
-    meas, factors = _resolved(state.space, basis_or_obs, basis_or_obs)
+    meas, factors = _resolved(state.space, basis)
     return _born(meas, _reduced_matrix(state, factors))
 
 
@@ -284,36 +291,26 @@ def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def projective_collapse(
-    state: PureState,
-    on: Sequence[str] | None = None,
-    basis: Union[ProjectiveMeasurement, DichotomicObservable, None] = None,
-    rng: np.random.Generator | None = None,
+    state: PureState, basis: MeasurementLike, rng: np.random.Generator | None = None
 ) -> tuple[int, PureState]:
     """Sample one outcome by the Born rule and project.
 
-    ``on`` names the measured factors for a computational-basis collapse;
-    alternatively ``basis`` supplies a DichotomicObservable or an explicit
-    ProjectiveMeasurement (then ``on`` is redundant and, if given, must
-    match the measurement's labels); any other ``basis`` raises ShapeError
-    before a draw.  Returns the outcome index and the
-    renormalized post-measurement state.  ``rng`` must be a numpy Generator;
-    one ``rng.random()`` against the cumulative Born distribution, divided by
-    its last entry, picks the outcome.  That is ``Generator.choice``'s own
-    algorithm, so a seed gives ``rng.choice(k, p=probs)``'s outcome and leaves
-    the same state; a zero-probability outcome is never returned.  A
-    DensityOperator raises InvalidState: its distribution is ``born_probabilities``.
+    ``basis`` is what ``born_probabilities`` takes: measured labels for a
+    computational-basis collapse, a DichotomicObservable or an explicit
+    ProjectiveMeasurement; anything else raises ShapeError before a draw.
+    Returns the outcome index and the renormalized post-measurement state.
+    ``rng`` must be a numpy Generator; one ``rng.random()`` against the
+    cumulative Born distribution, divided by its last entry, picks the
+    outcome.  That is ``Generator.choice``'s own algorithm, so a seed gives
+    ``rng.choice(k, p=probs)``'s outcome and leaves the same state; a
+    zero-probability outcome is never returned.  A DensityOperator raises
+    InvalidState: its distribution is ``born_probabilities``.
     """
     if not isinstance(state, PureState):
         raise InvalidState(f"projective_collapse needs a PureState, got {type(state).__name__}; "
                            "use born_probabilities or dephase for a mixed state")
     _check_generator(rng, "projective_collapse")
-    if basis is not None and not isinstance(basis, (ProjectiveMeasurement, DichotomicObservable)):
-        raise ShapeError(f"give either measured labels or an explicit basis; a "
-                         f"{type(basis).__name__} is neither a measurement nor an observable")
-    meas, factors = _resolved(state.space, basis, on)
-    axes = state.space.axes
-    if meas is not None and on is not None and axes(on) != axes(meas.space.labels):
-        raise ShapeError(f"labels {on!r} disagree with the measurement's {meas.space.labels}")
+    meas, factors = _resolved(state.space, basis)
     front, perm = _factors_first(state, factors)
     if not state.normalized:
         raise InvalidState("a sub-normalized state has no reduced state; normalize() it first")

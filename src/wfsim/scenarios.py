@@ -207,7 +207,7 @@ def claimed_branch_collapse(
     in_label, _, _ = _side_labels(side)
     if joint.space.dim_of(in_label) != 2:  # before any draw from rng
         raise ShapeError("friend interaction is defined for two-dimensional factors")
-    outcome, collapsed = projective_collapse(joint, on=(in_label,), rng=rng)
+    outcome, collapsed = projective_collapse(joint, (in_label,), rng)
     after = friend_interaction(collapsed, side)
     return replace(after, stage="collapsed", hypothesis=SUBJECTIVE_COLLAPSE, branch=outcome)
 

@@ -664,6 +664,16 @@ class TestHypothesisComparison:
         with pytest.raises(ShapeError, match="grid_step 5.0 outside"):
             hypothesis_comparison(proietti_scenario(), hypotheses, grid_step=5.0)
 
+    def test_a_bare_string_or_hypothesis_is_one_hypothesis(self):
+        """A string was iterated character by character ("unknown hypothesis 'u'"); a
+        string or a lone CollapseHypothesis is one hypothesis, as in a one-entry list."""
+        scenario = proietti_scenario()
+        for one in ("friend_dephasing", CollapseHypothesis("friend_dephasing"),
+                    "stochastic_collapse(0.25)"):
+            assert hypothesis_comparison(scenario, one) == hypothesis_comparison(scenario, [one])
+        (result,) = hypothesis_comparison(scenario, "unitary_only")
+        assert result.hypothesis.name == "unitary_only" and result.consistent_with_data
+
     def test_no_hypotheses_scan_nothing(self, monkeypatch):
         """An empty hypothesis list never asks the scan for an empty stack."""
         monkeypatch.setattr(chsh, "_grid_bob_pairs", None)

@@ -22,6 +22,7 @@ from wfsim import (
     embed,
     exact_optimum,
     expectation,
+    observable_from_bloch,
     partial_trace,
     projective_collapse,
     purity,
@@ -93,6 +94,20 @@ class TestCompositeSpace:
         space = CompositeSpace.qubits("a", "b", "c")
         assert space.subspace(("c", "a")).labels == ("c", "a")
 
+    def test_dimensions_and_indices_are_whole_numbers(self):
+        """A dimension of 2.7, True or "2" was truncated to 2, 1 and 2, and a basis index
+        of 0.9 to 0; each raises ShapeError.  Numpy integers and integral floats still work."""
+        for dim in (2.7, True, "2", math.nan):
+            with pytest.raises(ShapeError, match="dimension of factor 'a' must be a whole"):
+                CompositeSpace((("a", dim),))
+        space = CompositeSpace((("a", np.int64(2)), ("b", 3.0)))
+        assert space.dims == (2, 3) and all(type(d) is int for d in space.dims)
+        for which in ([0.9, 0], [True, 0], ["1", 0], [0, 1j]):
+            with pytest.raises(ShapeError, match="a basis index must be a whole number"):
+                PureState.basis(space, which)
+        assert PureState.basis(space, np.array([1, 2])).amplitude((1, 2)) == 1.0
+        assert space.basis_index((np.uint8(1), 2.0)) == 5
+
     def test_basis_index_rejects_non_decimal_digit_characters(self):
         """'²'.isdigit() is True but int('²') fails; it is an unknown character."""
         with pytest.raises(ShapeError, match="unknown basis character"):
@@ -115,13 +130,11 @@ class TestStringLabels:
         assert np.array_equal(born_probabilities(rho, "e1"), born_probabilities(rho, ("e1",)))
         assert exact_optimum(rho, "e1", "e2")[1] == exact_optimum(rho, ("e1",), ("e2",))[1]
         meas = ProjectiveMeasurement.computational(space.subspace("e1"))
-        for basis in (None, meas):
-            by_string = projective_collapse(psi, "e1", basis, np.random.default_rng(3))
-            by_tuple = projective_collapse(psi, ("e1",), basis, np.random.default_rng(3))
+        by_string = projective_collapse(psi, "e1", np.random.default_rng(3))
+        for basis in (("e1",), meas):
+            by_tuple = projective_collapse(psi, basis, np.random.default_rng(3))
             assert by_string[0] == by_tuple[0]
             assert np.array_equal(by_string[1].amplitudes, by_tuple[1].amplitudes)
-        with pytest.raises(ShapeError, match="disagree"):
-            projective_collapse(psi, "e2", meas, np.random.default_rng(3))
 
     def test_a_string_never_names_its_characters(self):
         """On factors (a, b), "ab" names no factor: it dephased or kept both."""
@@ -132,6 +145,22 @@ class TestStringLabels:
                      lambda: psi.reorder("ab")):
             with pytest.raises(UnknownSubsystem, match="'ab'"):
                 call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda rho, psi: partial_trace(rho, 42),
+    lambda rho, psi: dephase(rho, 42),
+    lambda rho, psi: coherence_norm(rho, 42),
+    lambda rho, psi: exact_optimum(rho, 42, 7),
+    lambda rho, psi: psi.reorder(42),
+    lambda rho, psi: psi.space.subspace(None),
+], ids=["partial_trace", "dephase", "coherence_norm", "exact_optimum", "reorder", "subspace"])
+def test_a_label_argument_that_is_not_iterable_names_no_factor(call):
+    """``CompositeSpace.axes``, the one label rule, raised a bare TypeError ("'int' object
+    is not iterable") for these; a value that is no string and not iterable names no factor."""
+    psi = PureState.from_mapping(CompositeSpace.qubits("e1", "e2"), {"01": 1.0})
+    with pytest.raises(UnknownSubsystem, match="names no factor of"):
+        call(psi.density(), psi)
 
 
 class TestPureState:
@@ -148,6 +177,16 @@ class TestPureState:
         psi = PureState.from_mapping(space, {"00": 1 / SQRT2, "11": 1 / SQRT2})
         assert psi.amplitude("00") == pytest.approx(1 / SQRT2)
         assert psi.squared_norm == pytest.approx(1.0, abs=1e-14)
+
+    def test_from_mapping_rejects_two_keys_for_one_basis_state(self):
+        """A later key overwrote an earlier one naming the same basis state, so
+        {"h": 1, "0": 1} silently became one amplitude."""
+        space = CompositeSpace.qubits("x")
+        with pytest.raises(ShapeError, match="keys 'h' and '0' name the same basis state"):
+            PureState.from_mapping(space, {"h": 1.0, "0": 1.0})
+        pair = CompositeSpace.qubits("x", "y")
+        with pytest.raises(ShapeError, match=r"keys 'hv' and \(0, 1\) name the same"):
+            PureState.from_mapping(pair, {"hv": 0.6, (0, 1): 0.8})
 
     def test_norm_validation(self):
         space = CompositeSpace.qubits("x")
@@ -398,12 +437,12 @@ class TestObservables:
         for _ in range(10):
             theta = float(rng.uniform(0, math.pi))
             phi = float(rng.uniform(0, 2 * math.pi))
-            obs = DichotomicObservable.bloch(theta, phi, "q")
+            obs = observable_from_bloch(theta, phi, CompositeSpace.qubits("q"))
             eig = np.linalg.eigvalsh(obs.matrix)
             np.testing.assert_allclose(eig, [-1.0, 1.0], atol=1e-12)
 
     def test_projectors_complete_and_orthogonal(self):
-        obs = DichotomicObservable.bloch(0.7, 1.1, "q")
+        obs = observable_from_bloch(0.7, 1.1, CompositeSpace.qubits("q"))
         plus, minus = obs.projectors()
         np.testing.assert_allclose(plus + minus, np.eye(2), atol=1e-15)
         np.testing.assert_allclose(plus @ minus, np.zeros((2, 2)), atol=1e-15)
@@ -453,7 +492,7 @@ class TestEmbedAndExpectation:
             rho = DensityOperator(space, random_density(rng, 8))
             theta = float(rng.uniform(0, math.pi))
             phi = float(rng.uniform(0, 2 * math.pi))
-            obs = DichotomicObservable.bloch(theta, phi, "b")
+            obs = observable_from_bloch(theta, phi, CompositeSpace.qubits("b"))
             full = embed(obs.matrix, obs.space, space)
             got = expectation(rho, obs)
             want = brute_expectation(rho.matrix, full)

@@ -32,6 +32,7 @@ from wfsim import (
     couple_pointer,
     dephase,
     improper_mixture,
+    observable_from_bloch,
     partial_trace,
     projective_collapse,
     purity,
@@ -113,6 +114,21 @@ class TestPointerCoupling:
         with pytest.raises(ShapeError):
             PointerCoupling("s", "s")
 
+    def test_pointer_indices_are_whole_numbers(self):
+        """A copy map index of 1.7 was truncated to 1 and True read as 1; a ready index of
+        "0" raised a bare TypeError and 1.0 an IndexError on coupling.  Numpy integers and
+        integral floats are still indices."""
+        for bad in ((0, 1.7), (0, True), (0, "1")):
+            with pytest.raises(ShapeError, match="a copy map index must be a whole number"):
+                PointerCoupling("s", "p", copy_basis=bad)
+        for bad in (0.5, True, "0"):
+            with pytest.raises(ShapeError, match="the pointer's ready index must be a whole"):
+                PointerCoupling("s", "p", pointer_ready_index=bad)
+        coupling = PointerCoupling("s", "p", copy_basis=(np.int64(1), 0.0), pointer_ready_index=1.0)
+        assert coupling.copy_basis == (1, 0) and type(coupling.pointer_ready_index) is int
+        system = PureState(CompositeSpace.qubits("s"), np.array([0.6, 0.8]))
+        assert couple_pointer(system, coupling).amplitude("01") == pytest.approx(0.6)
+
 
 class TestMixtures:
     """Improper versus proper descriptions of the same diagonal."""
@@ -139,6 +155,16 @@ class TestMixtures:
                 holder.held_terms(hypothesis)
             with pytest.raises(InvalidState, match="got PureState$"):
                 wfsim.chsh.hypothesis_comparison(holder, [hypothesis])
+
+    def test_purity_and_mixture_of_anything_but_a_density_are_invalid(self):
+        """``purity(psi)`` and a mixture of PureStates died on ``.matrix`` with an
+        AttributeError; both raise InvalidState naming the type up front, as dephase does."""
+        psi = PureState(CompositeSpace.qubits("a", "b"), np.full(4, 0.5))
+        with pytest.raises(InvalidState, match="purity needs a DensityOperator, got PureState$"):
+            purity(psi)
+        for weighted in ([(0.5, psi), (0.5, psi)], [(0.5, psi.density()), (0.5, psi)]):
+            with pytest.raises(InvalidState, match="mixture needs a DensityOperator, got PureState$"):
+                DensityOperator.mixture(weighted)
 
     def test_dephase_erases_targeted_coherence(self):
         space = CompositeSpace.qubits("s", "p")
@@ -335,14 +361,14 @@ class TestProjectiveCollapse:
     def test_requires_generator(self):
         psi = PureState.basis(CompositeSpace.qubits("q"), "0")
         with pytest.raises(InvalidState):
-            projective_collapse(psi, on=("q",))
+            projective_collapse(psi, ("q",))
 
     def test_rejects_other_random_sources(self):
         """A legacy RandomState or a stdlib Random raises InvalidState, not a silent draw."""
         psi = PureState(CompositeSpace.qubits("q"), np.array([1.0, 1.0]) / SQRT2)
         for rng in (np.random.RandomState(0), random.Random(0)):
             with pytest.raises(InvalidState, match=f"Generator, got {type(rng).__name__}$"):
-                projective_collapse(psi, on=("q",), rng=rng)
+                projective_collapse(psi, ("q",), rng=rng)
 
     @pytest.mark.one_blas_thread
     def test_draw_equals_choice(self):
@@ -369,7 +395,7 @@ class TestProjectiveCollapse:
         for case, (space, measured, rng) in enumerate(labelled_cases(63, 200)):
             psi = PureState(space, random_pure(rng, space.dim))
             frame = ProjectiveMeasurement.computational(space.subspace(measured))
-            by_labels = projective_collapse(psi, on=measured, rng=np.random.default_rng(case))
+            by_labels = projective_collapse(psi, measured, rng=np.random.default_rng(case))
             by_frame = projective_collapse(psi, basis=frame, rng=np.random.default_rng(case))
             assert by_labels[0] == by_frame[0]
             assert np.array_equal(by_labels[1].amplitudes, by_frame[1].amplitudes)
@@ -381,7 +407,7 @@ class TestProjectiveCollapse:
                             lambda self, *args: checked.append(args))
         for space, measured, rng in labelled_cases(64, 100):
             psi = PureState(space, random_pure(rng, space.dim))
-            projective_collapse(psi, on=measured, rng=rng)
+            projective_collapse(psi, measured, rng=rng)
             born_probabilities(psi, measured)
         assert checked == []
 
@@ -397,27 +423,23 @@ class TestProjectiveCollapse:
         monkeypatch.setattr(CompositeSpace, "__post_init__",
                             lambda self: built.append(self.factors) or validate_space(self))
         for (psi, measured, rng), rho in zip(cases, densities):
-            _, post = projective_collapse(psi, on=measured, rng=rng)
+            _, post = projective_collapse(psi, measured, rng=rng)
             assert post.space is psi.space
             born_probabilities(psi, measured)
             born_probabilities(rho, measured)
         assert built == []
 
     def test_collapse_on_no_labels_is_rejected(self):
-        """An empty label tuple, or None, names no measurement, and labels passed as the
-        basis are no basis: Born and collapse raise ShapeError before any draw."""
+        """An empty label tuple or list, or None, names no measurement: Born and collapse
+        raise ShapeError before any draw."""
         psi = PureState(CompositeSpace.qubits("a", "b"), np.full(4, 0.5))
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        for on in ((), []):
+        for basis in ((), [], None):
             with pytest.raises(ShapeError, match="give either measured labels or an explicit"):
-                projective_collapse(psi, on=on, rng=rng)
-        for on in ((), [], None):
+                projective_collapse(psi, basis, rng=rng)
             with pytest.raises(ShapeError, match="give either measured labels or an explicit"):
-                born_probabilities(psi, on)
-        for label in psi.space.labels:
-            with pytest.raises(ShapeError, match="give either measured labels or an explicit"):
-                projective_collapse(psi, basis=(label,), rng=rng)
+                born_probabilities(psi, basis)
         assert rng.bit_generator.state == before
 
     def test_one_permutation_per_collapse(self, monkeypatch):
@@ -430,23 +452,21 @@ class TestProjectiveCollapse:
         for space, measured, rng in labelled_cases(65, 20):
             psi = PureState(space, random_pure(rng, space.dim))
             frame = ProjectiveMeasurement.computational(space.subspace(measured))
-            for on, basis in ((measured, None), (None, frame)):
+            for basis in (measured, frame):
                 calls.clear()
-                projective_collapse(psi, on=on, basis=basis, rng=rng)
+                projective_collapse(psi, basis, rng=rng)
                 assert len(calls) == 1, (space, measured, basis)
 
     def test_certain_outcome(self):
         psi = PureState.basis(CompositeSpace.qubits("q"), "1")
-        outcome, post = projective_collapse(
-            psi, on=("q",), rng=np.random.default_rng(0)
-        )
+        outcome, post = projective_collapse(psi, ("q",), rng=np.random.default_rng(0))
         assert outcome == 1
         assert post.amplitude("1") == pytest.approx(1.0)
 
     def test_post_state_is_normalized_eigenstate(self):
         rng = np.random.default_rng(31)
         psi = PureState(CompositeSpace.qubits("a", "b"), random_pure(rng, 4))
-        outcome, post = projective_collapse(psi, on=("a",), rng=rng)
+        outcome, post = projective_collapse(psi, ("a",), rng=rng)
         assert post.squared_norm == pytest.approx(1.0, abs=1e-12)
         probs = born_probabilities(post, ("a",))
         assert probs[outcome] == pytest.approx(1.0, abs=1e-12)
@@ -455,11 +475,11 @@ class TestProjectiveCollapse:
         space = CompositeSpace.qubits("q")
         psi = PureState(space, np.array([1.0, 1.0]) / SQRT2)
         runs_a = [
-            projective_collapse(psi, on=("q",), rng=np.random.default_rng(s))[0]
+            projective_collapse(psi, ("q",), rng=np.random.default_rng(s))[0]
             for s in range(20)
         ]
         runs_b = [
-            projective_collapse(psi, on=("q",), rng=np.random.default_rng(s))[0]
+            projective_collapse(psi, ("q",), rng=np.random.default_rng(s))[0]
             for s in range(20)
         ]
         assert runs_a == runs_b
@@ -474,7 +494,7 @@ class TestProjectiveCollapse:
         n = 100_000
         counts = np.zeros(4)
         for _ in range(n):
-            outcome, _ = projective_collapse(psi, on=("a", "b"), rng=rng)
+            outcome, _ = projective_collapse(psi, ("a", "b"), rng=rng)
             counts[outcome] += 1
         expected = born_probabilities(psi, ("a", "b")) * n
         kept = expected > 0
@@ -486,7 +506,7 @@ class TestProjectiveCollapse:
         psi = PureState.basis(space, "0")
         rng = np.random.default_rng(5)
         for _ in range(200):
-            outcome, _ = projective_collapse(psi, on=("a",), rng=rng)
+            outcome, _ = projective_collapse(psi, ("a",), rng=rng)
             assert outcome == 0
 
     def test_rejects_mixed_and_sub_normalized_states(self):
@@ -494,28 +514,29 @@ class TestProjectiveCollapse:
         space = CompositeSpace.qubits("e1", "e2")
         rho = PureState.from_mapping(space, {"01": 1 / SQRT2, "10": -1 / SQRT2}).density()
         with pytest.raises(InvalidState, match="got DensityOperator.*born_probabilities or dephase"):
-            projective_collapse(rho, on=("e1",), rng=np.random.default_rng(0))
+            projective_collapse(rho, ("e1",), rng=np.random.default_rng(0))
         branch = PureState.from_mapping(space, {"01": 0.5}, normalized=False)
         with pytest.raises(InvalidState, match="sub-normalized"):
-            projective_collapse(branch, on=("e1",), rng=np.random.default_rng(0))
-
-    def test_label_mismatch_with_explicit_basis(self):
-        psi = PureState.basis(CompositeSpace.qubits("a", "b"), "00")
-        meas = ProjectiveMeasurement.computational(psi.space.subspace(("a",)))
-        with pytest.raises(ShapeError):
-            projective_collapse(psi, on=("b",), basis=meas, rng=np.random.default_rng(0))
+            projective_collapse(branch, ("e1",), rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("basis", [("a",), "a", np.eye(2), np.eye(4)])
     def test_basis_that_is_no_measurement_is_rejected_before_a_draw(self, basis):
-        """Labels, a string or a matrix given as ``basis`` were ignored when ``on`` was also
-        given; they raise ShapeError and leave the generator untouched."""
-        psi = PureState.basis(CompositeSpace.qubits("a", "b"), "00")
-        rng = np.random.default_rng(0)
+        """A matrix given as ``basis`` is no measurement: it raises ShapeError and leaves the
+        generator untouched.  Labels or a string given as ``basis`` are the measured labels
+        and collapse exactly as ``("a",)`` does on a twin generator."""
+        psi = PureState(CompositeSpace.qubits("a", "b"), np.full(4, 0.5))
+        rng, twin = np.random.default_rng(0), np.random.default_rng(0)
         before = rng.bit_generator.state
-        for on in (None, ("a",)):
-            with pytest.raises(ShapeError):
-                projective_collapse(psi, on=on, basis=basis, rng=rng)
-        assert rng.bit_generator.state == before
+        if isinstance(basis, np.ndarray):
+            with pytest.raises(ShapeError, match="a ndarray is no labels"):
+                projective_collapse(psi, basis=basis, rng=rng)
+            assert rng.bit_generator.state == before
+            return
+        outcome, post = projective_collapse(psi, basis=basis, rng=rng)
+        want_outcome, want = projective_collapse(psi, ("a",), twin)
+        assert outcome == want_outcome
+        assert post.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_observable_frame_is_built_once(self, monkeypatch):
         """100 collapses and a Born call with one observable build its frame once."""
@@ -529,7 +550,7 @@ class TestProjectiveCollapse:
         monkeypatch.setattr(ProjectiveMeasurement, "of_observable", classmethod(counting))
         rng = np.random.default_rng(13)
         psi = PureState(CompositeSpace.qubits("a", "b"), random_pure(rng, 4))
-        obs = DichotomicObservable.bloch(0.7, 0.3, "b")
+        obs = observable_from_bloch(0.7, 0.3, CompositeSpace.qubits("b"))
         for _ in range(100):
             projective_collapse(psi, basis=obs, rng=rng)
         born_probabilities(psi, obs)
@@ -542,7 +563,8 @@ class TestProjectiveCollapse:
         space = CompositeSpace.qubits("a", "b", "c")
         obs = DichotomicObservable(
             CompositeSpace.qubits("c", "a"),
-            np.kron(DichotomicObservable.bloch(1.1, -0.4, "x").matrix, np.diag([1.0, -1.0])),
+            np.kron(observable_from_bloch(1.1, -0.4, CompositeSpace.qubits("x")).matrix,
+                    np.diag([1.0, -1.0])),
         )
         obs.measurement  # built once, before the seeded collapses
         for seed in range(50):
@@ -553,6 +575,56 @@ class TestProjectiveCollapse:
             )
             assert held[0] == fresh[0]
             assert held[1].amplitudes.tobytes() == fresh[1].amplitudes.tobytes()
+
+
+def measured_kinds():
+    """Every kind of measurement argument, on qubits (a, b, c): labels as a string, a tuple
+    and a list, an observable, an explicit measurement and the computational one."""
+    space = CompositeSpace.qubits("a", "b", "c")
+    plus = ProjectiveMeasurement.binary(space.subspace("c"), np.full((2, 2), 0.5))
+    return {
+        "string": "b",
+        "tuple": ("b", "a"),
+        "list": ["c", "a"],
+        "observable": observable_from_bloch(0.7, 0.3, CompositeSpace.qubits("b")),
+        "measurement": plus,
+        "computational": ProjectiveMeasurement.computational(space.subspace(("c", "b"))),
+    }
+
+
+class TestOneMeasurementArgument:
+    """Born and collapse take one measurement argument, ``basis``, classified by one rule."""
+
+    @pytest.mark.parametrize("kind", list(measured_kinds()))
+    def test_born_and_collapse_take_the_same_basis(self, kind):
+        """Each kind gives one Born distribution: a collapse draws its outcome from exactly
+        ``born_probabilities`` (a twin generator's ``_draw`` on it), and the branch has
+        that outcome with certainty."""
+        basis = measured_kinds()[kind]
+        psi = PureState(CompositeSpace.qubits("a", "b", "c"),
+                        random_pure(np.random.default_rng(71), 8))
+        probs = born_probabilities(psi, basis)
+        np.testing.assert_allclose(born_probabilities(psi.density(), basis), probs, atol=1e-13)
+        for seed in range(20):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            outcome, post = projective_collapse(psi, basis, rng)
+            assert outcome == _draw(probs, twin)
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert born_probabilities(post, basis)[outcome] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("basis", [42, None, (), np.eye(2)],
+                             ids=["int", "None", "empty", "matrix"])
+    def test_born_and_collapse_reject_the_same_non_measurements(self, basis):
+        """An int or a matrix raised a bare TypeError or UnknownSubsystem in Born; both
+        functions raise ShapeError, before any draw."""
+        psi = PureState(CompositeSpace.qubits("a", "b"), np.full(4, 0.5))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ShapeError, match="give either measured labels or an explicit basis"):
+            born_probabilities(psi, basis)
+        with pytest.raises(ShapeError, match="give either measured labels or an explicit basis"):
+            projective_collapse(psi, basis, rng)
+        assert rng.bit_generator.state == before
 
 
 class TestExactEnsemble:
